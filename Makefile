@@ -104,6 +104,9 @@ bench:
 # to any real allocs/op drift. P17's batched allocs/op is the guard for
 # the pipeline's scratch reuse (buffers are amortised across fixpoint
 # iterations — a drift upward means a buffer stopped being recycled).
+# The cold-start layer benches (P19: text load, snapshot load, the
+# materialisation build) run in the packages they measure; LoadText's
+# allocs/op is additionally held by TestLoadTextAllocs in `make test`.
 # Compare the two passes by eye (allocs/op is deterministic; ns/op is
 # not); EXPERIMENTS.md records the accepted numbers. To compare HEAD
 # against a clean baseline: `git stash && make benchcheck` for the old
@@ -112,16 +115,20 @@ benchcheck:
 	@for i in 1 2; do \
 		echo "== benchcheck pass $$i"; \
 		$(GO) test -run '^$$' -bench 'BenchmarkP1_MagicVsCounting|BenchmarkP2_CountingSetSize|BenchmarkP17_BatchedJoin' -benchmem . || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkLoadText|BenchmarkSnapshotLoad' -benchmem ./internal/database || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkMaterializeBuild' -benchmem ./internal/incremental || exit 1; \
 	done
 
 # Regenerate every table in EXPERIMENTS.md.
 experiments:
 	$(GO) run ./cmd/lincount-bench | tee bench_tables.txt
 
-# Short fuzzing passes over the parser, the snapshot reader, and the
-# WAL replayer.
+# Short fuzzing passes over the parser, the streaming fact loader (held
+# to the parser differentially), the snapshot reader, and the WAL
+# replayer.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
+	$(GO) test -fuzz=FuzzLoadFacts -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=30s ./internal/wal
 

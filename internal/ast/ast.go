@@ -69,7 +69,11 @@ func MkList(b *term.Bank, elems []Term, tail Term) Term {
 	consSym := b.Symbols().Intern(term.ListConsName)
 	t := tail
 	for i := len(elems) - 1; i >= 0; i-- {
-		t = Mk(b, consSym, elems[i], t)
+		if elems[i].Kind == Const && t.Kind == Const {
+			t = C(b.Cons(elems[i].Value, t.Value))
+		} else {
+			t = Mk(b, consSym, elems[i], t)
+		}
 	}
 	return t
 }

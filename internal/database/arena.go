@@ -136,13 +136,18 @@ func (r *Relation) rowsEqualMasked(a, b RowID, mask uint64) bool {
 	return true
 }
 
-// dedupGrow (re)allocates the dedup table at double capacity and rehashes
-// every stored row from the arena.
+// dedupGrow doubles the dedup table.
 func (r *Relation) dedupGrow() {
 	n := len(r.dedup.slots) * 2
 	if n < 16 {
 		n = 16
 	}
+	r.dedupResize(n)
+}
+
+// dedupResize (re)allocates the dedup table at n slots (a power of two)
+// and rehashes every stored row from the arena, dropping tombstones.
+func (r *Relation) dedupResize(n int) {
 	slots := make([]RowID, n)
 	for i := range slots {
 		slots[i] = noRow

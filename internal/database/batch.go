@@ -210,17 +210,30 @@ func (r *Relation) ProbeRangeBatch(mask uint64, nkeys int, keys []term.Value, lo
 // memory or falls back to normal growth.
 func NewRelationSized(arity, rows int) *Relation {
 	r := NewRelation(arity)
-	if rows > 0 {
-		r.arena = make([]term.Value, 0, rows*arity)
-		n := 16
-		for n*3 < rows*4 {
-			n *= 2
-		}
-		slots := make([]RowID, n)
-		for i := range slots {
-			slots[i] = noRow
-		}
-		r.dedup.slots = slots
-	}
+	r.Reserve(rows)
 	return r
+}
+
+// Reserve makes room for rows more rows: the arena is grown to exactly the
+// capacity they need and the dedup table to the size that holds them under
+// its load factor, once each, so the next rows inserts neither reallocate
+// nor rehash. It reserves nothing beyond that count (bulk loaders know it
+// exactly), leaves every RowID and row view valid, and is a no-op when the
+// room is already there.
+func (r *Relation) Reserve(rows int) {
+	if rows <= 0 {
+		return
+	}
+	if need := len(r.arena) + rows*r.arity; need > cap(r.arena) {
+		arena := make([]term.Value, len(r.arena), need)
+		copy(arena, r.arena)
+		r.arena = arena
+	}
+	n := 16
+	for n*3 < (r.dedup.used+rows)*4 {
+		n *= 2
+	}
+	if n > len(r.dedup.slots) {
+		r.dedupResize(n)
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"sync"
 
-	"lincount/internal/ast"
 	"lincount/internal/parser"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
@@ -60,10 +59,13 @@ type Relation struct {
 	indexes map[uint64]*rowIndex
 }
 
+// maxArity is the widest relation: index masks are 64-bit.
+const maxArity = 63
+
 // NewRelation returns an empty relation of the given arity.
-// Arity must be between 0 and 63 (index masks are 64-bit).
+// Arity must be between 0 and maxArity.
 func NewRelation(arity int) *Relation {
-	if arity < 0 || arity > 63 {
+	if arity < 0 || arity > maxArity {
 		panic(fmt.Sprintf("database: unsupported arity %d", arity))
 	}
 	return &Relation{
@@ -545,28 +547,17 @@ func (db *Database) RetractBatch(pred symtab.Sym, tuples []Tuple) (int, error) {
 // removed. Facts absent from the database are no-ops, not errors. Facts
 // are grouped by predicate so each touched relation is rebuilt once.
 func (db *Database) RetractText(src string) (int, error) {
-	res, err := parser.Parse(db.bank, src)
-	if err != nil {
-		return 0, err
-	}
-	if len(res.Queries) != 0 {
-		return 0, fmt.Errorf("database: queries are not allowed in fact files")
-	}
 	byPred := make(map[symtab.Sym][]Tuple)
 	var order []symtab.Sym
-	for _, r := range res.Program.Rules {
-		if !r.IsFact() {
-			return 0, fmt.Errorf("database: %s is not a ground fact",
-				ast.FormatRule(db.bank, r))
+	err := parser.ParseFacts(db.bank, src, func(pred symtab.Sym, args []term.Value) error {
+		if _, ok := byPred[pred]; !ok {
+			order = append(order, pred)
 		}
-		t := make(Tuple, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			t[i] = a.Value
-		}
-		if _, ok := byPred[r.Head.Pred]; !ok {
-			order = append(order, r.Head.Pred)
-		}
-		byPred[r.Head.Pred] = append(byPred[r.Head.Pred], t)
+		byPred[pred] = append(byPred[pred], Tuple(args).Clone())
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	removed := 0
 	for _, pred := range order {
@@ -633,26 +624,53 @@ func (db *Database) ArenaValues() int {
 }
 
 // LoadText parses src (facts only) into the database. It returns an error
-// if src contains rules with bodies, non-ground facts, or queries.
+// if src contains rules with bodies, non-ground facts, or queries, or uses
+// a predicate with two arities (against the database or within src), and
+// in every such case the database is left exactly as it was: the facts
+// stream from the parser into flat per-predicate staging buffers, and
+// only a text that parsed to its end is committed — one Reserve per
+// relation, then its rows in source order.
 func (db *Database) LoadText(src string) error {
-	res, err := parser.Parse(db.bank, src)
+	type staged struct {
+		arity, rows int
+		vals        []term.Value
+	}
+	byPred := make(map[symtab.Sym]*staged)
+	var order []symtab.Sym
+	err := parser.ParseFacts(db.bank, src, func(pred symtab.Sym, args []term.Value) error {
+		st, ok := byPred[pred]
+		if !ok {
+			if len(args) > maxArity {
+				return fmt.Errorf("database: predicate %s has arity %d, the maximum is %d",
+					db.bank.Symbols().String(pred), len(args), maxArity)
+			}
+			st = &staged{arity: len(args)}
+			if r := db.rels[pred]; r != nil {
+				st.arity = r.arity
+			}
+			byPred[pred] = st
+			order = append(order, pred)
+		}
+		if st.arity != len(args) {
+			return fmt.Errorf("database: predicate %s used with arity %d and %d",
+				db.bank.Symbols().String(pred), st.arity, len(args))
+		}
+		st.vals = append(st.vals, args...)
+		st.rows++
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if len(res.Queries) != 0 {
-		return fmt.Errorf("database: queries are not allowed in fact files")
-	}
-	for _, r := range res.Program.Rules {
-		if !r.IsFact() {
-			return fmt.Errorf("database: %s is not a ground fact",
-				ast.FormatRule(db.bank, r))
+	for _, pred := range order {
+		st := byPred[pred]
+		rel, err := db.Ensure(pred, st.arity)
+		if err != nil {
+			return err // unreachable: arities were checked while staging
 		}
-		t := make(Tuple, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			t[i] = a.Value
-		}
-		if _, err := db.Assert(r.Head.Pred, t); err != nil {
-			return err
+		rel.Reserve(st.rows)
+		for i := 0; i < st.rows; i++ {
+			rel.Insert(st.vals[i*st.arity : (i+1)*st.arity])
 		}
 	}
 	return nil

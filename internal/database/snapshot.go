@@ -2,7 +2,6 @@ package database
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -144,203 +143,261 @@ func writeValue(bw *bufio.Writer, v term.Value) {
 // snapshot's tuples are merged). Symbols and compounds are re-interned
 // into db's bank, so the snapshot may come from a different universe.
 //
-// Current ("LCDB2") snapshots carry a CRC-32 trailer, verified before
-// anything is merged: a truncated or bit-flipped snapshot is rejected
-// with *SnapshotCorruptError and db is left exactly as it was. Legacy
-// "LCDB1" snapshots load without the integrity check.
+// Current ("LCDB2") snapshots carry a CRC-32 trailer, verified first: a
+// truncated or bit-flipped snapshot is rejected with *SnapshotCorruptError.
+// Legacy "LCDB1" snapshots load without the integrity check. Either way
+// the payload is decoded in one pass, straight from memory, into staged
+// relations, and db changes only once the whole payload has validated:
+// whatever the error, db's relations are exactly what they were.
 func Load(r io.Reader, db *Database) error {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(snapshotMagicV2))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return fmt.Errorf("database: reading snapshot header: %w", err)
-	}
-	switch string(head) {
-	case snapshotMagicV1:
-		return loadPayload(br, db)
-	case snapshotMagicV2:
-	default:
-		return fmt.Errorf("database: not a snapshot file (bad magic %q)", head)
-	}
-	rest, err := io.ReadAll(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("database: reading snapshot: %w", err)
 	}
-	if len(rest) < 4 {
-		return &SnapshotCorruptError{Reason: "truncated (no room for the CRC trailer)"}
+	if len(data) < len(snapshotMagicV2) {
+		return fmt.Errorf("database: reading snapshot header: %w", io.ErrUnexpectedEOF)
 	}
-	payload, trailer := rest[:len(rest)-4], rest[len(rest)-4:]
-	crc := crc32.NewIEEE()
-	crc.Write(head)
-	crc.Write(payload)
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc.Sum32(); got != want {
-		return &SnapshotCorruptError{Reason: "checksum mismatch", Want: want, Got: got}
+	head, payload := data[:len(snapshotMagicV2)], data[len(snapshotMagicV2):]
+	switch string(head) {
+	case snapshotMagicV1:
+	case snapshotMagicV2:
+		if len(payload) < 4 {
+			return &SnapshotCorruptError{Reason: "truncated (no room for the CRC trailer)"}
+		}
+		want := binary.LittleEndian.Uint32(payload[len(payload)-4:])
+		if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+			return &SnapshotCorruptError{Reason: "checksum mismatch", Want: want, Got: got}
+		}
+		payload = payload[:len(payload)-4]
+	default:
+		return fmt.Errorf("database: not a snapshot file (bad magic %q)", head)
 	}
-	// Parse into a staging database over the same bank, then merge: if
-	// anything in the (checksummed, but possibly adversarial) payload
-	// still fails validation, db keeps its exact prior contents.
+	// The payload is checksummed but possibly adversarial: decode it into
+	// staging relations, commit only if all of it validates.
 	staging := New(db.bank)
-	if err := loadPayload(bufio.NewReader(bytes.NewReader(payload)), staging); err != nil {
+	if err := (&snapshotDecoder{buf: payload}).decode(staging); err != nil {
 		return err
 	}
-	return mergeSnapshot(db, staging)
+	return commitSnapshot(db, staging)
 }
 
-// mergeSnapshot copies every staged relation into db, validating arity
-// agreement for all of them before inserting any tuple.
-func mergeSnapshot(db, staging *Database) error {
+// commitSnapshot moves every staged relation into db after checking arity
+// agreement for all of them. A relation db does not have yet is adopted
+// as staged — arena, dedup table and all; this is the whole of a recovery,
+// which loads into an empty database. Only a predicate db already holds
+// is merged row by row.
+func commitSnapshot(db, staging *Database) error {
 	preds := staging.Predicates()
 	for _, p := range preds {
-		if existing, ok := db.rels[p]; ok && existing.Arity() != staging.rels[p].Arity() {
+		src := staging.rels[p]
+		if dst, ok := db.rels[p]; ok && dst.arity != src.arity {
 			return fmt.Errorf("database: snapshot relation %s has arity %d, database has %d",
-				db.bank.Symbols().String(p), staging.rels[p].Arity(), existing.Arity())
+				db.bank.Symbols().String(p), src.arity, dst.arity)
 		}
 	}
 	for _, p := range preds {
 		src := staging.rels[p]
-		dst, err := db.Ensure(p, src.Arity())
-		if err != nil {
-			return err
+		if _, ok := db.rels[p]; !ok {
+			db.rels[p] = src
+			continue
 		}
-		for id := RowID(0); int(id) < src.Len(); id++ {
-			// Insert copies the row view into dst's arena.
-			dst.Insert(Tuple(src.Row(id)))
+		dst, err := db.Ensure(p, src.arity)
+		if err != nil {
+			return err // unreachable: arities were checked above
+		}
+		for id := RowID(0); int(id) < src.rows; id++ {
+			dst.Insert(src.rowSlice(id))
 		}
 	}
 	return nil
 }
 
-// loadPayload parses the snapshot body (everything after the magic) and
-// merges it into db.
-func loadPayload(br *bufio.Reader, db *Database) error {
-	bank := db.bank
-	syms := bank.Symbols()
+// snapshotDecoder reads the snapshot body (everything between the magic
+// and the trailer) from memory.
+type snapshotDecoder struct {
+	buf     []byte
+	pos     int
+	symMap  []symtab.Sym
+	compMap []term.Value
+}
 
-	nsyms, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	symMap := make([]symtab.Sym, nsyms)
-	for i := range symMap {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return err
-		}
-		symMap[i] = syms.Intern(string(buf))
-	}
+// errSnapshotTruncated reports a payload that ends inside a field, or
+// declares more elements than its remaining bytes could hold.
+var errSnapshotTruncated = fmt.Errorf("database: snapshot payload truncated: %w", io.ErrUnexpectedEOF)
 
-	ncomps, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
+func (d *snapshotDecoder) left() int { return len(d.buf) - d.pos }
+
+func (d *snapshotDecoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		return 0, errSnapshotTruncated
 	}
-	compMap := make([]term.Value, ncomps)
-	readValue := func() (term.Value, error) {
-		tag, err := br.ReadByte()
+	d.pos += n
+	return v, nil
+}
+
+// count reads an element count and rejects one the bytes left could not
+// possibly back (every element takes at least minBytes), so a lying header
+// cannot demand an absurd allocation.
+func (d *snapshotDecoder) count(minBytes int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.left()/minBytes) {
+		return 0, errSnapshotTruncated
+	}
+	return int(n), nil
+}
+
+// index reads an index below limit.
+func (d *snapshotDecoder) index(limit int, what string) (int, error) {
+	i, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(limit) {
+		return 0, fmt.Errorf("database: snapshot %s index %d out of range", what, i)
+	}
+	return int(i), nil
+}
+
+func (d *snapshotDecoder) value() (term.Value, error) {
+	if d.left() == 0 {
+		return 0, errSnapshotTruncated
+	}
+	tag := d.buf[d.pos]
+	d.pos++
+	switch tag {
+	case 0:
+		n, w := binary.Varint(d.buf[d.pos:])
+		if w <= 0 {
+			return 0, errSnapshotTruncated
+		}
+		d.pos += w
+		if n<<2>>2 != n {
+			return 0, fmt.Errorf("database: snapshot integer %d outside the 62-bit range", n)
+		}
+		return term.Int(n), nil
+	case 1:
+		s, err := d.index(len(d.symMap), "symbol")
 		if err != nil {
 			return 0, err
 		}
-		switch tag {
-		case 0:
-			n, err := binary.ReadVarint(br)
-			if err != nil {
-				return 0, err
-			}
-			return term.Int(n), nil
-		case 1:
-			s, err := binary.ReadUvarint(br)
-			if err != nil {
-				return 0, err
-			}
-			if s >= nsyms {
-				return 0, fmt.Errorf("database: snapshot symbol index %d out of range", s)
-			}
-			return term.Symbol(symMap[s]), nil
-		case 2:
-			c, err := binary.ReadUvarint(br)
-			if err != nil {
-				return 0, err
-			}
-			// compMap entries are filled in writer order, so a valid
-			// snapshot never references a compound before defining it.
-			if c >= ncomps {
-				return 0, fmt.Errorf("database: snapshot compound index %d out of range", c)
-			}
-			return compMap[c], nil
-		default:
-			return 0, fmt.Errorf("database: bad value tag %d", tag)
+		return term.Symbol(d.symMap[s]), nil
+	case 2:
+		// compMap grows in writer order, so a valid snapshot never
+		// references a compound before defining it.
+		c, err := d.index(len(d.compMap), "compound")
+		if err != nil {
+			return 0, err
 		}
+		return d.compMap[c], nil
+	default:
+		return 0, fmt.Errorf("database: bad value tag %d", tag)
 	}
-	// Caps guard against corrupt headers demanding absurd allocations;
-	// genuine data stays far below them (relation arity is limited to 63
-	// by the index masks anyway).
-	const maxCompoundArity = 1 << 16
-	for i := range compMap {
-		f, err := binary.ReadUvarint(br)
+}
+
+// values reads n values into the reused buffer.
+func (d *snapshotDecoder) values(dst []term.Value, n int) ([]term.Value, error) {
+	dst = dst[:0]
+	for i := 0; i < n; i++ {
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+func (d *snapshotDecoder) decode(staging *Database) error {
+	bank := staging.bank
+	syms := bank.Symbols()
+
+	nsyms, err := d.count(1)
+	if err != nil {
+		return err
+	}
+	d.symMap = make([]symtab.Sym, nsyms)
+	for i := range d.symMap {
+		n, err := d.count(1)
 		if err != nil {
 			return err
 		}
-		if f >= nsyms {
-			return fmt.Errorf("database: snapshot functor index %d out of range", f)
-		}
-		arity, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		if arity > maxCompoundArity {
-			return fmt.Errorf("database: snapshot compound arity %d out of range", arity)
-		}
-		args := make([]term.Value, arity)
-		for j := range args {
-			v, err := readValue()
-			if err != nil {
-				return err
-			}
-			args[j] = v
-		}
-		compMap[i] = bank.Compound(symMap[f], args...)
+		d.symMap[i] = syms.Intern(string(d.buf[d.pos : d.pos+n]))
+		d.pos += n
 	}
 
-	nrels, err := binary.ReadUvarint(br)
+	ncomps, err := d.count(2)
+	if err != nil {
+		return err
+	}
+	d.compMap = make([]term.Value, 0, ncomps)
+	consSym := syms.Intern(term.ListConsName)
+	var vals []term.Value // one buffer for every compound and tuple
+	for i := 0; i < ncomps; i++ {
+		f, err := d.index(nsyms, "functor")
+		if err != nil {
+			return err
+		}
+		arity, err := d.count(2)
+		if err != nil {
+			return err
+		}
+		if d.symMap[f] == consSym && arity != 2 {
+			// Every list walk (Format, ListElems) takes a cell's two
+			// arguments for granted.
+			return fmt.Errorf("database: snapshot list cell with %d arguments", arity)
+		}
+		if vals, err = d.values(vals, arity); err != nil {
+			return err
+		}
+		d.compMap = append(d.compMap, bank.Compound(d.symMap[f], vals...))
+	}
+
+	nrels, err := d.uvarint()
 	if err != nil {
 		return err
 	}
 	for i := uint64(0); i < nrels; i++ {
-		p, err := binary.ReadUvarint(br)
+		p, err := d.index(nsyms, "predicate")
 		if err != nil {
 			return err
 		}
-		if p >= nsyms {
-			return fmt.Errorf("database: snapshot predicate index %d out of range", p)
-		}
-		arity, err := binary.ReadUvarint(br)
+		arity, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		if arity > 63 {
+		if arity > maxArity {
 			return fmt.Errorf("database: snapshot relation arity %d out of range", arity)
 		}
-		ntuples, err := binary.ReadUvarint(br)
+		rel, err := staging.Ensure(d.symMap[p], int(arity))
 		if err != nil {
 			return err
 		}
-		rel, err := db.Ensure(symMap[p], int(arity))
-		if err != nil {
-			return err
-		}
-		for t := uint64(0); t < ntuples; t++ {
-			tuple := make(Tuple, arity)
-			for j := range tuple {
-				v, err := readValue()
-				if err != nil {
-					return err
-				}
-				tuple[j] = v
+		if arity == 0 {
+			// Tuples of a propositional relation take no bytes: any
+			// positive count is the one empty row.
+			ntuples, err := d.uvarint()
+			if err != nil {
+				return err
 			}
-			rel.Insert(tuple)
+			if ntuples > 0 {
+				rel.Insert(nil)
+			}
+			continue
+		}
+		ntuples, err := d.count(2 * int(arity))
+		if err != nil {
+			return err
+		}
+		rel.Reserve(ntuples)
+		for t := 0; t < ntuples; t++ {
+			if vals, err = d.values(vals, int(arity)); err != nil {
+				return err
+			}
+			rel.Insert(vals)
 		}
 	}
 	return nil

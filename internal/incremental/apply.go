@@ -204,38 +204,27 @@ func (m *Materialization) parseOps(fork *database.Database, ops []Op) ([]parsedO
 	out := make([]parsedOp, len(ops))
 	batchArity := make(map[symtab.Sym]int)
 	for i, op := range ops {
-		res, err := parser.Parse(m.bank, op.Text)
-		if err != nil {
-			return nil, &OpError{Index: i, Err: err}
-		}
-		if len(res.Queries) != 0 {
-			return nil, &OpError{Index: i, Err: fmt.Errorf("queries are not allowed in fact batches")}
-		}
 		po := parsedOp{retract: op.Retract}
-		for _, r := range res.Program.Rules {
-			if !r.IsFact() {
-				return nil, &OpError{Index: i, Err: fmt.Errorf("%s is not a ground fact",
-					ast.FormatRule(m.bank, r))}
-			}
-			t := make(database.Tuple, len(r.Head.Args))
-			for k, a := range r.Head.Args {
-				t[k] = a.Value
-			}
-			want, ok := m.arity[r.Head.Pred]
+		err := parser.ParseFacts(m.bank, op.Text, func(pred symtab.Sym, args []term.Value) error {
+			want, ok := m.arity[pred]
 			if !ok {
-				if rel := fork.Relation(r.Head.Pred); rel != nil {
+				if rel := fork.Relation(pred); rel != nil {
 					want, ok = rel.Arity(), true
-				} else if n, seen := batchArity[r.Head.Pred]; seen {
+				} else if n, seen := batchArity[pred]; seen {
 					want, ok = n, true
 				}
 			}
-			if ok && want != len(t) {
-				return nil, &OpError{Index: i, Err: fmt.Errorf("predicate %s used with arity %d and %d",
-					m.bank.Symbols().String(r.Head.Pred), want, len(t))}
+			if ok && want != len(args) {
+				return fmt.Errorf("predicate %s used with arity %d and %d",
+					m.bank.Symbols().String(pred), want, len(args))
 			}
-			batchArity[r.Head.Pred] = len(t)
-			po.preds = append(po.preds, r.Head.Pred)
-			po.tuples = append(po.tuples, t)
+			batchArity[pred] = len(args)
+			po.preds = append(po.preds, pred)
+			po.tuples = append(po.tuples, database.Tuple(args).Clone())
+			return nil
+		})
+		if err != nil {
+			return nil, &OpError{Index: i, Err: err}
 		}
 		out[i] = po
 	}

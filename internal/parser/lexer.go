@@ -26,6 +26,7 @@ const (
 	tokVar             // uppercase- or underscore-leading identifier
 	tokInt
 	tokPunct // ( ) [ ] , . | and operators :- ?- = != < <= > >=
+	tokErr   // stands in for a token the lexer rejected; see parser.lexErr
 )
 
 type token struct {
@@ -45,137 +46,107 @@ func (t token) String() string {
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src       string
+	pos       int
+	line      int
+	lineStart int // offset of the current line's first byte; col = pos-lineStart+1
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1}
 }
 
 func (lx *lexer) errorf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peekByte() (byte, bool) {
-	if lx.pos >= len(lx.src) {
-		return 0, false
-	}
-	return lx.src[lx.pos], true
-}
-
-func (lx *lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
-}
-
 func (lx *lexer) skipSpaceAndComments() {
-	for {
-		c, ok := lx.peekByte()
-		if !ok {
-			return
-		}
-		switch {
-		case c == '%':
-			for {
-				c, ok := lx.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				lx.advance()
+	for lx.pos < len(lx.src) {
+		switch lx.src[lx.pos] {
+		case '%':
+			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
+				lx.pos++
 			}
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
+		case '\n':
+			lx.pos++
+			lx.line++
+			lx.lineStart = lx.pos
+		case ' ', '\t', '\r':
+			lx.pos++
 		default:
 			return
 		}
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
+// Byte classes. Identifiers are classified byte by byte, each byte read as
+// a Latin-1 code point, so the tables are filled from the unicode
+// predicates once instead of calling them per byte.
+const (
+	classIdentStart = 1 << iota
+	classIdentPart
+	classUpper
+	classDigit
+)
 
-func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
+var byteClass = func() (tab [256]uint8) {
+	for i := range tab {
+		r := rune(i)
+		if r == '_' || unicode.IsLetter(r) {
+			tab[i] |= classIdentStart | classIdentPart
+		}
+		if unicode.IsDigit(r) {
+			tab[i] |= classIdentPart | classDigit
+		}
+		if r == '_' || unicode.IsUpper(r) {
+			tab[i] |= classUpper
+		}
+	}
+	return tab
+}()
 
-// next returns the next token.
+func isIdentStart(c byte) bool { return byteClass[c]&classIdentStart != 0 }
+
+func isIdentPart(c byte) bool { return byteClass[c]&classIdentPart != 0 }
+
+// next returns the next token. Token text is always a substring of the
+// source, so lexing allocates nothing.
 func (lx *lexer) next() (token, error) {
 	lx.skipSpaceAndComments()
-	line, col := lx.line, lx.col
-	c, ok := lx.peekByte()
-	if !ok {
+	line, col := lx.line, lx.pos-lx.lineStart+1
+	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, line: line, col: col}, nil
 	}
+	start := lx.pos
+	c := lx.src[start]
 	switch {
-	case unicode.IsDigit(rune(c)):
-		start := lx.pos
-		for {
-			c, ok := lx.peekByte()
-			if !ok || !unicode.IsDigit(rune(c)) {
-				break
-			}
-			lx.advance()
+	case byteClass[c]&classDigit != 0:
+		for lx.pos < len(lx.src) && byteClass[lx.src[lx.pos]]&classDigit != 0 {
+			lx.pos++
 		}
 		return token{kind: tokInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	case isIdentStart(c):
-		start := lx.pos
-		for {
-			c, ok := lx.peekByte()
-			if !ok || !isIdentPart(c) {
-				break
-			}
-			lx.advance()
+		for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
+			lx.pos++
 		}
-		text := lx.src[start:lx.pos]
 		kind := tokIdent
-		if text[0] == '_' || unicode.IsUpper(rune(text[0])) {
+		if byteClass[c]&classUpper != 0 {
 			kind = tokVar
 		}
-		return token{kind: kind, text: text, line: line, col: col}, nil
+		return token{kind: kind, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
 	// Punctuation and operators.
-	two := ""
-	if lx.pos+1 < len(lx.src) {
-		two = lx.src[lx.pos : lx.pos+2]
-	}
-	switch two {
-	case ":-", "?-", "!=", "<=", ">=":
-		lx.advance()
-		lx.advance()
-		return token{kind: tokPunct, text: two, line: line, col: col}, nil
+	if start+1 < len(lx.src) {
+		switch lx.src[start : start+2] {
+		case ":-", "?-", "!=", "<=", ">=":
+			lx.pos += 2
+			return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
+		}
 	}
 	switch c {
 	case '(', ')', '[', ']', ',', '.', '|', '=', '<', '>', '-', '+':
-		lx.advance()
-		return token{kind: tokPunct, text: string(c), line: line, col: col}, nil
+		lx.pos++
+		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
 	return token{}, lx.errorf(line, col, "unexpected character %q", string(c))
-}
-
-// lexAll tokenizes the entire input (used by the parser, which needs one
-// token of lookahead and benefits from a flat slice).
-func lexAll(src string) ([]token, error) {
-	lx := newLexer(src)
-	var toks []token
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
 }

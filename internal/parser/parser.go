@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"lincount/internal/ast"
@@ -17,29 +18,41 @@ type Result struct {
 }
 
 type parser struct {
-	bank  *term.Bank
-	toks  []token
-	pos   int
-	anonN int
+	bank *term.Bank
+	syms *symtab.Table
+	lx   lexer
+	// tok is the one token of lookahead. A lexical error is held in lexErr
+	// and surfaces, as a tokErr token, when the parser reaches it — no
+	// production accepts tokErr, so the error is always reported.
+	tok    token
+	lexErr error
+	anonN  int
+	// terms is the stack every term production pushes its result onto.
+	// Whoever consumes the terms (a literal, a compound, a list, a streamed
+	// fact) pops them, copying only what it keeps: a streamed fact's
+	// arguments are never copied at all.
+	terms []ast.Term
+}
+
+func newParser(b *term.Bank, src string) *parser {
+	p := &parser{bank: b, syms: b.Symbols(), lx: newLexer(src)}
+	p.advance()
+	return p
 }
 
 // Parse parses src into rules, facts and queries over the given bank.
 func Parse(b *term.Bank, src string) (*Result, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{bank: b, toks: toks}
+	p := newParser(b, src)
 	res := &Result{Program: ast.NewProgram(b)}
-	for p.peek().kind != tokEOF {
-		if p.peek().kind == tokPunct && p.peek().text == "?-" {
+	for p.tok.kind != tokEOF {
+		if p.at("?-") {
 			p.advance()
 			goal, err := p.literal()
 			if err != nil {
 				return nil, err
 			}
 			if goal.Negated {
-				return nil, p.errAt(p.peek(), "query goal must be positive")
+				return nil, p.errAt(p.tok, "query goal must be positive")
 			}
 			if err := p.expect("."); err != nil {
 				return nil, err
@@ -80,23 +93,34 @@ func ParseQuery(b *term.Bank, src string) (ast.Query, error) {
 	return res.Queries[0], nil
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// advance consumes the lookahead token, pulling the next one from the
+// lexer, and returns the consumed token.
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+	t := p.tok
+	next, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		next = token{kind: tokErr}
 	}
+	p.tok = next
 	return t
 }
 
+// at reports whether the lookahead is the given punctuation.
+func (p *parser) at(text string) bool {
+	return p.tok.kind == tokPunct && p.tok.text == text
+}
+
 func (p *parser) errAt(t token, format string, args ...any) error {
+	if t.kind == tokErr {
+		return p.lexErr
+	}
 	return fmt.Errorf("%d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expect(text string) error {
-	t := p.peek()
-	if t.kind != tokPunct || t.text != text {
-		return p.errAt(t, "expected %q, found %s", text, t)
+	if !p.at(text) {
+		return p.errAt(p.tok, "expected %q, found %s", text, p.tok)
 	}
 	p.advance()
 	return nil
@@ -107,11 +131,16 @@ func (p *parser) rule() (ast.Rule, error) {
 	if err != nil {
 		return ast.Rule{}, err
 	}
+	return p.ruleFrom(head)
+}
+
+// ruleFrom parses the rest of a clause whose head literal has been read.
+func (p *parser) ruleFrom(head ast.Literal) (ast.Rule, error) {
 	if head.Negated {
-		return ast.Rule{}, p.errAt(p.peek(), "rule head must be positive")
+		return ast.Rule{}, p.errAt(p.tok, "rule head must be positive")
 	}
 	r := ast.Rule{Head: head}
-	if p.peek().kind == tokPunct && p.peek().text == ":-" {
+	if p.at(":-") {
 		p.advance()
 		for {
 			l, err := p.literal()
@@ -119,11 +148,10 @@ func (p *parser) rule() (ast.Rule, error) {
 				return ast.Rule{}, err
 			}
 			r.Body = append(r.Body, l)
-			if p.peek().kind == tokPunct && p.peek().text == "," {
-				p.advance()
-				continue
+			if !p.at(",") {
+				break
 			}
-			break
+			p.advance()
 		}
 	}
 	if err := p.expect("."); err != nil {
@@ -132,83 +160,120 @@ func (p *parser) rule() (ast.Rule, error) {
 	return r, nil
 }
 
-var infixOps = map[string]bool{
-	ast.BuiltinEq: true, ast.BuiltinNeq: true,
-	ast.BuiltinLt: true, ast.BuiltinLe: true,
-	ast.BuiltinGt: true, ast.BuiltinGe: true,
+func isInfixOp(t token) bool {
+	if t.kind != tokPunct {
+		return false
+	}
+	switch t.text {
+	case ast.BuiltinEq, ast.BuiltinNeq, ast.BuiltinLt, ast.BuiltinLe, ast.BuiltinGt, ast.BuiltinGe:
+		return true
+	}
+	return false
 }
 
+// literal parses an atom p(t,...), a zero-arity atom p, or an infix builtin
+// t1 op t2, each optionally under `not`.
 func (p *parser) literal() (ast.Literal, error) {
-	negated := false
-	if t := p.peek(); t.kind == tokIdent && t.text == "not" {
-		p.advance()
-		negated = true
-	}
-	// An atom starting with an identifier could still be the left side of
-	// an infix builtin only if it is a plain term; parse a term first and
-	// decide.
-	t := p.peek()
-	lhs, err := p.term()
+	base := len(p.terms)
+	pred, negated, err := p.literalArgs()
 	if err != nil {
 		return ast.Literal{}, err
 	}
-	if op := p.peek(); op.kind == tokPunct && infixOps[op.text] {
-		p.advance()
-		rhs, err := p.term()
-		if err != nil {
-			return ast.Literal{}, err
-		}
-		pred := p.bank.Symbols().Intern(op.text)
-		return ast.Literal{Pred: pred, Args: []ast.Term{lhs, rhs}, Negated: negated}, nil
+	l := ast.Literal{Pred: pred, Negated: negated}
+	if len(p.terms) > base {
+		l.Args = slices.Clone(p.terms[base:])
+		p.terms = p.terms[:base]
 	}
-	// Otherwise the term must itself be an atom: a constant symbol
-	// (zero-arity predicate) or a compound with an identifier functor.
-	consSym := p.bank.Symbols().Intern(term.ListConsName)
-	switch lhs.Kind {
-	case ast.Comp:
-		if lhs.Name != consSym {
-			return ast.Literal{Pred: lhs.Name, Args: lhs.Args, Negated: negated}, nil
-		}
-	case ast.Const:
-		v := lhs.Value
-		if v.IsSymbol() && !p.bank.IsNil(v) {
-			return ast.Literal{Pred: v.AsSymbol(), Args: nil, Negated: negated}, nil
-		}
-		if v.IsCompound() {
-			if c := p.bank.Deref(v); c.Functor != consSym {
-				args := make([]ast.Term, len(c.Args))
-				for i, a := range c.Args {
-					args[i] = ast.C(a)
-				}
-				return ast.Literal{Pred: c.Functor, Args: args, Negated: negated}, nil
-			}
-		}
-	}
-	return ast.Literal{}, p.errAt(t, "expected a literal")
+	return l, nil
 }
 
-func (p *parser) term() (ast.Term, error) {
-	t := p.peek()
+// literalArgs is literal with the arguments left on the term stack. An
+// atom is parsed as functor plus argument list and is never a term: only
+// when an infix operator follows it (f(a) = X) is it folded into a
+// compound, so ground atoms leave no trace in the term bank.
+func (p *parser) literalArgs() (pred symtab.Sym, negated bool, err error) {
+	if p.tok.kind == tokIdent && p.tok.text == "not" {
+		p.advance()
+		negated = true
+	}
+	first := p.tok
+	if first.kind == tokIdent {
+		p.advance()
+		sym := p.syms.Intern(first.text)
+		base := len(p.terms)
+		parens := p.at("(")
+		if parens {
+			if err := p.args(); err != nil {
+				return 0, false, err
+			}
+		}
+		if !isInfixOp(p.tok) {
+			return sym, negated, nil
+		}
+		if parens {
+			p.compound(sym, base)
+		} else {
+			p.terms = append(p.terms, ast.C(term.Symbol(sym)))
+		}
+	} else {
+		if err := p.term(); err != nil {
+			return 0, false, err
+		}
+		if !isInfixOp(p.tok) {
+			if p.tok.kind == tokErr {
+				first = p.tok // a bad byte after the term: report that instead
+			}
+			return 0, false, p.errAt(first, "expected a literal")
+		}
+	}
+	op := p.advance()
+	if err := p.term(); err != nil {
+		return 0, false, err
+	}
+	return p.syms.Intern(op.text), negated, nil
+}
+
+// args parses "(t, ..., t)" with the lookahead on "(", pushing each
+// argument; "()" pushes none.
+func (p *parser) args() error {
+	p.advance()
+	if p.at(")") {
+		p.advance()
+		return nil
+	}
+	for {
+		if err := p.term(); err != nil {
+			return err
+		}
+		if !p.at(",") {
+			break
+		}
+		p.advance()
+	}
+	return p.expect(")")
+}
+
+// compound replaces the terms above base with sym(...) over them: an
+// interned constant when they are all ground.
+func (p *parser) compound(sym symtab.Sym, base int) {
+	t := ast.Mk(p.bank, sym, p.terms[base:]...)
+	if t.Kind == ast.Comp {
+		t.Args = slices.Clone(t.Args) // Mk kept the stack's own slice
+	}
+	p.terms = append(p.terms[:base], t)
+}
+
+// term parses one term and pushes it.
+func (p *parser) term() error {
+	t := p.tok
 	switch {
-	case t.kind == tokInt:
-		p.advance()
-		n, err := p.parseInt(t, t.text, false)
+	case t.kind == tokInt || p.at("-"):
+		n, err := p.integer()
 		if err != nil {
-			return ast.Term{}, err
+			return err
 		}
-		return ast.C(term.Int(n)), nil
-	case t.kind == tokPunct && t.text == "-":
-		p.advance()
-		it := p.peek()
-		if it.kind != tokInt {
-			return ast.Term{}, p.errAt(it, "expected integer after '-'")
-		}
-		p.advance()
-		n, err := p.parseInt(it, it.text, true)
-		if err != nil {
-			return ast.Term{}, err
-		}
-		return ast.C(term.Int(n)), nil
+		p.terms = append(p.terms, ast.C(term.Int(n)))
+		return nil
 	case t.kind == tokVar:
 		p.advance()
 		name := t.text
@@ -216,47 +281,42 @@ func (p *parser) term() (ast.Term, error) {
 			p.anonN++
 			name = fmt.Sprintf("_G%d", p.anonN)
 		}
-		return ast.V(p.bank.Symbols().Intern(name)), nil
+		p.terms = append(p.terms, ast.V(p.syms.Intern(name)))
+		return nil
 	case t.kind == tokIdent:
 		p.advance()
-		sym := p.bank.Symbols().Intern(t.text)
-		if nt := p.peek(); nt.kind == tokPunct && nt.text == "(" {
-			p.advance()
-			var args []ast.Term
-			if p.peek().kind == tokPunct && p.peek().text == ")" {
-				p.advance()
-			} else {
-				for {
-					a, err := p.term()
-					if err != nil {
-						return ast.Term{}, err
-					}
-					args = append(args, a)
-					if p.peek().kind == tokPunct && p.peek().text == "," {
-						p.advance()
-						continue
-					}
-					break
-				}
-				if err := p.expect(")"); err != nil {
-					return ast.Term{}, err
-				}
-			}
-			return ast.Mk(p.bank, sym, args...), nil
+		sym := p.syms.Intern(t.text)
+		if !p.at("(") {
+			p.terms = append(p.terms, ast.C(term.Symbol(sym)))
+			return nil
 		}
-		return ast.C(term.Symbol(sym)), nil
-	case t.kind == tokPunct && t.text == "[":
+		base := len(p.terms)
+		if err := p.args(); err != nil {
+			return err
+		}
+		p.compound(sym, base)
+		return nil
+	case p.at("["):
 		return p.list()
 	}
-	return ast.Term{}, p.errAt(t, "expected a term, found %s", t)
+	return p.errAt(t, "expected a term, found %s", t)
 }
 
-// parseInt converts an integer token, enforcing the 62-bit range the
-// term.Value encoding supports.
-func (p *parser) parseInt(t token, text string, negate bool) (int64, error) {
-	n, err := strconv.ParseInt(text, 10, 64)
+// integer parses an optionally negated integer literal with the lookahead
+// on the digits or the '-', enforcing the 62-bit range the term.Value
+// encoding supports.
+func (p *parser) integer() (int64, error) {
+	negate := p.at("-")
+	if negate {
+		p.advance()
+		if p.tok.kind != tokInt {
+			return 0, p.errAt(p.tok, "expected integer after '-'")
+		}
+	}
+	t := p.advance()
+	n, err := strconv.ParseInt(t.text, 10, 64)
 	if err != nil {
-		return 0, p.errAt(t, "bad integer %q", text)
+		return 0, p.errAt(t, "bad integer %q", t.text)
 	}
 	if negate {
 		n = -n
@@ -268,40 +328,79 @@ func (p *parser) parseInt(t token, text string, negate bool) (int64, error) {
 	return n, nil
 }
 
-func (p *parser) list() (ast.Term, error) {
-	if err := p.expect("["); err != nil {
-		return ast.Term{}, err
-	}
-	if p.peek().kind == tokPunct && p.peek().text == "]" {
-		p.advance()
-		return ast.NilTerm(p.bank), nil
-	}
-	var elems []ast.Term
-	for {
-		e, err := p.term()
-		if err != nil {
-			return ast.Term{}, err
-		}
-		elems = append(elems, e)
-		if p.peek().kind == tokPunct && p.peek().text == "," {
-			p.advance()
-			continue
-		}
-		break
-	}
+// list parses "[e, ..., e]" or "[e, ... | tail]" with the lookahead on "["
+// and pushes the list.
+func (p *parser) list() error {
+	p.advance()
+	base := len(p.terms)
 	tail := ast.NilTerm(p.bank)
-	if p.peek().kind == tokPunct && p.peek().text == "|" {
-		p.advance()
-		var err error
-		tail, err = p.term()
-		if err != nil {
-			return ast.Term{}, err
+	if !p.at("]") {
+		for {
+			if err := p.term(); err != nil {
+				return err
+			}
+			if !p.at(",") {
+				break
+			}
+			p.advance()
+		}
+		if p.at("|") {
+			p.advance()
+			if err := p.term(); err != nil {
+				return err
+			}
+			tail = p.terms[len(p.terms)-1]
+			p.terms = p.terms[:len(p.terms)-1]
 		}
 	}
 	if err := p.expect("]"); err != nil {
-		return ast.Term{}, err
+		return err
 	}
-	return ast.MkList(p.bank, elems, tail), nil
+	p.terms = append(p.terms[:base], ast.MkList(p.bank, p.terms[base:], tail))
+	return nil
+}
+
+// ParseFacts parses fact text — ground facts only — handing each fact to
+// sink in source order, without building an ast.Rule or ast.Program and
+// without interning the fact's atom: only genuine compound and list
+// arguments reach the bank. args is reused between calls; sink must copy
+// what it keeps. Anything but a ground fact (a rule, a query, a variable)
+// is an error naming its position, as is the first error sink returns.
+func ParseFacts(b *term.Bank, src string, sink func(pred symtab.Sym, args []term.Value) error) error {
+	p := newParser(b, src)
+	var vals []term.Value
+	for p.tok.kind != tokEOF {
+		first := p.tok
+		if p.at("?-") {
+			return p.errAt(first, "queries are not allowed in fact text")
+		}
+		pred, negated, err := p.literalArgs()
+		if err != nil {
+			return err
+		}
+		vals = vals[:0]
+		for _, a := range p.terms {
+			if a.Kind == ast.Const {
+				vals = append(vals, a.Value)
+			}
+		}
+		if negated || !p.at(".") || len(vals) != len(p.terms) {
+			// Not a ground fact: read the clause to its end, so that it is
+			// either a syntax error or can be shown in the message.
+			head := ast.Literal{Pred: pred, Args: slices.Clone(p.terms), Negated: negated}
+			r, err := p.ruleFrom(head)
+			if err != nil {
+				return err
+			}
+			return p.errAt(first, "%s is not a ground fact", ast.FormatRule(b, r))
+		}
+		p.advance()
+		p.terms = p.terms[:0]
+		if err := sink(pred, vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustParse is a test and example helper: it parses src and panics on error.
