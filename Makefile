@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check chaos obs-smoke server-smoke crash-smoke inc-smoke planner-smoke golden-explain bench benchcheck experiments fuzz examples clean
+.PHONY: all build test race vet fmt check chaos obs-smoke server-smoke crash-smoke inc-smoke planner-smoke golden-explain bench benchcheck bench-e2e bench-compare experiments fuzz examples clean
 
 all: build vet test
 
@@ -99,18 +99,18 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Allocation regression check, documented-but-optional like `make chaos`:
-# runs the storage-sensitive P1/P2 micro-benchmarks and the batched-join
-# P17 pair twice with -benchmem so run-to-run variance is visible next
-# to any real allocs/op drift. P17's batched allocs/op is the guard for
-# the pipeline's scratch reuse (buffers are amortised across fixpoint
-# iterations — a drift upward means a buffer stopped being recycled).
+# runs the storage-sensitive P1/P2 micro-benchmarks and the join
+# pipeline's P17 pair (serial, +4w) twice with -benchmem so run-to-run
+# variance is visible next to any real allocs/op drift. P17's serial
+# allocs/op is the guard for the pipeline's buffer reuse (buffers are
+# amortised across fixpoint iterations — a drift upward means a buffer
+# stopped being recycled).
 # The cold-start layer benches (P19: text load, snapshot load, the
 # materialisation build) run in the packages they measure; LoadText's
 # allocs/op is additionally held by TestLoadTextAllocs in `make test`.
 # Compare the two passes by eye (allocs/op is deterministic; ns/op is
-# not); EXPERIMENTS.md records the accepted numbers. To compare HEAD
-# against a clean baseline: `git stash && make benchcheck` for the old
-# numbers, then `git stash pop && make benchcheck` for the new ones.
+# not); EXPERIMENTS.md records the accepted numbers. The timing gate is
+# `make bench-compare BASE=<rev>` below.
 benchcheck:
 	@for i in 1 2; do \
 		echo "== benchcheck pass $$i"; \
@@ -118,6 +118,62 @@ benchcheck:
 		$(GO) test -run '^$$' -bench 'BenchmarkLoadText|BenchmarkSnapshotLoad' -benchmem ./internal/database || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkMaterializeBuild' -benchmem ./internal/incremental || exit 1; \
 	done
+
+# The end-to-end benchmark of BENCHMARK.json (see benchmark/README.md):
+# all four workloads once, the nine end-to-end metrics each, the full
+# result written to BENCH_E2E_OUT. Everything it builds and writes stays
+# under .bench_build/.
+BENCH_SEED ?= 1
+BENCH_E2E_OUT ?= .bench_build/e2e.json
+bench-e2e:
+	bash benchmark/run.sh --seed $(BENCH_SEED) --trace 0 --out $(BENCH_E2E_OUT)
+
+# The timing gate: the working tree against BASE, as ROUNDS alternating
+# base/tree rounds of bench-e2e (round i runs both sides on seed i, the
+# side that goes first alternating, so host drift hits both alike), then `benchmark --compare` over the pooled
+# runs — its exit code is this target's. BASE is exported with `git
+# archive` into .bench_build/base and built there, so neither side sees
+# the other's files or build cache. The medians, every run's value and
+# both environments (commit, Go version, GOMAXPROCS, cores) are written
+# to BENCH_OUT for committing. Needs jq to pool the per-round files.
+ROUNDS ?= 10
+BENCH_OUT ?= BENCH_$(shell date +%Y%m%d).json
+define BENCH_SUMMARY_JQ
+def median: sort | if length % 2 == 1 then .[(length - 1) / 2] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+def side: {
+  env: .results[0].env,
+  failed: (.results | map(.failed) | add),
+  workloads: (.results | group_by(.workload) | map({
+    key: .[0].workload,
+    value: (map(.metrics | to_entries) | add | group_by(.key) | map({
+      key: .[0].key,
+      value: {unit: .[0].value.unit, median: (map(.value.value) | median), runs: map(.value.value)}
+    }) | from_entries)
+  }) | from_entries)
+};
+{generated: (now | todate), base_rev: $$rev, rounds: ($$rounds | tonumber), base: ($$a[0] | side), tree: ($$b[0] | side)}
+endef
+export BENCH_SUMMARY_JQ
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [ROUNDS=10] [BENCH_OUT=file]"; exit 2; }
+	@command -v jq > /dev/null || { echo "bench-compare: jq not found"; exit 2; }
+	rm -rf .bench_build/base .bench_build/compare
+	mkdir -p .bench_build/base .bench_build/compare
+	git archive $(BASE) | tar -x -C .bench_build/base
+	@for i in $$(seq 1 $(ROUNDS)); do \
+		order="base tree"; [ $$((i % 2)) -eq 0 ] && order="tree base"; \
+		for side in $$order; do \
+			echo "== round $$i/$(ROUNDS): $$side"; \
+			dir=.; [ $$side = base ] && dir=.bench_build/base; \
+			(cd $$dir && bash benchmark/run.sh --seed $$i --trace 0 --out $(CURDIR)/.bench_build/compare/$$side-$$(printf %03d $$i).json) || exit 1; \
+		done; \
+	done
+	jq -s '{results: map(.results) | add}' .bench_build/compare/base-*.json > .bench_build/compare/base.json
+	jq -s '{results: map(.results) | add}' .bench_build/compare/tree-*.json > .bench_build/compare/tree.json
+	jq -n --arg rev "$$(git rev-parse --short=12 $(BASE))" --arg rounds $(ROUNDS) \
+		--slurpfile a .bench_build/compare/base.json --slurpfile b .bench_build/compare/tree.json \
+		"$$BENCH_SUMMARY_JQ" > $(BENCH_OUT)
+	.bench_build/benchmark --compare .bench_build/compare/base.json .bench_build/compare/tree.json
 
 # Regenerate every table in EXPERIMENTS.md.
 experiments:

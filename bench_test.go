@@ -259,12 +259,11 @@ func BenchmarkP14_PreparedVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkP17_BatchedJoin: the batched streaming pipeline against the
-// tuple-at-a-time legacy path on a probe-bound 4-literal recursive rule
-// (the P17 wide shape at reduced size). Run under `make benchcheck`:
-// allocs/op is the guarded number — the batched path amortises its
-// buffers across iterations, so a drift upward means a scratch buffer
-// stopped being reused.
+// BenchmarkP17_BatchedJoin: the join pipeline, serial and partitioned
+// across four workers, on a probe-bound 4-literal recursive rule (the P17
+// wide shape at reduced size). Run under `make benchcheck`: allocs/op is
+// the guarded number — the pipeline amortises its buffers across
+// iterations, so a drift upward means a buffer stopped being reused.
 func BenchmarkP17_BatchedJoin(b *testing.B) {
 	const src = "p(X,Y) :- s(X,Y).\np(X,W) :- p(X,Y), a(Y,Z), a2(Z,U), b(U,W).\n"
 	var facts strings.Builder
@@ -293,8 +292,8 @@ func BenchmarkP17_BatchedJoin(b *testing.B) {
 		name string
 		opts []lincount.Option
 	}{
-		{"legacy", []lincount.Option{lincount.WithBatchedJoin(false)}},
-		{"batched", nil},
+		{"serial", nil},
+		{"+4w", []lincount.Option{lincount.WithJoinWorkers(4)}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {

@@ -792,11 +792,37 @@ func TestChaosCrashRecovery(t *testing.T) {
 
 			phase(0, numWrites)
 			// Checkpoint mid-stream: recovery below must stitch the snapshot
-			// together with the post-checkpoint log records.
-			if _, err := s.Checkpoint(ctx); err != nil {
-				t.Fatalf("checkpoint: %v", err)
+			// together with the post-checkpoint log records. The schedule's
+			// wal.fsync fault may land on the rotation's own seal-fsync; a
+			// checkpoint failed that way must publish nothing and leave the
+			// server writing to the log it had — the recovery checks below
+			// then run over no snapshot plus the full log.
+			_, ckptErr := s.Checkpoint(ctx)
+			if ckptErr != nil {
+				if !errors.Is(ckptErr, faultinject.ErrInjected) {
+					t.Fatalf("checkpoint: %v", ckptErr)
+				}
+				entries, err := os.ReadDir(dataDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segments := 0
+				for _, e := range entries {
+					if _, ok := wal.SegmentSeq(e.Name()); ok {
+						segments++
+					} else {
+						t.Errorf("failed checkpoint left %s behind", e.Name())
+					}
+				}
+				if segments != 1 {
+					t.Errorf("failed checkpoint left %d segments, want the one it started with", segments)
+				}
 			}
+			acked := len(applied)
 			phase(numWrites, 2*numWrites)
+			if ckptErr != nil && len(applied) == acked {
+				t.Errorf("no write acknowledged after the failed checkpoint")
+			}
 
 			finalEpoch := s.Snapshot().Epoch
 

@@ -34,7 +34,6 @@ type evalConfig struct {
 	maxDuration       time.Duration
 	parallel          bool
 	joinWorkers       int
-	noBatch           bool
 	noCache           bool
 	trace             func(TraceEvent)
 	faultSeed         int64
@@ -81,16 +80,6 @@ func WithParallel() Option {
 // within a stratum partition further.
 func WithJoinWorkers(n int) Option {
 	return func(c *evalConfig) { c.joinWorkers = n }
-}
-
-// WithBatchedJoin toggles the batched streaming join pipeline of the
-// engine strategies (on by default): rule bodies execute as a pipeline
-// of operators over batches of binding frames, probing literals through
-// cached pre-sized index handles. Passing false falls back to the
-// tuple-at-a-time path — the differential-testing oracle and benchmark
-// baseline. Fixpoints are identical either way.
-func WithBatchedJoin(on bool) Option {
-	return func(c *evalConfig) { c.noBatch = !on }
 }
 
 // WithoutPlanCache makes this evaluation bypass the program's plan
@@ -346,9 +335,9 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 // cache-control flags are deliberately excluded.
 func (c *evalConfig) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%t|%d|%t|%d|%s",
+	fmt.Fprintf(h, "%d|%d|%d|%d|%t|%d|%d|%s",
 		c.maxIterations, c.maxFacts, c.maxCountingTuples, c.maxDuration,
-		c.parallel, c.joinWorkers, c.noBatch, c.faultSeed, c.faultSpec)
+		c.parallel, c.joinWorkers, c.faultSeed, c.faultSpec)
 	return h.Sum64()
 }
 
@@ -681,7 +670,6 @@ func engineOpts(cfg evalConfig, naive bool) engine.Options {
 		MaxDerivedFacts: cfg.maxFacts,
 		Parallel:        cfg.parallel,
 		JoinWorkers:     cfg.joinWorkers,
-		NoBatch:         cfg.noBatch,
 		Inject:          cfg.inject,
 		Tracer:          cfg.tracer,
 		Profile:         cfg.profile,

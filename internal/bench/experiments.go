@@ -582,30 +582,30 @@ scratch. Both rows end in the identical derived set.`, bands, width),
 	return t
 }
 
-// P17BatchedJoin compares the engine's join execution paths on the same
-// semi-naive evaluations: the tuple-at-a-time legacy path
-// (WithBatchedJoin(false)), the batched streaming pipeline (the
-// default), and the pipeline with the delta window partitioned across a
-// worker pool (WithJoinWorkers). The wide workload is a 4-literal
+// P17BatchedJoin measures the engine's batched join pipeline on
+// semi-naive evaluations, serial and with the delta window partitioned
+// across a worker pool (WithJoinWorkers). (The tuple-at-a-time path it
+// was first compared against is gone; EXPERIMENTS.md keeps that column
+// as measured at PR 10.) The wide workload is a 4-literal
 // linear-recursive rule whose middle literals fan out and whose last
 // literal filters — many probes and intermediate frames per derived
 // fact, the shape batching exists for. The band workload is the P16
 // shape — complete bipartite slabs, insert-bound rather than
 // probe-bound, so it measures the floor of the win. The narrow chain
 // workload is the regression guard: delta windows of one row, where
-// batching can win nothing and must not lose.
+// batching can win nothing.
 func P17BatchedJoin(layers []int, reps int) Table {
 	const bands, width = 8, 6
 	const tcProg = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n"
 	const wideProg = "p(X,Y) :- s(X,Y).\np(X,W) :- p(X,Y), a(Y,Z), a2(Z,U), b(U,W).\n"
 	t := Table{
 		ID:      "P17",
-		Title:   "batched streaming join pipeline vs tuple-at-a-time execution",
+		Title:   "batched streaming join pipeline, serial and partitioned",
 		MemCols: true,
 		Note: fmt.Sprintf(`Semi-naive, identical fixpoints per workload group (inferences/facts
 columns must match within a group; only time and allocations move).
 wide(K×N×F) is a 4-literal recursive rule with F×F fanout filtered to
-one continuation — probe-bound, where batching wins most.
+one continuation — probe-bound.
 bands(%d×L×%d) joins complete bipartite slabs — insert-bound.
 chain(N) is the one-row-delta worst case for batching. "+4w" adds
 WithJoinWorkers(4) — on a single-core host it measures partition
@@ -615,8 +615,7 @@ overhead, not speedup.`, bands, width),
 		name string
 		opts []lincount.Option
 	}{
-		{"legacy", []lincount.Option{lincount.WithBatchedJoin(false)}},
-		{"batched", nil},
+		{"serial", nil},
 		{"+4w", []lincount.Option{lincount.WithJoinWorkers(4)}},
 	}
 	bandFacts := func(depth int) string {

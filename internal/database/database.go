@@ -398,7 +398,7 @@ func (db *Database) Ensure(pred symtab.Sym, arity int) (*Relation, error) {
 func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	n := &Relation{
 		arity:   r.arity,
-		arena:   make([]term.Value, 0, len(r.arena)),
+		arena:   make([]term.Value, 0, len(r.arena)+appendRoom(r.rows)*r.arity),
 		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
 	}
 	newID := make([]RowID, r.rows)
@@ -451,6 +451,12 @@ func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	return n
 }
 
+// appendRoom is the spare capacity, in rows, a rebuild of n rows leaves
+// behind it. A rebuild is the deletion half of a maintenance epoch and the
+// insertion half appends to its result; an exact-size copy is copied whole
+// once more by the first of those appends.
+func appendRoom(n int) int { return n/64 + 64 }
+
 // remapIndex rebuilds a column index against the compacted row ids.
 // Slot positions hash row values, which are unchanged, so the slot table
 // is copied as-is; keys whose whole chain died keep their slot with
@@ -461,8 +467,8 @@ func remapIndex(ix *rowIndex, newID []RowID, oldRows, newRows int) *rowIndex {
 	nix := &rowIndex{
 		mask:  ix.mask,
 		slots: append([]int32(nil), ix.slots...),
-		keys:  make([]chainKey, len(ix.keys)),
-		next:  make([]RowID, newRows),
+		keys:  make([]chainKey, len(ix.keys), len(ix.keys)+appendRoom(len(ix.keys))),
+		next:  make([]RowID, newRows, newRows+appendRoom(newRows)),
 	}
 	for id := 0; id < oldRows; id++ {
 		nid := newID[id]

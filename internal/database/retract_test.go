@@ -75,6 +75,70 @@ func TestRebuildWithoutPreservesOrderAndDedup(t *testing.T) {
 	}
 }
 
+// TestRebuildWithoutRepeated rebuilds the same relation over several
+// epochs — each meets the tombstones the one before left, carries an index
+// and is appended to before the next — against a slice of the live tuples.
+func TestRebuildWithoutRepeated(t *testing.T) {
+	r := NewRelation(2)
+	var live []Tuple
+	add := func(i int) {
+		tup := Tuple{term.Int(int64(i % 11)), term.Int(int64(i))}
+		if !r.Insert(tup) {
+			t.Fatalf("insert %v deduplicated", tup)
+		}
+		live = append(live, tup)
+	}
+	for i := 0; i < 300; i++ {
+		add(i)
+	}
+	r.Probe(0b01, []term.Value{term.Int(0)}) // build the index the rebuilds carry
+	next := 300
+	for epoch := 0; epoch < 6; epoch++ {
+		step := 2 + epoch
+		r = r.RebuildWithout(func(id RowID) bool { return int(id)%step == 0 })
+		kept := live[:0]
+		for id, tup := range live {
+			if id%step != 0 {
+				kept = append(kept, tup)
+			}
+		}
+		live = kept
+		for i := 0; i < 100; i++ { // more than appendRoom leaves at this size
+			add(next)
+			next++
+		}
+		if r.Len() != len(live) {
+			t.Fatalf("epoch %d: %d rows, want %d", epoch, r.Len(), len(live))
+		}
+		used := 0
+		for _, s := range r.dedup.slots {
+			if s != noRow {
+				used++
+			}
+		}
+		if used != r.dedup.used {
+			t.Fatalf("epoch %d: dedup.used = %d, %d slots are taken", epoch, r.dedup.used, used)
+		}
+		for k := 0; k < 11; k++ {
+			var want []RowID
+			for id, tup := range live {
+				if r.At(id)[1] != tup[1] {
+					t.Fatalf("epoch %d: row %d = %v, want %v", epoch, id, r.At(id), tup)
+				}
+				if id2, ok := r.Find(tup); !ok || int(id2) != id {
+					t.Fatalf("epoch %d: Find(%v) = (%d, %v), want row %d", epoch, tup, id2, ok, id)
+				}
+				if tup[0] == term.Int(int64(k)) {
+					want = append(want, RowID(id))
+				}
+			}
+			if got := r.ProbeIDs(0b01, []term.Value{term.Int(int64(k))}); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("epoch %d: probe %d = %v, want %v", epoch, k, got, want)
+			}
+		}
+	}
+}
+
 // TestRetractBatchSingleRebuild asserts the batched retraction path
 // agrees with sequential single retracts, including the present count.
 func TestRetractBatchSingleRebuild(t *testing.T) {

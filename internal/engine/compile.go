@@ -77,14 +77,6 @@ type compiledLit struct {
 	// this literal is reached (Const args and args whose variables are all
 	// bound by earlier literals). Used for index selection.
 	probeMask uint64
-	// scratchOff is this literal's offset into the rule's shared scratch
-	// buffer (len(args) values); literals at different join depths use
-	// disjoint windows, so probe values survive the recursion below them.
-	scratchOff int
-	// litID numbers every compiled literal across all of the rule's
-	// orderings; the evaluator's per-evaluation index-handle cache is
-	// indexed by it (see joinScratch).
-	litID int
 	// expect is the estimated cardinality of the probed (build-side)
 	// relation at compile time, from the evaluator's size function —
 	// planner stats when available, relation length otherwise. It
@@ -95,7 +87,10 @@ type compiledLit struct {
 
 // compiledRule is a rule prepared for evaluation. For semi-naive variants
 // it holds one literal ordering per recursive body occurrence, with the
-// delta literal evaluated first — the standard differential join order.
+// delta literal evaluated first — the standard differential join order. A
+// compiled rule is immutable after compileRule returns — all runtime
+// buffers live in per-evaluation ruleExec structs, so one compiled program
+// is safe to evaluate from many goroutines at once.
 type compiledRule struct {
 	src      ast.Rule
 	nslots   int
@@ -109,14 +104,6 @@ type compiledRule struct {
 	deltaOrders [][]compiledLit
 	recBodyIdx  []int
 
-	// scratchLen is the total probe/negation scratch the rule needs (the
-	// sum of body-literal arities); nlits counts the compiled literals
-	// across all orderings (the litID space). A compiled rule is
-	// immutable after compileRule returns — all runtime buffers live in
-	// per-evaluation joinScratch / ruleExec structs, so one compiled
-	// program is safe to evaluate from many goroutines at once.
-	scratchLen int
-	nlits      int
 	// flat reports that neither the head nor any body literal contains a
 	// compound pattern: evaluating the rule never interns terms, which is
 	// what makes its delta range safe to partition across the join worker
@@ -279,10 +266,6 @@ func compileRule(bank *term.Bank, r ast.Rule, inComponent map[symtab.Sym]bool, s
 		return nil, err
 	}
 
-	scratchLen := 0
-	for _, bl := range lits {
-		scratchLen += len(bl.args)
-	}
 	cr := &compiledRule{
 		src:          r,
 		nslots:       nslots,
@@ -290,7 +273,6 @@ func compileRule(bank *term.Bank, r ast.Rule, inComponent map[symtab.Sym]bool, s
 		head:         headPats,
 		headPred:     r.Head.Pred,
 		defaultOrder: defaultOrder,
-		scratchLen:   scratchLen,
 	}
 
 	// Safety: every head variable must be bound by the (default) body
@@ -323,21 +305,6 @@ func compileRule(bank *term.Bank, r ast.Rule, inComponent map[symtab.Sym]bool, s
 			cr.recBodyIdx = append(cr.recBodyIdx, i)
 		}
 	}
-
-	// Number every compiled literal across the orderings: the evaluator's
-	// per-evaluation index-handle caches are flat slices indexed by litID.
-	id := 0
-	number := func(order []compiledLit) {
-		for j := range order {
-			order[j].litID = id
-			id++
-		}
-	}
-	number(cr.defaultOrder)
-	for _, o := range cr.deltaOrders {
-		number(o)
-	}
-	cr.nlits = id
 
 	cr.flat = true
 	for _, hp := range headPats {
@@ -374,7 +341,6 @@ func orderBody(bank *term.Bank, r ast.Rule, lits []bodyLit, nslots, first int, s
 	bound := make([]bool, nslots)
 	used := make([]bool, len(lits))
 	var order []compiledLit
-	scratchOff := 0
 
 	litReady := func(bl bodyLit) bool {
 		switch bl.kind {
@@ -434,16 +400,14 @@ func orderBody(bank *term.Bank, r ast.Rule, lits []bodyLit, nslots, first int, s
 			expect = sizeOf(bl.lit.Pred)
 		}
 		order = append(order, compiledLit{
-			kind:       bl.kind,
-			op:         bl.op,
-			pred:       bl.lit.Pred,
-			args:       bl.args,
-			bodyIdx:    bl.bodyIdx,
-			probeMask:  mask,
-			scratchOff: scratchOff,
-			expect:     expect,
+			kind:      bl.kind,
+			op:        bl.op,
+			pred:      bl.lit.Pred,
+			args:      bl.args,
+			bodyIdx:   bl.bodyIdx,
+			probeMask: mask,
+			expect:    expect,
 		})
-		scratchOff += len(bl.args)
 		for _, a := range bl.args {
 			for _, s := range a.patVars(nil) {
 				bound[s] = true

@@ -92,10 +92,6 @@ type Options struct {
 	// serial run. Rules that build compound terms run serially (the term
 	// bank is not synchronized). 0 or 1 disables partitioning.
 	JoinWorkers int
-	// NoBatch disables the batched streaming join pipeline and evaluates
-	// rule bodies tuple-at-a-time (the pre-batching execution path, kept
-	// for differential testing and as the before-side of benchmarks).
-	NoBatch bool
 }
 
 // SizeHint estimates a predicate's cardinality; see Options.Sizes.
@@ -167,20 +163,14 @@ type RuleStat struct {
 	Duration time.Duration
 }
 
-// deltaView is a semi-naive delta represented as a RowID window: the rows
-// of rel with lo <= id < hi are exactly the facts derived in the previous
-// iteration. Deltas are watermarks over the head relation itself, not
-// separate relations — no tuple is ever stored twice.
-type deltaView struct {
-	rel    *database.Relation
-	lo, hi database.RowID
-}
-
 // Result holds the derived relations of an evaluation.
 type Result struct {
-	bank    *term.Bank
-	Derived map[symtab.Sym]*database.Relation
-	Stats   Stats
+	bank *term.Bank
+	// maintained marks relations that outlive the query (NewResult): an
+	// index built to answer a goal is kept and pays off on the next one.
+	maintained bool
+	Derived    map[symtab.Sym]*database.Relation
+	Stats      Stats
 	// Rules holds per-rule profiles when Options.Tracer was set (nil
 	// otherwise), in component order.
 	Rules []RuleStat
@@ -226,38 +216,12 @@ type evaluator struct {
 	// global cap there, not a per-component approximation.
 	factTotal *atomic.Int64
 
-	// scratches holds the per-evaluation join buffers, one per compiled
-	// rule (lazily built; see joinScratch). Buffers belong to the
+	// execs caches the per-evaluation pipeline state (binding frames,
+	// probe keys, index handles) per rule variant: deltaOcc+1 indexes the
+	// inner slice, 0 is the default order. Buffers belong to the
 	// evaluator, not the compiled rule, so one compiled program is safe
-	// to evaluate from many goroutines — each gets its own evaluator and
-	// therefore its own scratch.
-	scratches map[*compiledRule]*joinScratch
-	// execs caches the batched pipeline state per rule variant
-	// (deltaOcc+1 indexes the inner slice; 0 is the default order).
+	// to evaluate from many goroutines — each gets its own evaluator.
 	execs map[*compiledRule][]*ruleExec
-
-	// Incremental-maintenance hooks (see incremental.go). All zero for
-	// ordinary evaluations, costing one branch per occurrence setup.
-	//
-	// windowed switches join variants to the exact-once counting read
-	// discipline: a non-delta occurrence of a pred present in the delta
-	// map reads [0, hi) when it precedes the delta occurrence in the
-	// source body and [0, lo) when it follows it, so each derivation of
-	// the round is enumerated exactly once (at its last newest-atom
-	// position) instead of at least once.
-	windowed bool
-	// rowState, when non-nil, holds per-row lifecycle states for the
-	// deletion phases: -1 = logically deleted, 0 = original row, g ≥ 1 =
-	// rederived in backward-pass round g. Occurrences are filtered to
-	// rows with 0 ≤ state ≤ bound; filterPrefix/filterSuffix arm the
-	// filter per side of the delta occurrence, with missing preds and
-	// rows past the slice (appended after state capture) treated as live
-	// originals.
-	rowState     map[symtab.Sym][]int32
-	filterPrefix bool
-	filterSuffix bool
-	prefixBound  int32
-	suffixBound  int32
 }
 
 // Eval computes the minimal model of p over db. Facts embedded in the
@@ -560,7 +524,7 @@ func (ev *evaluator) evalComponent(comp Component) (err error) {
 	if !comp.Recursive {
 		// All body predicates are fully computed: one pass suffices.
 		for _, cr := range rules {
-			if err := ev.runRule(cr, -1, nil, nil); err != nil {
+			if err := ev.runRule(cr, -1, nil); err != nil {
 				return err
 			}
 		}
@@ -594,14 +558,11 @@ func (ev *evaluator) naiveFixpoint(rules []*compiledRule) error {
 		ev.stats.Iterations++
 		isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
 		before := ev.stats.DerivedFacts
-		newFacts := false
 		for _, cr := range rules {
-			grew := false
-			if err := ev.runRule(cr, -1, nil, &grew); err != nil {
+			if err := ev.runRule(cr, -1, nil); err != nil {
 				isp.End(obsv.A("iter", int64(iter)))
 				return err
 			}
-			newFacts = newFacts || grew
 		}
 		ev.trace(TraceEvent{
 			Kind: "iteration", Iteration: iter,
@@ -611,7 +572,7 @@ func (ev *evaluator) naiveFixpoint(rules []*compiledRule) error {
 		isp.End(obsv.A("iter", int64(iter)),
 			obsv.A("delta", ev.stats.DerivedFacts-before),
 			obsv.A("total", ev.stats.DerivedFacts))
-		if !newFacts {
+		if ev.stats.DerivedFacts == before {
 			return nil
 		}
 	}
@@ -625,7 +586,7 @@ func (ev *evaluator) naiveFixpoint(rules []*compiledRule) error {
 // iteration — so no delta tuples are materialized or inserted twice.
 func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) error {
 	lo := make(map[symtab.Sym]database.RowID, len(comp.Preds))
-	delta := make(map[symtab.Sym]deltaView, len(comp.Preds))
+	delta := make(map[symtab.Sym]Delta, len(comp.Preds))
 	for _, p := range comp.Preds {
 		if rel, ok := ev.derived[p]; ok {
 			lo[p] = database.RowID(rel.Len())
@@ -642,7 +603,7 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 				continue
 			}
 			hi := database.RowID(rel.Len())
-			delta[p] = deltaView{rel: rel, lo: lo[p], hi: hi}
+			delta[p] = Delta{Rel: rel, Lo: lo[p], Hi: hi}
 			n += int64(hi - lo[p])
 			lo[p] = hi
 		}
@@ -653,7 +614,7 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 	ev.stats.Iterations++
 	isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
 	for _, cr := range rules {
-		if err := ev.runRule(cr, -1, nil, nil); err != nil {
+		if err := ev.runRule(cr, -1, nil); err != nil {
 			isp.End(obsv.A("iter", 0))
 			return err
 		}
@@ -679,7 +640,7 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 		isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
 		for _, cr := range rules {
 			for occ := 0; occ < cr.nRecOccur(); occ++ {
-				if err := ev.runRule(cr, occ, delta, nil); err != nil {
+				if err := ev.runRule(cr, occ, delta); err != nil {
 					isp.End(obsv.A("iter", int64(iter)))
 					return err
 				}
@@ -705,19 +666,19 @@ func (ev *evaluator) countFact() int64 {
 	return n
 }
 
-// runRule evaluates one rule variant into the head relation; grew, if non-
-// nil, is set when a new tuple appeared. With profiling on (tracer
-// attached or Options.Profile) each run is also timed into the rule's
-// profile and, when a tracer is present, recorded as a span.
-func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
+// runRule evaluates one rule variant into the head relation. With
+// profiling on (tracer attached or Options.Profile) each run is also
+// timed into the rule's profile and, when a tracer is present, recorded
+// as a span.
+func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]Delta) error {
 	if ev.prof == nil {
-		return ev.runRuleFast(cr, deltaOcc, delta, grew)
+		return ev.runRuleFast(cr, deltaOcc, delta)
 	}
 	p := ev.profFor(cr)
 	sp := ev.tracer.BeginTID("engine.rule", p.Rule, ev.tid)
 	inf0, df0 := ev.stats.Inferences, ev.stats.DerivedFacts
 	start := time.Now()
-	err := ev.runRuleFast(cr, deltaOcc, delta, grew)
+	err := ev.runRuleFast(cr, deltaOcc, delta)
 	p.Duration += time.Since(start)
 	p.Runs++
 	p.Inferences += ev.stats.Inferences - inf0
@@ -725,294 +686,6 @@ func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sy
 	sp.End(obsv.A("inferences", ev.stats.Inferences-inf0),
 		obsv.A("facts", ev.stats.DerivedFacts-df0))
 	return err
-}
-
-func (ev *evaluator) runRuleFast(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
-	// The batched streaming pipeline (pipeline.go) covers ordinary
-	// evaluations; the incremental engine's windowed / row-state read
-	// disciplines stay on the tuple-at-a-time path, as does NoBatch.
-	if !ev.opts.NoBatch && !ev.windowed && ev.rowState == nil {
-		return ev.runRuleBatched(cr, deltaOcc, delta, grew)
-	}
-	headRel := ev.derived[cr.headPred]
-	return ev.join(cr, deltaOcc, delta, func(t database.Tuple) error {
-		ev.stats.Inferences++
-		if err := ev.check.Tick(); err != nil {
-			return err
-		}
-		if headRel.Insert(t) {
-			ev.stats.DerivedFacts++
-			if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
-				return err
-			}
-			if n := ev.countFact(); n > ev.maxFacts {
-				return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
-			}
-			if grew != nil {
-				*grew = true
-			}
-		}
-		return nil
-	})
-}
-
-// joinScratch holds one rule's reusable join buffers for one evaluator:
-// the binding frame, probe scratch, head buffer, trail, and the cached
-// index handles (by litID) that let repeated probes of one literal skip
-// the relation's index mutex and map lookup. Scratch is per-evaluation
-// state — compiled rules are immutable and shareable across goroutines.
-type joinScratch struct {
-	frame   []term.Value // one slot per variable
-	scratch []term.Value // probe/negation values, windowed by scratchOff
-	headBuf []term.Value // the emitted head tuple, reused across solutions
-	trail   []int
-	idx     []litIndex // cached index handles, indexed by litID
-	inUse   bool
-}
-
-// litIndex caches one literal's resolved index handle; rel records which
-// relation it was resolved against (relations can change identity across
-// runs — clones, rebuilt stores — so the handle revalidates by pointer).
-type litIndex struct {
-	rel *database.Relation
-	ix  database.Index
-}
-
-func newJoinScratch(cr *compiledRule) *joinScratch {
-	return &joinScratch{
-		frame:   make([]term.Value, cr.nslots),
-		scratch: make([]term.Value, cr.scratchLen),
-		headBuf: make([]term.Value, len(cr.head)),
-		idx:     make([]litIndex, cr.nlits),
-	}
-}
-
-// scratchFor returns (creating if needed) this evaluator's scratch for cr.
-func (ev *evaluator) scratchFor(cr *compiledRule) *joinScratch {
-	if sc, ok := ev.scratches[cr]; ok {
-		return sc
-	}
-	if ev.scratches == nil {
-		ev.scratches = make(map[*compiledRule]*joinScratch)
-	}
-	sc := newJoinScratch(cr)
-	ev.scratches[cr] = sc
-	return sc
-}
-
-// probeIndex resolves (with caching) the index handle for a relation
-// literal's probe against rel, pre-sized from the compile-time estimate.
-func (sc *joinScratch) probeIndex(cl *compiledLit, rel *database.Relation) database.Index {
-	ci := &sc.idx[cl.litID]
-	if ci.rel != rel {
-		ci.rel = rel
-		ci.ix = rel.IndexFor(cl.probeMask, cl.expect)
-	}
-	return ci.ix
-}
-
-// join runs the nested-loop index join for one rule variant, calling out for
-// every successful body instantiation. The hot path is allocation-free: the
-// binding frame, the probe values and the emitted head tuple live in the
-// evaluator's per-rule joinScratch, index probes return arena iterators,
-// and literal matching reads zero-copy row views. The head tuple passed to
-// out is reused across solutions — out must copy it to retain it (Insert
-// copies into the relation arena).
-func (ev *evaluator) join(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, out func(database.Tuple) error) error {
-	order, deltaBodyIdx := cr.orderFor(deltaOcc)
-	sc := ev.scratchFor(cr)
-	if sc.inUse {
-		// Reentrant use of the same compiled rule (a Solve callback
-		// re-entering its own site): fall back to fresh buffers.
-		sc = newJoinScratch(cr)
-	} else {
-		sc.inUse = true
-		defer func() { sc.inUse = false }()
-	}
-	frame, scratch, headBuf := sc.frame, sc.scratch, sc.headBuf
-	trail := sc.trail[:0]
-	defer func() { sc.trail = trail[:0] }()
-	for i := range frame {
-		frame[i] = noValue
-	}
-
-	var step func(i int) error
-	step = func(i int) error {
-		if i == len(order) {
-			t := database.Tuple(headBuf)
-			for j, hp := range cr.head {
-				t[j] = ev.instantiate(hp, frame)
-			}
-			return out(t)
-		}
-		cl := &order[i]
-		switch cl.kind {
-		case litBuiltin:
-			return ev.stepBuiltin(cl, frame, &trail, func() error { return step(i + 1) })
-		case litNegated:
-			probe := scratch[cl.scratchOff : cl.scratchOff+len(cl.args)]
-			for j, a := range cl.args {
-				probe[j] = ev.instantiate(a, frame)
-			}
-			// Contains hashes the probe against the dedup table directly;
-			// no key is materialized.
-			rel := ev.readRel(cl.pred)
-			if rel != nil && rel.Contains(database.Tuple(probe)) {
-				return nil
-			}
-			return step(i + 1)
-		default:
-			var rel *database.Relation
-			dv := deltaView{lo: 0, hi: -1}
-			isDelta := deltaBodyIdx >= 0 && cl.bodyIdx == deltaBodyIdx
-			// prefix is the occurrence's side of the delta occurrence in
-			// source-body order — the canonical order of the exact-once
-			// counting discipline. With no delta (deltaBodyIdx -1) every
-			// occurrence counts as suffix.
-			prefix := cl.bodyIdx < deltaBodyIdx
-			ranged := isDelta
-			if isDelta {
-				dv = delta[cl.pred]
-				rel = dv.rel
-			} else {
-				rel = ev.readRel(cl.pred)
-				if ev.windowed {
-					if wv, ok := delta[cl.pred]; ok {
-						// Counting window: the new side [0, hi) before the
-						// delta occurrence, the old side [0, lo) after it.
-						rel = wv.rel
-						ranged = true
-						if prefix {
-							dv = deltaView{rel: rel, lo: 0, hi: wv.hi}
-						} else {
-							dv = deltaView{rel: rel, lo: 0, hi: wv.lo}
-						}
-					}
-				}
-			}
-			if rel == nil || rel.Len() == 0 {
-				return nil
-			}
-			var st []int32
-			var stBound int32
-			if ev.rowState != nil && !isDelta {
-				if (prefix && ev.filterPrefix) || (!prefix && ev.filterSuffix) {
-					if s, ok := ev.rowState[cl.pred]; ok {
-						st = s
-						if prefix {
-							stBound = ev.prefixBound
-						} else {
-							stBound = ev.suffixBound
-						}
-					}
-				}
-			}
-			mark := len(trail)
-			var it database.RowIter
-			if cl.probeMask != 0 {
-				probe := scratch[cl.scratchOff : cl.scratchOff : cl.scratchOff+len(cl.args)]
-				for j, a := range cl.args {
-					if cl.probeMask&(1<<uint(j)) != 0 {
-						probe = append(probe, ev.instantiate(a, frame))
-					}
-				}
-				ev.stats.Probes++
-				if err := ev.check.Tick(); err != nil {
-					return err
-				}
-				if err := ev.inject.Hit(faultinject.SiteEngineProbe); err != nil {
-					return err
-				}
-				// Probe through the per-evaluation cached index handle:
-				// no mutex, no map lookup, pre-sized on first build.
-				ix := sc.probeIndex(cl, rel)
-				if ranged {
-					it = ix.ProbeRange(probe, dv.lo, dv.hi)
-				} else {
-					it = ix.ProbeRange(probe, 0, database.RowID(rel.Len()))
-				}
-			} else {
-				ev.stats.Probes++
-				if err := ev.check.Tick(); err != nil {
-					return err
-				}
-				if err := ev.inject.Hit(faultinject.SiteEngineProbe); err != nil {
-					return err
-				}
-				if ranged {
-					it = rel.ScanRange(dv.lo, dv.hi)
-				} else {
-					it = rel.Scan()
-				}
-			}
-			for id, ok := it.Next(); ok; id, ok = it.Next() {
-				if st != nil && int(id) < len(st) {
-					if s := st[id]; s < 0 || s > stBound {
-						continue
-					}
-				}
-				if ev.matchTuple(cl, database.Tuple(rel.Row(id)), frame, &trail) {
-					if err := step(i + 1); err != nil {
-						return err
-					}
-				}
-				unwind(frame, &trail, mark)
-			}
-			return nil
-		}
-	}
-	return step(0)
-}
-
-func unwind(frame []term.Value, trail *[]int, mark int) {
-	for len(*trail) > mark {
-		s := (*trail)[len(*trail)-1]
-		*trail = (*trail)[:len(*trail)-1]
-		frame[s] = noValue
-	}
-}
-
-// matchTuple unifies every literal argument with the tuple, extending frame
-// and trail. On failure the caller unwinds to its mark.
-func (ev *evaluator) matchTuple(cl *compiledLit, t database.Tuple, frame []term.Value, trail *[]int) bool {
-	if len(t) != len(cl.args) {
-		return false
-	}
-	for j, a := range cl.args {
-		if !ev.match(a, t[j], frame, trail) {
-			return false
-		}
-	}
-	return true
-}
-
-// match unifies a pattern with a ground value.
-func (ev *evaluator) match(p pat, v term.Value, frame []term.Value, trail *[]int) bool {
-	switch p.kind {
-	case ast.Const:
-		return p.val == v
-	case ast.Var:
-		if frame[p.slot] != noValue {
-			return frame[p.slot] == v
-		}
-		frame[p.slot] = v
-		*trail = append(*trail, p.slot)
-		return true
-	default:
-		if !v.IsCompound() {
-			return false
-		}
-		c := ev.bank.Deref(v)
-		if c.Functor != p.functor || len(c.Args) != len(p.args) {
-			return false
-		}
-		for j, a := range p.args {
-			if !ev.match(a, c.Args[j], frame, trail) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // instantiate builds the ground value of a pattern; every variable in it
@@ -1036,165 +709,40 @@ func (ev *evaluator) instantiate(p pat, frame []term.Value) term.Value {
 	}
 }
 
-// stepBuiltin evaluates a builtin literal, possibly binding one variable,
-// then calls cont. The binding is recorded on the trail.
-func (ev *evaluator) stepBuiltin(cl *compiledLit, frame []term.Value, trail *[]int, cont func() error) error {
-	x, y := cl.args[0], cl.args[1]
-	gx, gy := x.groundIn(frame), y.groundIn(frame)
-
-	bindVar := func(p pat, v term.Value) bool {
-		if frame[p.slot] != noValue {
-			return frame[p.slot] == v
-		}
-		frame[p.slot] = v
-		*trail = append(*trail, p.slot)
-		return true
-	}
-
-	switch cl.op {
-	case opEq:
-		switch {
-		case gx && gy:
-			if ev.instantiate(x, frame) == ev.instantiate(y, frame) {
-				return cont()
-			}
-			return nil
-		case gx:
-			// y is a plain variable by the ordering precondition.
-			mark := len(*trail)
-			if bindVar(y, ev.instantiate(x, frame)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		default:
-			mark := len(*trail)
-			if bindVar(x, ev.instantiate(y, frame)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		}
-	case opSucc:
-		// The 62-bit Value encoding bounds the successor's range; at the
-		// boundary the builtin simply fails instead of overflowing.
-		const maxTermInt = 1<<61 - 1
-		const minTermInt = -(1 << 61)
-		switch {
-		case gx && gy:
-			a, b := ev.instantiate(x, frame), ev.instantiate(y, frame)
-			if a.IsInt() && b.IsInt() && a.AsInt() < maxTermInt && b.AsInt() == a.AsInt()+1 {
-				return cont()
-			}
-			return nil
-		case gx:
-			a := ev.instantiate(x, frame)
-			if !a.IsInt() || a.AsInt() >= maxTermInt {
-				return nil
-			}
-			mark := len(*trail)
-			if bindVar(y, term.Int(a.AsInt()+1)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		default:
-			b := ev.instantiate(y, frame)
-			if !b.IsInt() || b.AsInt() <= minTermInt {
-				return nil
-			}
-			mark := len(*trail)
-			if bindVar(x, term.Int(b.AsInt()-1)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		}
-	default:
-		a, b := ev.instantiate(x, frame), ev.instantiate(y, frame)
-		var c int
-		if a.IsInt() && b.IsInt() {
-			switch {
-			case a.AsInt() < b.AsInt():
-				c = -1
-			case a.AsInt() > b.AsInt():
-				c = 1
-			}
-		} else {
-			c = term.Compare(a, b)
-		}
-		ok := false
-		switch cl.op {
-		case opNeq:
-			ok = c != 0
-		case opLt:
-			ok = c < 0
-		case opLe:
-			ok = c <= 0
-		case opGt:
-			ok = c > 0
-		case opGe:
-			ok = c >= 0
-		}
-		if ok {
-			return cont()
-		}
-		return nil
-	}
-}
-
 // Answers matches a query goal against an evaluation result (falling back
 // to the base database for purely extensional goals) and returns the
-// matching tuples in deterministic order.
+// matching tuples in deterministic order. The goal runs as the rule
+// "goal :- goal" through the executor; repeated variables and compound
+// patterns filter the rows it reads. Relations of a maintained result
+// (NewResult) are probed through an index on the goal's constants, which
+// they keep for the next goal; a from-scratch result is read once, so its
+// relation is the window of a delta occurrence — a scan, no index built.
+// res must be non-nil; db may be nil.
 func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
-	var rel *database.Relation
-	if res != nil {
-		rel = res.Derived[q.Goal.Pred]
+	ev := &evaluator{bank: res.bank, db: db, derived: res.Derived}
+	occ := -1
+	var inComponent map[symtab.Sym]bool
+	var delta map[symtab.Sym]Delta
+	if rel := ev.readRel(q.Goal.Pred); rel != nil && !res.maintained {
+		occ = 0
+		inComponent = map[symtab.Sym]bool{q.Goal.Pred: true}
+		delta = map[symtab.Sym]Delta{q.Goal.Pred: {Rel: rel, Hi: database.RowID(rel.Len())}}
 	}
-	if rel == nil && db != nil {
-		rel = db.Relation(q.Goal.Pred)
-	}
-	if rel == nil {
-		return nil
-	}
-	bank := res.bank
-	inComp := map[symtab.Sym]bool{}
-	cr, err := compileRule(bank, ast.Rule{
-		Head: q.Goal,
-		Body: []ast.Literal{q.Goal},
-	}, inComp, nil)
+	cr, err := compileRule(res.bank, ast.Rule{Head: q.Goal, Body: []ast.Literal{q.Goal}}, inComponent, nil)
 	if err != nil {
 		return nil
 	}
-	frame := make([]term.Value, cr.nslots)
 	var out []database.Tuple
-	var trail []int
-	cl := &cr.defaultOrder[0]
-	for i := range frame {
-		frame[i] = noValue
-	}
-	ev := &evaluator{bank: bank}
-	it := rel.Scan()
-	for id, ok := it.Next(); ok; id, ok = it.Next() {
-		t := database.Tuple(rel.Row(id))
-		mark := len(trail)
-		if ev.matchTuple(cl, t, frame, &trail) {
-			// Clone is required: answers escape to the public API and must
-			// not alias the relation arena, which the evaluator may later
-			// Reset or grow while the caller still holds them.
-			out = append(out, t.Clone())
-		}
-		unwind(frame, &trail, mark)
-	}
-	SortTuplesFormatted(bank, out)
+	re := newRuleExec(ev, cr, occ)
+	re.begin(delta, JoinConfig{})
+	// No checker, no injector and an infallible sink: the run cannot
+	// fail. Clone is required: answers escape to the public API and must
+	// not alias the reused head tuple.
+	_ = re.run(func(t database.Tuple) error {
+		out = append(out, t.Clone())
+		return nil
+	})
+	SortTuplesFormatted(res.bank, out)
 	return out
 }
 

@@ -1,17 +1,17 @@
 package engine
 
 // Incremental-maintenance primitives: an exported, resumable view of the
-// semi-naive join machinery for the internal/incremental package. A Joiner
-// compiles a program's rules once per maintenance run and then evaluates
-// individual rule variants under caller-controlled delta windows, row-state
-// filters and the windowed exact-once counting read discipline — the three
-// knobs the counting-based delta algorithm (insertion resume, exact
-// decrement, overdelete, backward rederivation, rederive fixpoint) needs
-// beyond what EvalContext's fixpoint loop exposes.
+// rule executor for the internal/incremental package. A Joiner compiles a
+// program's rules once per maintenance run and then runs individual rule
+// variants under caller-controlled delta windows, row-state filters and
+// the windowed exact-once counting read discipline — the three knobs the
+// counting-based delta algorithm (insertion resume, exact decrement,
+// overdelete, backward rederivation, rederive fixpoint) needs beyond what
+// EvalContext's fixpoint loop exposes. All three are per-operator
+// visibility filters resolved by ruleExec.begin (pipeline.go); there is
+// no second evaluation path.
 
 import (
-	"sync/atomic"
-
 	"lincount/internal/ast"
 	"lincount/internal/database"
 	"lincount/internal/limits"
@@ -67,14 +67,7 @@ type Joiner struct {
 // reference; check may be nil.
 func NewJoiner(bank *term.Bank, db *database.Database, derived map[symtab.Sym]*database.Relation,
 	rules []ast.Rule, mutable map[symtab.Sym]bool, check *limits.Checker) (*Joiner, error) {
-	ev := &evaluator{
-		bank:      bank,
-		db:        db,
-		derived:   derived,
-		check:     check,
-		factTotal: new(atomic.Int64),
-	}
-	ev.maxFacts = int64(DefaultMaxDerivedFacts)
+	ev := &evaluator{bank: bank, db: db, derived: derived, check: check}
 	j := &Joiner{ev: ev}
 	for _, r := range rules {
 		if r.IsFact() {
@@ -118,47 +111,24 @@ func (j *Joiner) VariantBodyIdx(i, occ int) int { return j.rules[i].recBodyIdx[o
 // Src returns the source rule of compiled rule i.
 func (j *Joiner) Src(i int) ast.Rule { return j.rules[i].src }
 
-// Run evaluates variant occ of rule i (occ < 0 selects the default order
-// with no delta substitution) under cfg, calling out for every body
-// solution's head tuple. The tuple is reused across solutions; out must
-// copy it to retain it. Duplicate derivations are NOT deduplicated — each
-// distinct body instantiation produces one call — which is exactly what
-// derivation counting needs.
+// Run evaluates variant occ of rule i (occ outside the rule's variants
+// selects the default order with no delta substitution) under cfg, calling
+// out with the head tuple of every body solution. The tuple is reused
+// across solutions; out must copy it to retain it. Duplicate derivations
+// are NOT deduplicated — each distinct body instantiation produces one
+// call — which is exactly what derivation counting needs; nor are they
+// counted as Inferences. Solutions are delivered up to a batch late: out
+// must not change a row the same run can still see through its windows
+// and row-state bounds, and must not call Run.
 func (j *Joiner) Run(i, occ int, delta map[symtab.Sym]Delta, cfg JoinConfig, out func(database.Tuple) error) error {
-	ev := j.ev
-	var dv map[symtab.Sym]deltaView
-	if len(delta) > 0 {
-		dv = make(map[symtab.Sym]deltaView, len(delta))
-		for p, d := range delta {
-			dv[p] = deltaView{rel: d.Rel, lo: d.Lo, hi: d.Hi}
-		}
-	}
-	ev.windowed = cfg.Windowed
-	ev.rowState = cfg.RowState
-	ev.filterPrefix = cfg.FilterPrefix
-	ev.filterSuffix = cfg.FilterSuffix
-	ev.prefixBound = cfg.PrefixBound
-	ev.suffixBound = cfg.SuffixBound
-	defer func() {
-		ev.windowed = false
-		ev.rowState = nil
-		ev.filterPrefix, ev.filterSuffix = false, false
-		ev.prefixBound, ev.suffixBound = 0, 0
-	}()
-	deltaOcc := occ
-	if occ >= 0 && occ >= j.rules[i].nRecOccur() {
-		deltaOcc = -1
-	}
-	return ev.join(j.rules[i], deltaOcc, dv, out)
+	re := j.ev.execFor(j.rules[i], occ)
+	re.begin(delta, cfg)
+	return re.run(out)
 }
-
-// Stats returns the accumulated probe/inference counters of this Joiner's
-// evaluator.
-func (j *Joiner) Stats() Stats { return j.ev.stats }
 
 // NewResult wraps externally maintained derived relations as an evaluation
 // Result so that Answers can serve queries from a materialisation without
 // re-running a fixpoint.
 func NewResult(bank *term.Bank, derived map[symtab.Sym]*database.Relation) *Result {
-	return &Result{bank: bank, Derived: derived}
+	return &Result{bank: bank, maintained: true, Derived: derived}
 }

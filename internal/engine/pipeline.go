@@ -1,31 +1,35 @@
 package engine
 
-// Batched, streaming join execution. runRuleFast routes ordinary rule
-// runs here: instead of the recursive tuple-at-a-time walk in join(),
-// each rule body ordering becomes a pipeline of streaming operators, one
-// per literal, connected by fixed-capacity batches of binding frames.
-// The source operator consumes the delta as a RowID range; every
-// relation operator instantiates the probe keys for a whole input batch,
-// resolves them in one ProbeRangeBatch against a cached, pre-sized index
-// handle, and extends the surviving frames; builtins and negations are
-// batch filters; the sink instantiates head tuples into a rule-local
-// emission relation.
+// Rule-body execution. ruleExec is the one executor: the fixpoint loops,
+// the incremental engine's Joiner, Matcher/PreparedSolve and Answers all
+// evaluate a rule body by running one. Each body ordering is a pipeline
+// of streaming operators, one per literal, connected by batches of
+// binding frames. The source operator consumes the delta as a RowID
+// range; every relation operator instantiates the probe keys for a whole
+// input batch, resolves them in one ProbeRangeBatch against a cached,
+// pre-sized index handle, and extends the surviving frames; builtins and
+// negations are batch filters; the last operator instantiates head tuples
+// and hands each to the run's sink callback.
 //
-// Deferred insertion is the pipeline's key discipline: head tuples are
-// collected (deduplicated) in the emission relation and flushed into the
-// head relation only after the join completes. During a run every
-// relation the pipeline reads is therefore frozen, which is what makes
-// the cached index handles sound and the delta range partitionable: with
-// JoinWorkers > 1 a wide source window is split into contiguous
-// sub-ranges evaluated concurrently into private emission buffers,
-// merged in partition order. Each operator preserves its input order and
-// expands matches in ascending RowID order, so the concatenated
-// emissions of the partitions equal the serial emission sequence exactly
-// — the head relation's contents and RowID assignment are byte-identical
-// to a serial run (see docs/INTERNALS.md § Batched execution pipeline).
+// What a run may read is fixed by begin before the first frame moves:
+// every relation operator gets a RowID window [lo, hi) — the delta window,
+// a counting window of the incremental engine's exact-once discipline, or
+// the relation's length at that instant — and optionally a row-state
+// filter (JoinConfig.RowState). Rows appended during the run lie past
+// every window, which is what makes the cached index handles sound, lets
+// a sink insert into a relation the run is reading, and makes the delta
+// range partitionable: with JoinWorkers > 1 a wide source window is split
+// into contiguous sub-ranges evaluated concurrently into private emission
+// buffers, merged in partition order. Each operator preserves its input
+// order and expands matches in ascending RowID order, so the sink sees
+// body instantiations in the nested-loop order of the body ordering, and
+// the concatenated emissions of the partitions equal the serial emission
+// sequence exactly (see docs/INTERNALS.md § Batched execution pipeline).
 //
-// The incremental engine's windowed and row-state read disciplines stay
-// on the tuple-at-a-time join() path, as do Matcher/PreparedSolve.
+// Solutions reach the sink up to a batch late. A sink must therefore not
+// change anything the same run still reads inside its windows and filters
+// (docs/INTERNALS.md § Incremental maintenance lists why each caller's
+// sink qualifies), and must not re-enter the ruleExec it is called from.
 
 import (
 	"context"
@@ -44,7 +48,11 @@ const (
 	// batchFrames is the operator batch size: how many binding frames a
 	// level buffers before pushing them downstream. Large enough to
 	// amortize per-batch costs, small enough to stay cache-resident.
+	// Buffers start at minFrames and grow eightfold on demand up to this
+	// cap, so a run that sees a handful of frames (one Solve, one
+	// maintained row) never pays for a batch it does not fill.
 	batchFrames = 256
+	minFrames   = 4
 	// joinParallelMinRows is the minimum source window width worth
 	// partitioning across the worker pool; below it the fork/merge
 	// overhead outweighs the parallelism.
@@ -53,20 +61,24 @@ const (
 	maxJoinWorkers = 64
 )
 
-// Integer bounds of the 62-bit term.Value encoding (shared with
-// stepBuiltin's succ handling).
+// Integer bounds of the 62-bit term.Value encoding: at the boundary succ
+// fails instead of overflowing.
 const (
 	succMaxInt = 1<<61 - 1
 	succMinInt = -(1 << 61)
 )
 
 // execLevel is the runtime state of one pipeline operator: the per-run
-// source resolution (relation, RowID window, index handle) and the
-// reusable batch buffers.
+// source resolution (relation, RowID window, row-state filter, index
+// handle) and the reusable batch buffers.
 type execLevel struct {
 	// Resolved by begin() each run.
 	rel    *database.Relation
 	lo, hi database.RowID
+	// st, when non-nil, filters the rows this operator reads to those
+	// with 0 <= st[id] <= stBound; rows past the slice end are live.
+	st      []int32
+	stBound int32
 	// Index handle cache, revalidated by relation identity.
 	ixRel *database.Relation
 	ix    database.Index
@@ -80,7 +92,8 @@ type execLevel struct {
 	// loop skips pattern dispatch entirely.
 	probeArgs  []int
 	probeSlots []int
-	// out buffers this operator's output frames (batchFrames × nslots).
+	// out buffers this operator's output frames, outN of them, nslots
+	// values each; it grows on demand up to batchFrames frames.
 	out  []term.Value
 	outN int
 	// keys holds the batch's probe keys (relation ops) or one negation
@@ -89,9 +102,43 @@ type execLevel struct {
 	matches []database.RowMatch
 }
 
+// hidden reports whether the row-state filter hides row id from this
+// operator; with no filter armed it is one failed length compare.
+func (lv *execLevel) hidden(id database.RowID) bool {
+	if int(id) >= len(lv.st) {
+		return false
+	}
+	s := lv.st[id]
+	return s < 0 || s > lv.stBound
+}
+
+// slot returns the output frame after the operator's last buffered one.
+func (lv *execLevel) slot(ns int) []term.Value {
+	end := (lv.outN + 1) * ns
+	if end > len(lv.out) {
+		lv.grow(ns)
+	}
+	return lv.out[end-ns : end]
+}
+
+// grow enlarges the output buffer eightfold (4 → 32 → 256 frames),
+// keeping the buffered frames.
+func (lv *execLevel) grow(ns int) {
+	n := 8 * len(lv.out)
+	if n < minFrames*ns {
+		n = minFrames * ns
+	}
+	if n > batchFrames*ns {
+		n = batchFrames * ns
+	}
+	out := make([]term.Value, n)
+	copy(out, lv.out[:lv.outN*ns])
+	lv.out = out
+}
+
 // ruleExec is the per-evaluation execution state of one rule variant's
-// pipeline. It is reused across fixpoint iterations (buffers amortized)
-// and owned by exactly one goroutine; parallel runs build one per worker.
+// pipeline. It is reused across runs (buffers amortized) and owned by
+// exactly one goroutine; parallel runs build one per worker.
 type ruleExec struct {
 	ev           *evaluator
 	cr           *compiledRule
@@ -102,20 +149,14 @@ type ruleExec struct {
 	levels       []execLevel
 	frame0       []term.Value
 	headTup      []term.Value
-	// The head sink. A serial run inserts straight into the head
-	// relation (headRel/grew set, emit nil) with full derived-fact
-	// accounting — the single-insert fast path; read windows were
-	// snapshotted by begin(), so mid-run growth is never observed. A
-	// parallel worker instead collects into its private emit relation
-	// (deduplicated, emission-ordered), merged by flushEmit afterward.
-	headRel *database.Relation
-	grew    *bool
-	emit    *database.Relation
 	// empty marks a run whose source or some relation literal resolved
 	// to an empty window: no output is possible.
 	empty bool
-	// workers caches the per-worker clones for parallel runs.
+	// workers caches the per-worker clones for parallel runs; emit is a
+	// worker's private emission relation (deduplicated, emission-ordered),
+	// merged into the head relation after the workers finish.
 	workers []*ruleExec
+	emit    *database.Relation
 }
 
 func newRuleExec(ev *evaluator, cr *compiledRule, deltaOcc int) *ruleExec {
@@ -134,12 +175,15 @@ func newRuleExec(ev *evaluator, cr *compiledRule, deltaOcc int) *ruleExec {
 	for i := range order {
 		cl := &order[i]
 		lv := &re.levels[i]
-		lv.out = make([]term.Value, batchFrames*cr.nslots)
 		switch cl.kind {
 		case litRelation:
+			// The delta occurrence is read as a window scan whatever its
+			// constants: an index over the whole relation (often a scratch
+			// one) is the wrong tool for a contiguous RowID range.
+			scan := dbi >= 0 && cl.bodyIdx == dbi
 			varsOnly := true
 			for j := range cl.args {
-				if cl.probeMask&(1<<uint(j)) == 0 {
+				if scan || cl.probeMask&(1<<uint(j)) == 0 {
 					lv.checkArgs = append(lv.checkArgs, j)
 					continue
 				}
@@ -153,7 +197,6 @@ func newRuleExec(ev *evaluator, cr *compiledRule, deltaOcc int) *ruleExec {
 					lv.probeSlots = append(lv.probeSlots, cl.args[j].slot)
 				}
 			}
-			lv.keys = make([]term.Value, 0, batchFrames*database.KeyWidth(cl.probeMask))
 		case litNegated:
 			lv.keys = make([]term.Value, len(cl.args))
 		}
@@ -182,10 +225,15 @@ func (ev *evaluator) execFor(cr *compiledRule, deltaOcc int) *ruleExec {
 	return slots[k]
 }
 
-// begin resolves every operator's source for one run: the delta literal
-// gets its RowID window, other relation literals read their full (frozen)
-// relation, and probe levels revalidate their cached index handle.
-func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
+// begin resolves what every operator may read in one run. The delta
+// occurrence gets its window. Under cfg.Windowed a non-delta occurrence
+// of a predicate in the delta map reads the delta's Rel over [0, Hi) when
+// it precedes the delta occurrence in source-body order and [0, Lo) when
+// it follows it; every other occurrence reads its relation up to the
+// length it has now. Under cfg.RowState a non-delta occurrence on an
+// armed side of the delta occurrence is filtered by its predicate's state
+// slice (with no delta occurrence every literal is on the suffix side).
+func (re *ruleExec) begin(delta map[symtab.Sym]Delta, cfg JoinConfig) {
 	ev := re.ev
 	re.empty = false
 	for i := range re.order {
@@ -194,22 +242,40 @@ func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
 		lv.outN = 0
 		switch cl.kind {
 		case litRelation:
-			if re.deltaBodyIdx >= 0 && cl.bodyIdx == re.deltaBodyIdx {
-				dv := delta[cl.pred]
-				lv.rel, lv.lo, lv.hi = dv.rel, dv.lo, dv.hi
-			} else {
+			isDelta := re.deltaBodyIdx >= 0 && cl.bodyIdx == re.deltaBodyIdx
+			prefix := cl.bodyIdx < re.deltaBodyIdx
+			d, inDelta := delta[cl.pred]
+			switch {
+			case isDelta:
+				lv.rel, lv.lo, lv.hi = d.Rel, d.Lo, d.Hi
+			case cfg.Windowed && inDelta && prefix:
+				lv.rel, lv.lo, lv.hi = d.Rel, 0, d.Hi
+			case cfg.Windowed && inDelta:
+				lv.rel, lv.lo, lv.hi = d.Rel, 0, d.Lo
+			default:
 				lv.rel, lv.lo, lv.hi = ev.readRel(cl.pred), 0, 0
 				if lv.rel != nil {
 					lv.hi = database.RowID(lv.rel.Len())
 				}
 			}
-			if lv.rel == nil || lv.hi <= lv.lo || lv.rel.Arity() != len(cl.args) {
+			if lv.rel == nil || lv.rel.Arity() != len(cl.args) {
 				re.empty = true
 				continue
 			}
-			if cl.probeMask != 0 && lv.ixRel != lv.rel {
-				lv.ix = lv.rel.IndexFor(cl.probeMask, cl.expect)
-				lv.ixRel = lv.rel
+			if n := database.RowID(lv.rel.Len()); lv.hi > n {
+				lv.hi = n
+			}
+			if lv.hi <= lv.lo {
+				re.empty = true
+				continue
+			}
+			lv.st = nil
+			switch {
+			case isDelta: // never filtered
+			case prefix && cfg.FilterPrefix:
+				lv.st, lv.stBound = cfg.RowState[cl.pred], cfg.PrefixBound
+			case !prefix && cfg.FilterSuffix:
+				lv.st, lv.stBound = cfg.RowState[cl.pred], cfg.SuffixBound
 			}
 		case litNegated:
 			lv.rel = ev.readRel(cl.pred)
@@ -220,31 +286,38 @@ func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
 	}
 }
 
+// sinkFunc receives the head tuple of every body instantiation of a run,
+// once per instantiation (nothing is deduplicated before it), in
+// nested-loop order. The tuple is reused across calls. It travels as an
+// argument, never as a field, so a caller's callback — and what it
+// captures — does not escape to the heap on its way through Solve and Run.
+type sinkFunc func(database.Tuple) error
+
 // run drives the pipeline: one all-unbound frame enters level 0, full
 // batches stream down eagerly, and drain pushes the partials through.
-func (re *ruleExec) run() error {
+func (re *ruleExec) run(sink sinkFunc) error {
 	if re.empty {
 		return nil
 	}
 	for i := range re.frame0 {
 		re.frame0[i] = noValue
 	}
-	if err := re.feed(0, re.frame0, 1); err != nil {
+	if err := re.feed(0, re.frame0, 1, sink); err != nil {
 		return err
 	}
-	return re.drain()
+	return re.drain(sink)
 }
 
 // drain flushes every level's partial output batch downstream, in level
 // order (a flush of level i appends to level i+1's partial, which the
 // loop visits next).
-func (re *ruleExec) drain() error {
+func (re *ruleExec) drain(sink sinkFunc) error {
 	for i := range re.levels {
 		lv := &re.levels[i]
 		if lv.outN > 0 {
 			n := lv.outN
 			lv.outN = 0
-			if err := re.feed(i+1, lv.out, n); err != nil {
+			if err := re.feed(i+1, lv.out, n, sink); err != nil {
 				return err
 			}
 		}
@@ -253,25 +326,27 @@ func (re *ruleExec) drain() error {
 }
 
 // push forwards level i's output batch downstream when it is full.
-func (re *ruleExec) push(i int) error {
+func (re *ruleExec) push(i int, sink sinkFunc) error {
 	lv := &re.levels[i]
 	if lv.outN < batchFrames {
 		return nil
 	}
 	lv.outN = 0
-	return re.feed(i+1, lv.out, batchFrames)
+	return re.feed(i+1, lv.out, batchFrames, sink)
 }
 
 // feed runs operator i over a batch of n input frames. Frames are flat:
 // frame k occupies frames[k*nslots : (k+1)*nslots]. Operators copy each
-// surviving frame into their own output batch, so bindings never need a
-// trail — a failed extension is simply not committed.
-func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
+// candidate frame into their own output batch and extend it there, so
+// bindings never need undoing — a failed extension is simply not
+// committed. feed is the only function that iterates a relation on behalf
+// of a rule body.
+func (re *ruleExec) feed(i int, frames []term.Value, n int, sink sinkFunc) error {
 	if n == 0 {
 		return nil
 	}
 	if i == len(re.order) {
-		return re.emitHead(frames, n)
+		return re.emitHead(frames, n, sink)
 	}
 	ev := re.ev
 	cl := &re.order[i]
@@ -280,11 +355,11 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 	switch cl.kind {
 	case litBuiltin:
 		for k := 0; k < n; k++ {
-			out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
+			out := lv.slot(ns)
 			copy(out, frames[k*ns:(k+1)*ns])
 			if ev.builtinFrame(cl, out) {
 				lv.outN++
-				if err := re.push(i); err != nil {
+				if err := re.push(i, sink); err != nil {
 					return err
 				}
 			}
@@ -298,15 +373,14 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 			if lv.rel != nil && lv.rel.Contains(database.Tuple(lv.keys)) {
 				continue
 			}
-			out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
-			copy(out, in)
+			copy(lv.slot(ns), in)
 			lv.outN++
-			if err := re.push(i); err != nil {
+			if err := re.push(i, sink); err != nil {
 				return err
 			}
 		}
 	default: // litRelation
-		if cl.probeMask != 0 {
+		if lv.probeArgs != nil {
 			// Instantiate the whole batch's probe keys, resolve them in
 			// one batched probe, then unify the unmasked columns. The
 			// accounting is batch-at-a-time: one Probes/TickN update for
@@ -324,6 +398,9 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 				}
 			}
 			keys := lv.keys[:0]
+			if need := n * len(lv.probeArgs); cap(keys) < need {
+				keys = make([]term.Value, 0, need)
+			}
 			if len(lv.probeSlots) == 1 {
 				s := lv.probeSlots[0]
 				for k := 0; k < n; k++ {
@@ -349,32 +426,23 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 				}
 			}
 			lv.keys = keys
+			// The index handle is resolved when the first frame reaches
+			// the operator, not in begin: a level no frame reaches must
+			// not build (and make every later epoch carry) an index.
+			if lv.ixRel != lv.rel {
+				lv.ix = lv.rel.IndexFor(cl.probeMask, cl.expect)
+				lv.ixRel = lv.rel
+			}
 			lv.matches = lv.ix.ProbeRangeBatch(n, keys, lv.lo, lv.hi, lv.matches[:0])
 			for _, m := range lv.matches {
-				out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
-				copy(out, frames[int(m.Key)*ns:(int(m.Key)+1)*ns])
-				row := lv.rel.Row(m.Row)
-				ok := true
-				for _, j := range lv.checkArgs {
-					// Inline bind-or-compare for plain variables (the
-					// common case); compounds fall back to matchFrame.
-					if p := cl.args[j]; p.kind == ast.Var {
-						if w := out[p.slot]; w == noValue {
-							out[p.slot] = row[j]
-						} else if w != row[j] {
-							ok = false
-							break
-						}
-					} else if !ev.matchFrame(p, row[j], out) {
-						ok = false
-						break
-					}
+				if lv.hidden(m.Row) {
+					continue
 				}
-				if !ok {
+				if !re.extend(lv, cl, frames[int(m.Key)*ns:(int(m.Key)+1)*ns], lv.rel.Row(m.Row)) {
 					continue
 				}
 				lv.outN++
-				if err := re.push(i); err != nil {
+				if err := re.push(i, sink); err != nil {
 					return err
 				}
 			}
@@ -392,21 +460,14 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 					}
 				}
 				for id := lv.lo; id < lv.hi; id++ {
-					out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
-					copy(out, in)
-					row := lv.rel.Row(id)
-					ok := true
-					for _, j := range lv.checkArgs {
-						if !ev.matchFrame(cl.args[j], row[j], out) {
-							ok = false
-							break
-						}
+					if lv.hidden(id) {
+						continue
 					}
-					if !ok {
+					if !re.extend(lv, cl, in, lv.rel.Row(id)) {
 						continue
 					}
 					lv.outN++
-					if err := re.push(i); err != nil {
+					if err := re.push(i, sink); err != nil {
 						return err
 					}
 				}
@@ -416,13 +477,40 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 	return nil
 }
 
+// extend copies the input frame into the operator's next output slot and
+// unifies row's unchecked columns into it. The slot is committed only by
+// the caller's outN++, so a failed extension leaves nothing to undo.
+func (re *ruleExec) extend(lv *execLevel, cl *compiledLit, in, row []term.Value) bool {
+	out := lv.slot(re.nslots)
+	copy(out, in)
+	for _, j := range lv.checkArgs {
+		// Constants and plain variables (the common cases) are handled
+		// inline; compounds fall back to matchFrame.
+		switch p := &cl.args[j]; p.kind {
+		case ast.Var:
+			if w := out[p.slot]; w == noValue {
+				out[p.slot] = row[j]
+			} else if w != row[j] {
+				return false
+			}
+		case ast.Const:
+			if p.val != row[j] {
+				return false
+			}
+		default:
+			if !re.ev.matchFrame(*p, row[j], out) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // emitHead instantiates the head for every solution frame and hands the
-// tuples to the run's sink: the head relation itself (serial) or the
-// worker's private emission relation (parallel).
-func (re *ruleExec) emitHead(frames []term.Value, n int) error {
+// (reused) tuple to the run's sink, one call per body instantiation.
+func (re *ruleExec) emitHead(frames []term.Value, n int, sink sinkFunc) error {
 	ev := re.ev
 	ns := re.nslots
-	ev.stats.Inferences += int64(n)
 	if err := ev.check.TickN(n); err != nil {
 		return err
 	}
@@ -438,29 +526,16 @@ func (re *ruleExec) emitHead(frames []term.Value, n int) error {
 				re.headTup[j] = ev.instantiate(hp, f)
 			}
 		}
-		if re.emit != nil {
-			re.emit.Insert(database.Tuple(re.headTup))
-			continue
-		}
-		if re.headRel.Insert(database.Tuple(re.headTup)) {
-			ev.stats.DerivedFacts++
-			if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
-				return err
-			}
-			if n := ev.countFact(); n > ev.maxFacts {
-				return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
-			}
-			if re.grew != nil {
-				*re.grew = true
-			}
+		if err := sink(database.Tuple(re.headTup)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // matchFrame unifies a pattern with a ground value, binding directly into
-// the frame. No trail: batched frames are copies, so a failed match's
-// partial bindings die with the discarded frame.
+// the frame. Nothing is undone on failure: frames are copies, so a failed
+// match's partial bindings die with the discarded frame.
 func (ev *evaluator) matchFrame(p pat, v term.Value, frame []term.Value) bool {
 	switch p.kind {
 	case ast.Const:
@@ -488,8 +563,9 @@ func (ev *evaluator) matchFrame(p pat, v term.Value, frame []term.Value) bool {
 	}
 }
 
-// builtinFrame is stepBuiltin without the trail/continuation machinery:
-// it evaluates the builtin against (and binds into) an owned frame copy.
+// builtinFrame evaluates a builtin literal against an owned frame copy,
+// possibly binding one variable into it; it reports whether the frame
+// survives. This is the only implementation of the builtins.
 func (ev *evaluator) builtinFrame(cl *compiledLit, frame []term.Value) bool {
 	x, y := cl.args[0], cl.args[1]
 	gx, gy := x.groundIn(frame), y.groundIn(frame)
@@ -559,42 +635,44 @@ func (ev *evaluator) builtinFrame(cl *compiledLit, frame []term.Value) bool {
 	}
 }
 
-// flushEmit inserts one emission buffer into the head relation, in
-// emission order, applying the derived-fact accounting, fault-injection
-// hook and budget exactly as the tuple-at-a-time path does per insert.
-func (ev *evaluator) flushEmit(emit *database.Relation, headPred symtab.Sym, grew *bool) error {
-	headRel := ev.derived[headPred]
-	for id := database.RowID(0); int(id) < emit.Len(); id++ {
-		if headRel.Insert(database.Tuple(emit.Row(id))) {
-			ev.stats.DerivedFacts++
-			if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
-				return err
-			}
-			if n := ev.countFact(); n > ev.maxFacts {
-				return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
-			}
-			if grew != nil {
-				*grew = true
-			}
+// insertSink is the sink of a fixpoint run: every body instantiation is
+// an inference, and a head tuple the relation did not hold is a derived
+// fact.
+func (ev *evaluator) insertSink(headRel *database.Relation) sinkFunc {
+	return func(t database.Tuple) error {
+		ev.stats.Inferences++
+		if !headRel.Insert(t) {
+			return nil
 		}
+		return ev.noteDerived()
+	}
+}
+
+// noteDerived accounts one new derived fact: the counter, the fault
+// injection hook and the global fact budget.
+func (ev *evaluator) noteDerived() error {
+	ev.stats.DerivedFacts++
+	if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
+		return err
+	}
+	if n := ev.countFact(); n > ev.maxFacts {
+		return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
 	}
 	return nil
 }
 
-// runRuleBatched evaluates one rule variant through the batched pipeline,
+// runRuleFast evaluates one rule variant into its head relation,
 // partitioning the source window across the worker pool when profitable.
-func (ev *evaluator) runRuleBatched(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
+func (ev *evaluator) runRuleFast(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]Delta) error {
 	re := ev.execFor(cr, deltaOcc)
-	re.begin(delta)
+	re.begin(delta, JoinConfig{})
 	if re.empty {
 		return nil
 	}
 	if w := ev.joinWorkerCount(re); w > 1 {
-		return ev.runRuleParallel(re, w, grew)
+		return ev.runRuleParallel(re, w)
 	}
-	re.headRel = ev.derived[cr.headPred]
-	re.grew = grew
-	return re.run()
+	return re.run(ev.insertSink(ev.derived[cr.headPred]))
 }
 
 // joinWorkerCount decides the partition width for one run: the
@@ -624,8 +702,9 @@ func (ev *evaluator) joinWorkerCount(re *ruleExec) int {
 // buffer, sharing the parent's relations (frozen for the duration), fault
 // injector and atomic fact total. The first error cancels the run's
 // context; the workers drain cooperatively. On success the emission
-// buffers are flushed in partition order — the deterministic merge.
-func (ev *evaluator) runRuleParallel(re *ruleExec, w int, grew *bool) error {
+// buffers are inserted into the head relation in partition order — the
+// deterministic merge.
+func (ev *evaluator) runRuleParallel(re *ruleExec, w int) error {
 	parent := ev.ctx
 	if parent == nil {
 		parent = context.Background()
@@ -675,15 +754,16 @@ func (ev *evaluator) runRuleParallel(re *ruleExec, w int, grew *bool) error {
 		wev.check = limits.NewChecker(runCtx, "engine")
 		wev.ctx = runCtx
 		wev.stats = Stats{}
-		// Share the parent's per-level resolution (relations, windows and
-		// index handles were resolved under begin on this goroutine), then
-		// narrow the source window to this worker's partition.
+		// Share the parent's per-level resolution (relations and windows
+		// were resolved under begin on this goroutine), then narrow the
+		// source window to this worker's partition. Each worker resolves
+		// its own index handles (Relation.IndexFor serializes the build).
 		for j := range re.levels {
 			wre.levels[j].rel = re.levels[j].rel
 			wre.levels[j].lo = re.levels[j].lo
 			wre.levels[j].hi = re.levels[j].hi
-			wre.levels[j].ix = re.levels[j].ix
-			wre.levels[j].ixRel = re.levels[j].ixRel
+			wre.levels[j].st = re.levels[j].st
+			wre.levels[j].stBound = re.levels[j].stBound
 			wre.levels[j].outN = 0
 		}
 		wre.empty = false
@@ -701,7 +781,12 @@ func (ev *evaluator) runRuleParallel(re *ruleExec, w int, grew *bool) error {
 					fail(&limits.PanicError{Component: "engine", Value: r, Stack: debug.Stack()})
 				}
 			}()
-			if err := wre.run(); err != nil {
+			err := wre.run(func(t database.Tuple) error {
+				wre.ev.stats.Inferences++
+				wre.emit.Insert(t)
+				return nil
+			})
+			if err != nil {
 				fail(err)
 			}
 		}(wre)
@@ -716,9 +801,15 @@ func (ev *evaluator) runRuleParallel(re *ruleExec, w int, grew *bool) error {
 	if err := ev.check.Check(); err != nil {
 		return err
 	}
+	headRel := ev.derived[re.cr.headPred]
 	for i := 0; i < w; i++ {
-		if err := ev.flushEmit(re.workers[i].emit, re.cr.headPred, grew); err != nil {
-			return err
+		emit := re.workers[i].emit
+		for id := database.RowID(0); int(id) < emit.Len(); id++ {
+			if headRel.Insert(database.Tuple(emit.Row(id))) {
+				if err := ev.noteDerived(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil

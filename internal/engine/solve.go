@@ -51,17 +51,15 @@ const (
 
 // PreparedSolve is a compiled conjunction query: body literals evaluated
 // under a fixed set of pre-bound variables, producing the values of the
-// want variables. Prepare once per rule site, Solve once per binding.
+// want variables. Prepare once per rule site, Solve once per binding. It
+// is an ordinary rule run: the rule "$solve(want) :- $given(bound), body"
+// with the one-row $given relation as the delta occurrence.
 type PreparedSolve struct {
-	m         *Matcher
-	cr        *compiledRule
-	boundVars []symtab.Sym
-	want      []symtab.Sym
-	givenPred symtab.Sym
-	givenRel  *database.Relation
-	derived   map[symtab.Sym]*database.Relation
-	ev        *evaluator
-	delta     map[symtab.Sym]deltaView
+	m        *Matcher
+	re       *ruleExec
+	givenRel *database.Relation
+	delta    map[symtab.Sym]Delta
+	cfg      JoinConfig
 }
 
 // Prepare compiles body for repeated evaluation. boundVars lists the
@@ -102,47 +100,38 @@ func (m *Matcher) Prepare(body []ast.Literal, boundVars, want []symtab.Sym) (*Pr
 		return nil, fmt.Errorf("engine: Prepare: %w", err)
 	}
 	ps := &PreparedSolve{
-		m:         m,
-		cr:        cr,
-		boundVars: boundVars,
-		want:      want,
-		givenPred: givenPred,
-		givenRel:  database.NewRelation(len(boundVars)),
-		derived:   m.derived,
-	}
-	ps.ev = &evaluator{bank: m.bank, db: m.db, derived: ps.derived, check: m.check}
-	if m.RowState != nil {
+		m:        m,
+		givenRel: database.NewRelation(len(boundVars)),
 		// The $given occurrence is the delta (never filtered); every real
 		// body literal follows it, so the suffix filter covers them all.
-		// Both sides are armed anyway for uniformity.
-		ps.ev.rowState = m.RowState
-		ps.ev.filterPrefix = true
-		ps.ev.filterSuffix = true
-		ps.ev.prefixBound = m.RowStateBound
-		ps.ev.suffixBound = m.RowStateBound
+		cfg: JoinConfig{RowState: m.RowState, FilterSuffix: m.RowState != nil, SuffixBound: m.RowStateBound},
 	}
-	ps.delta = map[symtab.Sym]deltaView{givenPred: {rel: ps.givenRel, lo: 0, hi: 1}}
+	ps.delta = map[symtab.Sym]Delta{givenPred: {Rel: ps.givenRel, Lo: 0, Hi: 1}}
+	ps.re = newRuleExec(&evaluator{bank: m.bank, db: m.db, derived: m.derived, check: m.check}, cr, 0)
 	return ps, nil
 }
 
 // Solve evaluates the prepared conjunction under the given values for
 // boundVars (in Prepare order) and calls out with the want values for each
-// solution. The out slice is reused across calls.
+// solution. The out slice is reused across calls. Solutions are delivered
+// up to a batch late: out must not change what the matcher reads, and must
+// not call Solve on the same PreparedSolve.
 func (ps *PreparedSolve) Solve(boundVals []term.Value, out func([]term.Value) error) error {
-	if len(boundVals) != len(ps.boundVars) {
-		return fmt.Errorf("engine: Solve: got %d bound values, want %d", len(boundVals), len(ps.boundVars))
+	if want := ps.givenRel.Arity(); len(boundVals) != want {
+		return fmt.Errorf("engine: Solve: got %d bound values, want %d", len(boundVals), want)
 	}
 	ps.m.Solves++
-	// Reset the $given relation to exactly this binding; it is fed to the
-	// join as the delta of the $given occurrence, which the prepared
-	// ordering evaluates first.
+	// Reset the $given relation to exactly this binding; it is the delta
+	// of the $given occurrence, which the prepared ordering evaluates
+	// first.
 	ps.givenRel.Reset()
 	ps.givenRel.Insert(database.Tuple(boundVals))
 
-	before := ps.ev.stats.Probes
-	err := ps.ev.join(ps.cr, 0, ps.delta,
-		func(t database.Tuple) error { return out(t) })
-	ps.m.Probes += ps.ev.stats.Probes - before
+	ev := ps.re.ev
+	before := ev.stats.Probes
+	ps.re.begin(ps.delta, ps.cfg)
+	err := ps.re.run(func(t database.Tuple) error { return out(t) })
+	ps.m.Probes += ev.stats.Probes - before
 	return err
 }
 

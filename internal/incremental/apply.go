@@ -193,7 +193,9 @@ func (m *Materialization) fork(db *database.Database) *Materialization {
 		m2.derived[p] = rel
 	}
 	for p, c := range m.counts {
-		m2.counts[p] = append([]int64(nil), c...)
+		// Room for the epoch's inserts: an exact copy is copied again by
+		// the first new row.
+		m2.counts[p] = append(make([]int64, 0, len(c)+len(c)/64+64), c...)
 	}
 	return m2
 }
@@ -760,10 +762,11 @@ func (a *applier) compact() error {
 		}
 		old := m.derived[pred]
 		rebuilt := old.RebuildWithout(func(id database.RowID) bool { return st[id] == -1 })
-		counts := make([]int64, 0, rebuilt.Len())
-		for id := 0; id < old.Len(); id++ {
+		// m is this epoch's fork and owns its counts: filter in place.
+		counts := m.counts[pred][:0]
+		for id, c := range m.counts[pred][:old.Len()] {
 			if st[id] != -1 {
-				counts = append(counts, m.counts[pred][id])
+				counts = append(counts, c)
 			}
 		}
 		m.total -= int64(old.Len() - rebuilt.Len())

@@ -185,10 +185,10 @@ func TestPreparedQueryConcurrentEval(t *testing.T) {
 }
 
 // TestPreparedQueryConcurrentJoinModes exercises one PreparedQuery from
-// many goroutines while mixing join-execution modes: the default batched
-// pipeline, the legacy tuple-at-a-time path, and the partitioned worker
-// pool. Join scratch (frames, trails, cached index handles, pipeline
-// state) is per-evaluation, so every mode must agree under -race.
+// many goroutines while mixing join-execution modes: the serial pipeline
+// and the partitioned worker pool at two widths. The compiled plan is
+// shared; pipeline state (frames, probe keys, cached index handles) is
+// per-evaluation, so every mode must agree under -race.
 func TestPreparedQueryConcurrentJoinModes(t *testing.T) {
 	p, db := sgSetup(t)
 	pq, err := lincount.Prepare(p, sgQuery(), lincount.Auto)
@@ -201,9 +201,8 @@ func TestPreparedQueryConcurrentJoinModes(t *testing.T) {
 	}
 	modes := [][]lincount.Option{
 		nil,
-		{lincount.WithBatchedJoin(false)},
 		{lincount.WithJoinWorkers(4)},
-		{lincount.WithJoinWorkers(2), lincount.WithBatchedJoin(true)},
+		{lincount.WithJoinWorkers(2)},
 	}
 	const rounds = 8
 	var wg sync.WaitGroup
