@@ -64,10 +64,12 @@ crash-smoke:
 inc-smoke:
 	$(GO) test -run TestIncSmoke -count=1 ./cmd/lincountd
 
-# The planner smoke quartet: acyclic/cyclic same-generation plus
-# left-/right-linear closure, each asserting the cost-informed planner
-# ranks the structurally proven strategy first with real data loaded and
-# that its pick answers identically to semi-naive.
+# The planner smoke quartet: acyclic same-generation (the sg-acyclic
+# benchmark shape, Cylinder(19, 64, 2)), cyclic same-generation, and
+# left-/right-linear closure, each asserting the planner ranks the right
+# strategy first with real data loaded — the counting rewrite on the
+# acyclic cylinder, the runtime on the cycle, the reduced rewrite on the
+# closures — and that its pick answers identically to semi-naive.
 planner-smoke:
 	$(GO) test -run TestPlannerSmoke -count=1 .
 
@@ -108,13 +110,19 @@ bench:
 # The cold-start layer benches (P19: text load, snapshot load, the
 # materialisation build) run in the packages they measure; LoadText's
 # allocs/op is additionally held by TestLoadTextAllocs in `make test`.
+# P20's pair: AutoVsForced is Auto against every forced strategy on the
+# four benchmark shapes (inferences/op is exact: Auto must sit on the
+# cheapest row of its shape), RuntimeMoves the pointer runtime alone on
+# the sg-cyclic shape, whose allocs/op guards the batched solves' buffer
+# reuse.
 # Compare the two passes by eye (allocs/op is deterministic; ns/op is
 # not); EXPERIMENTS.md records the accepted numbers. The timing gate is
 # `make bench-compare BASE=<rev>` below.
 benchcheck:
 	@for i in 1 2; do \
 		echo "== benchcheck pass $$i"; \
-		$(GO) test -run '^$$' -bench 'BenchmarkP1_MagicVsCounting|BenchmarkP2_CountingSetSize|BenchmarkP17_BatchedJoin' -benchmem . || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkP1_MagicVsCounting|BenchmarkP2_CountingSetSize|BenchmarkP17_BatchedJoin|BenchmarkAutoVsForced' -benchmem . || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkRuntimeMoves' -benchmem ./internal/counting || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkLoadText|BenchmarkSnapshotLoad' -benchmem ./internal/database || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkMaterializeBuild' -benchmem ./internal/incremental || exit 1; \
 	done

@@ -89,6 +89,7 @@ var chaosSchedules = []struct {
 	{"probe-err", "engine.probe=err~0.002"},
 	{"iter-cancel", "engine.iter=cancel@3"},
 	{"counting-err", "counting.node=err@5,counting.step=err@7"},
+	{"planner-probe-err", "counting.probe=err@1,engine.insert=err@400"},
 	{"topdown-err", "topdown.probe=err@25,topdown.pass=cancel@4"},
 	{"storm", "*=err~0.01"},
 	{"latency", "engine.iter=delay@2:200us,counting.step=delay@3:50us"},
@@ -130,6 +131,47 @@ func TestChaosInvariant(t *testing.T) {
 					if !rep.OK() {
 						t.Errorf("%s seed %d: invariant violated:\n%s", sched.name, seed, rep)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestChaosAutoVerdict runs Auto with its data-aware ranking over the
+// whole corpus, cyclic and acyclic programs alike, without faults: cold
+// (a fresh plan.Shared, so the verdict is probed), then twice through
+// the program's plan cache (probed once, then served from it). Whatever
+// Auto resolves to must answer like the oracle without a single failed
+// attempt — a counting rewrite picked where the binding reaches a cycle
+// would trip its budget and show up as a degradation — and on the
+// corpus's cyclic databases the pick must not be the path-carrying
+// rewrite (the reduced one has no paths left to grow).
+func TestChaosAutoVerdict(t *testing.T) {
+	for _, c := range loadChaosCorpus(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			p, err := lincount.ParseProgram(c.text)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			db := lincount.NewDatabase(p)
+			query := p.Queries()[0]
+			for _, pass := range []struct {
+				name string
+				opts []lincount.Option
+			}{{"cold", []lincount.Option{lincount.WithoutPlanCache()}}, {"miss", nil}, {"hit", nil}} {
+				rep, err := oracle.Check(context.Background(), p, db, query,
+					[]lincount.Strategy{lincount.Auto}, chaosBudget, append(pass.opts, chaosBudget...))
+				if err != nil {
+					t.Fatalf("%s: %v", pass.name, err)
+				}
+				run := rep.Runs[0]
+				if !rep.OK() || run.Class != oracle.OK || run.Degraded != 0 {
+					t.Errorf("%s: auto must answer like the oracle at the first attempt:\n%s", pass.name, rep)
+				}
+				if c.cyclic && run.Resolved == lincount.Counting {
+					t.Errorf("%s: auto resolved to %s on a cyclic database", pass.name, run.Resolved)
 				}
 			}
 		})
@@ -244,14 +286,15 @@ tc(X,Z) :- tc(X,Y), e(Y,Z).
 	}
 }
 
-// mutualProgram is a two-predicate linear clique: Auto resolves it to
-// the counting runtime (the general-linear class), which makes it the
-// vehicle for the degradation tests below.
+// mutualProgram is a two-predicate linear clique over a cyclic left graph
+// (p(a) → q(b) → p(c) → q(b)): Auto resolves it to the counting runtime
+// (the general-linear class on cyclic data), which makes it the vehicle
+// for the degradation tests below.
 const mutualProgram = `
 p(X,Y) :- flat(X,Y).
 p(X,Y) :- up(X,X1), q(X1,Y1), down(Y1,Y).
 q(X,Y) :- over(X,X1), p(X1,Y1), under(Y1,Y).
-up(a,b). over(b,c).
+up(a,b). over(b,c). up(c,b).
 flat(c,c2). flat(a,a2).
 under(c2,u). down(u,v).
 ?- p(a,Y).
@@ -332,7 +375,10 @@ func TestDegradedSharedBudgetExhaustion(t *testing.T) {
 }
 
 // TestDegradedFallbackOnInjectedFault: an injected fault in the counting
-// runtime must degrade to a working strategy with correct answers.
+// runtime must degrade to a working strategy with correct answers. The
+// fault sits in phase 2: one in phase 1 would hit the planner's probe,
+// which degrades the ranking, not the evaluation
+// (TestProbeFaultDegradesRanking).
 func TestDegradedFallbackOnInjectedFault(t *testing.T) {
 	p := lincount.MustParseProgram(mutualProgram)
 	db := lincount.NewDatabase(p)
@@ -342,7 +388,7 @@ func TestDegradedFallbackOnInjectedFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := lincount.Eval(p, db, q, lincount.Auto,
-		lincount.WithFaultInjection(3, "counting.node=err@1"))
+		lincount.WithFaultInjection(3, "counting.step=err@1"))
 	if err != nil {
 		t.Fatalf("Auto must degrade around the injected fault: %v", err)
 	}

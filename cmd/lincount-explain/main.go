@@ -188,6 +188,15 @@ func runAnalyze(ctx context.Context, stdout, stderr io.Writer, p *lincount.Progr
 	} else {
 		fmt.Fprintf(stdout, "%% strategy: %s\n", res.Strategy)
 	}
+	// The planner's ranking, each estimate in the unit the run is observed
+	// in (visited facts ~ inferences), and how far off it was for the
+	// strategy that answered.
+	for _, c := range res.Planner {
+		fmt.Fprintf(stdout, "%% planner: ~%-6.0f %-17s %s\n", c.Cost, c.Strategy, c.Reason)
+		if c.Strategy == res.Strategy {
+			fmt.Fprintf(stdout, "%%          observed %d inferences: q-error %.2f\n", res.Stats.Inferences, c.QError(res.Stats.Inferences))
+		}
+	}
 	for i, a := range res.Degraded {
 		fmt.Fprintf(stdout, "%% attempt %d: %s failed after %s: %s\n", i+1, a.Strategy, a.Duration.Round(time.Microsecond), a.Err)
 		fmt.Fprintf(stdout, "%%   wasted work: inferences=%d facts=%d probes=%d counting-set=%d\n",

@@ -81,3 +81,35 @@ func TestExplainErrors(t *testing.T) {
 		t.Error("missing query accepted")
 	}
 }
+
+// TestAnalyzeShowsPlannerError: under auto, -analyze prints the planner's
+// ranking — the probe's verdict in the reasons — and, beside the strategy
+// that ran, the observed inferences and the q-error of its estimate.
+func TestAnalyzeShowsPlannerError(t *testing.T) {
+	prog := write(t, sgText)
+	facts := write(t, "up(a,b). up(b,c). flat(c,f). down(f,g). down(g,h).\n")
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"-program", prog, "-facts", facts, "-analyze"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"strategy: counting (requested auto, resolved counting)",
+		"% planner: ~5      counting ",
+		"reachable left graph acyclic: 3 nodes, 2 arcs",
+		"observed 6 inferences: q-error 1.20",
+		"% planner: ~7      counting-runtime ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+	// An explicit strategy has no ranking to be wrong about.
+	out.Reset()
+	if code := run(context.Background(), []string{"-program", prog, "-facts", facts, "-analyze", "-strategy", "magic"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if strings.Contains(out.String(), "% planner:") {
+		t.Errorf("planner lines under an explicit strategy:\n%s", out.String())
+	}
+}

@@ -58,6 +58,11 @@ type evalConfig struct {
 	queryText string
 	shared    *plan.Shared
 	optsFP    uint64
+	// probed, when non-nil, is the counting runtime whose phase 1 the
+	// planner's probe ran and found cyclic: the CountingRuntime attempt at
+	// the head of the chain carries on from it instead of exploring the
+	// left graph a second time.
+	probed *counting.Runtime
 }
 
 // WithParallel evaluates independent strata concurrently (engine
@@ -291,27 +296,29 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 	cfg.queryText = ast.FormatQuery(p.bank, q)
 	cfg.optsFP = cfg.fingerprint()
 	cfg.shared = p.sharedFor(cfg.queryText, q, cfg.noCache)
-	cfg.shared.SetStats(p.statsFunc(dbi))
+	stats := p.statsFunc(dbi)
+	cfg.shared.SetStats(stats)
 
+	start := time.Now()
 	resolved := strategy
-	var chain []Strategy
+	var choices []plan.Choice
 	if strategy == Auto {
 		plsp := cfg.tracer.Begin("eval", "plan")
-		choices := plan.Rank(cfg.shared, p.statsFunc(dbi))
+		var err error
+		choices, cfg.probed, err = p.rankFor(ctx, dbi, cfg, stats)
 		plsp.End(obsv.A("candidates", int64(len(choices))))
-		chain = make([]Strategy, len(choices))
-		for i, c := range choices {
-			chain[i] = c.Strategy
+		if err != nil {
+			recordEval(Auto, *cfg.statsSink, 0, cfg.inject.Fired(), time.Since(start), err)
+			return nil, err
 		}
-		resolved = chain[0]
+		resolved = choices[0].Strategy
 		obsv.MPlannerChoices.Add(resolved.String(), 1)
 	}
 
-	start := time.Now()
 	var res *Result
 	var err error
 	if strategy == Auto {
-		res, err = evalAuto(ctx, p, dbi, chain, cfg)
+		res, err = evalAuto(ctx, p, dbi, choices, cfg)
 	} else {
 		res, _, err = evalResolved(ctx, p, dbi, strategy, cfg)
 	}
@@ -323,7 +330,65 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 	res.Resolved = resolved
 	res.Stats.Duration = dur
 	recordEval(res.Strategy, res.Stats, len(res.Degraded), cfg.inject.Fired(), dur, nil)
+	if strategy == Auto {
+		res.Planner = plannerChoices(choices)
+		for _, c := range res.Planner {
+			if c.Strategy == res.Strategy {
+				obsv.MPlannerQError.Observe(c.QError(res.Stats.Inferences))
+			}
+		}
+	}
 	return res, nil
+}
+
+// rankFor is Auto's ranking of cfg.shared over dbi: the planner's cost
+// model under the left-graph verdict of this query on this data, when
+// the ranking turns on one. The verdict comes from the Shared's cache
+// while the relations the left parts read are unchanged; a miss costs one
+// phase-1 traversal by a counting runtime, and when the verdict is cyclic
+// and that runtime's strategy heads the ranking it is returned as probed,
+// for the attempt to carry on from. A probe that fails — a budget trip,
+// an injected fault, a panic — leaves the data-blind ranking; only a
+// cancelled evaluation is an error.
+func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalConfig, stats plan.StatsFunc) (choices []plan.Choice, probed *counting.Runtime, err error) {
+	outcome := "skipped"
+	choices = plan.RankWith(cfg.shared, stats, func() *plan.Verdict {
+		var v *plan.Verdict
+		var hit bool
+		v, hit, err = cfg.shared.Verdict(dbi, func() (probe counting.LeftGraphProbe, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = &InternalError{Strategy: Auto, Value: r, Stack: string(debug.Stack())}
+				}
+			}()
+			an, err := cfg.shared.Analysis()
+			if err != nil {
+				return probe, err
+			}
+			rt, err := counting.NewRuntimeContext(ctx, an, dbi, runtimeOpts(cfg))
+			if err != nil {
+				return probe, err
+			}
+			if probe, err = rt.Probe(); err == nil {
+				probed = rt
+			}
+			return probe, err
+		})
+		outcome = "miss"
+		if hit {
+			outcome = "hit"
+		}
+		return v
+	})
+	obsv.MPlannerProbes.Add(outcome, 1)
+	var ce *CanceledError
+	if errors.As(err, &ce) {
+		return nil, nil, err
+	}
+	if choices[0].Strategy != CountingRuntime {
+		probed = nil
+	}
+	return choices, probed, nil
 }
 
 // fingerprint hashes the options that are part of a plan's cache key.
@@ -459,11 +524,15 @@ func errClass(err error) string {
 // analysis and the plan cache, so retries never re-adorn. Failed
 // attempts are recorded in Result.Degraded with compile and execute
 // time split out.
-func evalAuto(ctx context.Context, p *Program, dbi *database.Database, chain []Strategy, cfg evalConfig) (*Result, error) {
+func evalAuto(ctx context.Context, p *Program, dbi *database.Database, chain []plan.Choice, cfg evalConfig) (*Result, error) {
 	var attempts []AttemptInfo
 	remaining := int64(cfg.maxFacts) // shared budget; 0 = per-attempt defaults
-	for i, s := range chain {
+	for i, c := range chain {
+		s := c.Strategy
 		acfg := cfg
+		if i > 0 {
+			acfg.probed = nil // the probe's runtime belongs to the head attempt
+		}
 		if cfg.maxFacts > 0 {
 			acfg.maxFacts = int(remaining)
 		}
@@ -546,11 +615,11 @@ func notApplicableError(err error) bool {
 		errors.Is(err, topdown.ErrUnsupported)
 }
 
-// FallbackChain reports the strategy order Auto would try for the query:
-// the first element is the planner's pick (ranked without database
-// statistics — pass a database via PlannerChoices to see data-informed
-// estimates), the rest are the graceful-degradation fallbacks in order.
-// Explicit strategies never degrade.
+// FallbackChain reports the strategy order Auto would try for the query
+// over the facts embedded in the program alone (pass a database to
+// PlannerChoices for the ranking Auto uses on it): the first element is
+// the planner's pick, the rest are the graceful-degradation fallbacks in
+// order. Explicit strategies never degrade.
 func FallbackChain(p *Program, query string) ([]Strategy, error) {
 	choices, err := PlannerChoices(p, nil, query)
 	if err != nil {
@@ -573,11 +642,30 @@ type PlannerChoice struct {
 	Reason   string
 }
 
+// QError is the planner's estimation error for a choice that ran and
+// made observed inferences: the factor, at least 1, by which the estimate
+// and the observation differ in either direction.
+func (c PlannerChoice) QError(observed int64) float64 {
+	est, obs := max(c.Cost, 1), max(float64(observed), 1)
+	return max(est/obs, obs/est)
+}
+
+func plannerChoices(ranked []plan.Choice) []PlannerChoice {
+	out := make([]PlannerChoice, len(ranked))
+	for i, c := range ranked {
+		out[i] = PlannerChoice{Strategy: c.Strategy, Cost: c.Cost, Reason: c.Reason}
+	}
+	return out
+}
+
 // PlannerChoices ranks the candidate strategies for the query the way
-// Auto would: by estimated cost from the shared linearity analysis and
-// the per-relation cardinalities of db (and of facts embedded in the
-// program). With a nil db the ranking is purely structural. The first
-// choice is what Auto resolves to; the rest is its degradation chain.
+// Auto would: by estimated cost from the shared linearity analysis, the
+// per-relation cardinalities of db (and of facts embedded in the
+// program) and, for a linear program without a reduced rewrite, what the
+// query's binding reaches in db — the left-graph verdict, probed here if
+// the program's plan cache does not hold a current one. With a nil db
+// only the program's own facts count. The first choice is what Auto
+// resolves to; the rest is its degradation chain.
 func PlannerChoices(p *Program, db *Database, query string) ([]PlannerChoice, error) {
 	if db != nil && db.owner != p {
 		return nil, ErrWrongDatabase
@@ -590,13 +678,12 @@ func PlannerChoices(p *Program, db *Database, query string) ([]PlannerChoice, er
 	if db != nil {
 		dbi = db.db
 	}
-	sh := p.sharedFor(ast.FormatQuery(p.bank, q), q, false)
-	ranked := plan.Rank(sh, p.statsFunc(dbi))
-	out := make([]PlannerChoice, len(ranked))
-	for i, c := range ranked {
-		out[i] = PlannerChoice{Strategy: c.Strategy, Cost: c.Cost, Reason: c.Reason}
+	cfg := evalConfig{shared: p.sharedFor(ast.FormatQuery(p.bank, q), q, false)}
+	ranked, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return plannerChoices(ranked), nil
 }
 
 // attemptTiming splits one attempt's wall time into its compile and
@@ -824,20 +911,31 @@ func statsFromRuntime(s counting.RuntimeStats) Stats {
 	}
 }
 
-// execRuntime runs the pointer-based counting runtime (Algorithm 2)
-// over the plan's shared analysis.
-func execRuntime(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
+// runtimeOpts are the counting runtime's options under cfg: its own
+// tuple budget, or the shared fact budget when it has none.
+func runtimeOpts(cfg evalConfig) counting.RuntimeOptions {
 	maxTuples := cfg.maxCountingTuples
 	if maxTuples == 0 {
 		maxTuples = cfg.maxFacts
 	}
-	ropts := counting.RuntimeOptions{MaxTuples: maxTuples, Inject: cfg.inject, Tracer: cfg.tracer}
-	if cfg.statsSink != nil {
-		rs := new(counting.RuntimeStats)
-		ropts.StatsOut = rs
-		defer func() { *cfg.statsSink = statsFromRuntime(*rs) }()
+	return counting.RuntimeOptions{MaxTuples: maxTuples, Inject: cfg.inject, Tracer: cfg.tracer}
+}
+
+// execRuntime runs the pointer-based counting runtime (Algorithm 2)
+// over the plan's shared analysis — from phase 2 when the planner's probe
+// already built the counting set (cfg.probed).
+func execRuntime(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
+	rt := cfg.probed
+	if rt == nil {
+		var err error
+		if rt, err = counting.NewRuntimeContext(ctx, cq.Analysis, dbi, runtimeOpts(cfg)); err != nil {
+			return nil, err
+		}
 	}
-	rres, err := counting.RunContext(ctx, cq.Analysis, dbi, ropts)
+	if cfg.statsSink != nil {
+		defer func() { *cfg.statsSink = statsFromRuntime(rt.Stats()) }()
+	}
+	rres, err := rt.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -855,18 +953,22 @@ func execRuntime(ctx context.Context, p *Program, dbi *database.Database, cq *pl
 }
 
 // execMagicCounting implements the magic-counting hybrid (reference
-// [16]): probe the left-part graph; run the reduced counting program
-// when it is acyclic, magic sets otherwise. The chosen sub-strategy is
-// compiled through the same shared state and plan cache as a direct
-// evaluation would use.
+// [16]): run the reduced counting program when the left graph reachable
+// from the query constants is acyclic, magic sets otherwise. The verdict
+// is the planner's (cached on the plan.Shared per state of the data, so
+// a repeated query probes once), and the chosen sub-strategy is compiled
+// through the same shared state and plan cache as a direct evaluation
+// would use.
 func execMagicCounting(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
 	sub := Magic
 	if cq.Analysis != nil {
-		probe, err := counting.ProbeLeftGraphContext(ctx, cq.Analysis, dbi, cfg.maxFacts)
+		v, _, err := cfg.shared.Verdict(dbi, func() (counting.LeftGraphProbe, error) {
+			return counting.ProbeLeftGraphContext(ctx, cq.Analysis, dbi, runtimeOpts(cfg))
+		})
 		if err != nil {
 			return nil, err
 		}
-		if probe.Acyclic && cq.Analysis.ListRewriteSafe() {
+		if v.Acyclic && cq.Analysis.ListRewriteSafe() {
 			sub = CountingReduced
 		}
 	}
@@ -931,9 +1033,14 @@ func (p *Program) compileFor(q ast.Query, db *Database, strategy Strategy) (*pla
 	cfg.queryText = ast.FormatQuery(p.bank, q)
 	cfg.optsFP = cfg.fingerprint()
 	cfg.shared = p.sharedFor(cfg.queryText, q, false)
-	cfg.shared.SetStats(p.statsFunc(dbi))
+	stats := p.statsFunc(dbi)
+	cfg.shared.SetStats(stats)
 	if strategy == Auto {
-		strategy = plan.Rank(cfg.shared, p.statsFunc(dbi))[0].Strategy
+		choices, _, err := p.rankFor(context.TODO(), dbi, cfg, stats)
+		if err != nil {
+			return nil, strategy, err
+		}
+		strategy = choices[0].Strategy
 	}
 	cq, _, _, err := p.planFor(strategy, cfg)
 	return cq, strategy, err

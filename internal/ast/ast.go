@@ -44,6 +44,15 @@ func C(v term.Value) Term { return Term{Kind: Const, Value: v} }
 // V wraps a variable name as a variable term.
 func V(name symtab.Sym) Term { return Term{Kind: Var, Name: name} }
 
+// Vs builds one variable term per name.
+func Vs(names []symtab.Sym) []Term {
+	ts := make([]Term, len(names))
+	for i, n := range names {
+		ts[i] = V(n)
+	}
+	return ts
+}
+
 // Mk builds a compound term, interning it into the bank when every argument
 // is ground (so ground compounds are always Const).
 func Mk(b *term.Bank, functor symtab.Sym, args ...Term) Term {

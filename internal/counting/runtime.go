@@ -99,9 +99,6 @@ type RuntimeOptions struct {
 	// and the passthrough strata's engine spans. Nil costs one pointer
 	// comparison per site.
 	Tracer *obsv.Tracer
-	// StatsOut, when non-nil, receives the runtime's Stats even when a
-	// phase fails partway (budget trip, injected fault, cancellation).
-	StatsOut *RuntimeStats
 }
 
 // DefaultMaxRuntimeTuples bounds runaway evaluations.
@@ -126,84 +123,80 @@ type node struct {
 	back  []entry
 }
 
+// arc is one instantiation of a rule's left part: from node src, rule
+// `rule` with shared values c reaches node to. Arcs are what phase 1
+// discovers; classifying them yields the entries.
+type arc struct {
+	src, to int32
+	rule    int32
+	c       term.Value
+}
+
 // tupleInfo is one interned answer tuple (pred, frees, node); frees live
 // in tupleArena at [off, end). The tuple's dense id (its index) is the
-// provenance key and the worklist element.
+// provenance key and its place in the phase-2 worklist.
 type tupleInfo struct {
 	pred     symtab.Sym
 	node     int32
 	off, end int32
 }
 
-// varsOrdered returns the distinct variables of the terms in first-
-// occurrence order.
-func varsOrdered(ts []ast.Term) []symtab.Sym {
-	var out []symtab.Sym
-	seen := map[symtab.Sym]bool{}
-	var walk func(t ast.Term)
-	walk = func(t ast.Term) {
-		switch t.Kind {
-		case ast.Var:
-			if !seen[t.Name] {
-				seen[t.Name] = true
-				out = append(out, t.Name)
-			}
-		case ast.Comp:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		}
-	}
-	for _, t := range ts {
-		walk(t)
-	}
-	return out
+// solveBatchRows is how many binding rows a rule site collects before it
+// runs them through its solver: enough to fill the executor's operator
+// batches, small enough that the row buffers stay cache-resident however
+// large the worklist grows.
+const solveBatchRows = 1024
+
+// batch collects the binding rows of one rule site (a left part, an exit
+// body, a right part) and runs them through its solver together. The
+// solver is the rule "$solve(want, tags) :- $given(given, tags), body"
+// (engine.PrepareTerms): the given terms are the site's patterns over
+// the values each row carries, so the executor does the matching and the
+// instantiation in its slot frames, and the tags — node and tuple ids as
+// integers — come back untouched with every solution.
+type batch struct {
+	ps   *engine.PreparedSolve
+	rows []term.Value
+	n    int
 }
 
-func appendNew(dst []symtab.Sym, src []symtab.Sym) []symtab.Sym {
-	for _, v := range src {
-		dup := false
-		for _, d := range dst {
-			if d == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, v)
-		}
+// run solves the collected rows, hands every solution to out, and empties
+// the batch.
+func (b *batch) run(out func([]term.Value) error) error {
+	if b.n == 0 {
+		return nil
 	}
-	return dst
+	rows, n := b.rows, b.n
+	b.rows, b.n = b.rows[:0], 0
+	return b.ps.SolveRows(rows, n, out)
 }
 
 // preparedRec holds the compiled solvers of one recursive rule.
 type preparedRec struct {
 	r   *RecRule
 	idx int // position in Runtime.recs (= Analysis.Rec index)
-	// Left part: given the head's bound variables, produce the recursive
-	// call's bound variables and the shared variables.
-	left      *engine.PreparedSolve
-	leftBound []symtab.Sym
-	leftWant  []symtab.Sym
-	// Right part: given the recursive answer's variables, the shared
-	// variables and (when needed) the head's bound variables, produce the
-	// free head arguments' variables.
-	right      *engine.PreparedSolve
-	rightBound []symtab.Sym
-	rightWant  []symtab.Sym
-	needsDest  bool // head bound vars must be matched against the landing node
-
-	// Reusable per-solution buffers for the expand loop.
-	x1Buf    []term.Value
-	cvalsBuf []term.Value
+	// left (no solver when the rule generates no arcs): a row is a node's bound
+	// values matched against the head's bound arguments, tagged with the
+	// node; a solution is the recursive call's bound arguments, then the
+	// shared variables.
+	left batch
+	// right (no solver when applying the rule changes nothing): a row is an
+	// answer tuple's free values matched against the recursive call's
+	// free arguments, the entry's shared values and, under destInRow, the
+	// landing node's bound values matched against the head's bound
+	// arguments (D_r ≠ ∅), tagged with the tuple and the landing node; a
+	// solution is the head's free arguments.
+	right     batch
+	destInRow bool
+	kind      StepKind // StepMove, or StepSame for a rule without arcs
 }
 
-// preparedExit holds the compiled solver of one exit rule.
+// preparedExit holds the compiled solver of one exit rule: a row is a
+// node's bound values matched against the head's bound arguments, tagged
+// with the node; a solution is the head's free arguments.
 type preparedExit struct {
 	e     *ExitRule
-	ps    *engine.PreparedSolve
-	bound []symtab.Sym
-	want  []symtab.Sym
+	batch batch
 }
 
 // Runtime evaluates one analyzed query over one database.
@@ -222,9 +215,16 @@ type Runtime struct {
 	nodes     []node
 	nodeArena []term.Value
 	nodeSlots []int32
+	// arcs are the distinct left-part instantiations in discovery order,
+	// interned through arcSlots; classification turns them into entries.
+	arcs     []arc
+	arcSlots []int32
 	// discovery lists node ids in depth-first discovery order (the
-	// paper's o1, o2, … numbering).
+	// paper's o1, o2, … numbering), finished in the order the search
+	// left them (reversed, a topological order when there is no back arc).
 	discovery []int32
+	finished  []int32
+	built     bool // phase 1 ran to completion
 
 	// Answer tuples, interned to dense ids the same way.
 	tuples     []tupleInfo
@@ -235,10 +235,6 @@ type Runtime struct {
 	// tuple id (parent is a tuple id, -1 for exit seeds).
 	provenance bool
 	meta       []tupleMeta
-
-	// freesBuf is the scratch the free head arguments are instantiated
-	// into before interning copies them (only new tuples are copied).
-	freesBuf []term.Value
 
 	check *limits.Checker
 	stats RuntimeStats
@@ -294,61 +290,52 @@ func NewRuntimeContext(ctx context.Context, an *Analysis, db *database.Database,
 	}
 	rt.matcher.SetChecker(check)
 
+	part := func(r *RecRule, idxs []int) []ast.Literal {
+		body := make([]ast.Literal, len(idxs))
+		for i, li := range idxs {
+			body[i] = r.Rule.Body[li]
+		}
+		return body
+	}
 	for i := range an.Rec {
 		r := &an.Rec[i]
-		pr := preparedRec{r: r, idx: i}
-		if !r.SkipCounting {
-			pr.leftBound = varsOrdered(r.HeadBound)
-			pr.leftWant = appendNew(varsOrdered(r.RecBound), r.Shared)
-			var body []ast.Literal
-			for _, li := range r.Left {
-				body = append(body, r.Rule.Body[li])
-			}
-			ps, err := rt.matcher.Prepare(body, pr.leftBound, pr.leftWant)
+		pr := preparedRec{r: r, idx: i, kind: StepMove}
+		if r.SkipCounting {
+			pr.kind = StepSame
+		} else {
+			want := append(append([]ast.Term(nil), r.RecBound...), ast.Vs(r.Shared)...)
+			ps, err := rt.matcher.PrepareTerms(part(r, r.Left), r.HeadBound, want, 1)
 			if err != nil {
 				return nil, fmt.Errorf("counting: preparing left part of %s: %w",
 					ast.FormatRule(bank, r.Rule), err)
 			}
-			pr.left = ps
-			pr.x1Buf = make([]term.Value, len(r.RecBound))
-			pr.cvalsBuf = make([]term.Value, len(r.Shared))
+			pr.left.ps = ps
 		}
-		if !r.SkipModified {
-			pr.needsDest = len(r.BoundInRight) > 0
-			pr.rightBound = appendNew(varsOrdered(r.RecFree), r.Shared)
-			if pr.needsDest {
-				// The head's bound arguments are matched against the
-				// landing node (for left-linear rules, the same node).
-				pr.rightBound = appendNew(pr.rightBound, varsOrdered(r.HeadBound))
+		if !(r.SkipCounting && r.SkipModified) {
+			// A right-linear rule (SkipModified) has no right part to solve;
+			// its solver is the bare match that hands the tuple on.
+			pr.destInRow = len(r.BoundInRight) > 0
+			given := append(append([]ast.Term(nil), r.RecFree...), ast.Vs(r.Shared)...)
+			if pr.destInRow {
+				given = append(given, r.HeadBound...)
 			}
-			pr.rightWant = varsOrdered(r.HeadFree)
-			var body []ast.Literal
-			for _, ri := range r.Right {
-				body = append(body, r.Rule.Body[ri])
-			}
-			ps, err := rt.matcher.Prepare(body, pr.rightBound, pr.rightWant)
+			ps, err := rt.matcher.PrepareTerms(part(r, r.Right), given, r.HeadFree, 2)
 			if err != nil {
 				return nil, fmt.Errorf("counting: preparing right part of %s: %w",
 					ast.FormatRule(bank, r.Rule), err)
 			}
-			pr.right = ps
+			pr.right.ps = ps
 		}
 		rt.recs = append(rt.recs, pr)
 	}
 	for i := range an.Exit {
 		e := &an.Exit[i]
-		pe := preparedExit{
-			e:     e,
-			bound: varsOrdered(e.Bound),
-			want:  varsOrdered(e.Free),
-		}
-		ps, err := rt.matcher.Prepare(e.Rule.Body, pe.bound, pe.want)
+		ps, err := rt.matcher.PrepareTerms(e.Rule.Body, e.Bound, e.Free, 1)
 		if err != nil {
 			return nil, fmt.Errorf("counting: preparing exit rule %s: %w",
 				ast.FormatRule(bank, e.Rule), err)
 		}
-		pe.ps = ps
-		rt.exits = append(rt.exits, pe)
+		rt.exits = append(rt.exits, preparedExit{e: e, batch: batch{ps: ps}})
 	}
 	return rt, nil
 }
@@ -367,30 +354,15 @@ func RunContext(ctx context.Context, an *Analysis, db *database.Database, opts R
 	return rt.Run()
 }
 
-// Run executes the two phases.
+// Run executes the two phases. After a successful Probe the counting set
+// is already built and Run carries on from it.
 func (rt *Runtime) Run() (*RunResult, error) {
-	if rt.opts.StatsOut != nil {
-		// Fill even on the error paths: a failed attempt's partial work
-		// counters are what Auto-degradation reporting needs.
-		defer func() {
-			rt.snapshotStats()
-			*rt.opts.StatsOut = rt.stats
-		}()
-	}
 	tracer := rt.opts.Tracer
 	bsp := tracer.Begin("counting", "counting.build")
-	if err := rt.buildCountingSet(); err != nil {
-		bsp.End(obsv.A("nodes", int64(len(rt.nodes))))
+	err := rt.buildCountingSet()
+	rt.endBuildSpan(bsp)
+	if err != nil {
 		return nil, err
-	}
-	if tracer != nil {
-		var ahead, back int64
-		for i := range rt.nodes {
-			ahead += int64(len(rt.nodes[i].ahead))
-			back += int64(len(rt.nodes[i].back))
-		}
-		bsp.End(obsv.A("nodes", int64(len(rt.nodes))),
-			obsv.A("ahead", ahead), obsv.A("back", back))
 	}
 	asp := tracer.Begin("counting", "counting.answer")
 	answers, err := rt.answerPhase()
@@ -401,6 +373,24 @@ func (rt *Runtime) Run() (*RunResult, error) {
 	rt.snapshotStats()
 	engine.SortTuplesFormatted(rt.bank, answers)
 	return &RunResult{Answers: answers, Stats: rt.stats}, nil
+}
+
+// endBuildSpan closes a phase-1 span with the counting set's size.
+func (rt *Runtime) endBuildSpan(sp obsv.Span) {
+	if rt.opts.Tracer == nil {
+		return
+	}
+	rt.snapshotStats()
+	sp.End(obsv.A("nodes", int64(rt.stats.CountingNodes)),
+		obsv.A("ahead", int64(rt.stats.AheadEntries)), obsv.A("back", int64(rt.stats.BackEntries)))
+}
+
+// Stats reports the work done so far; after a failed phase (budget trip,
+// injected fault, cancellation) it holds the partial counters that
+// Auto-degradation reporting needs.
+func (rt *Runtime) Stats() RuntimeStats {
+	rt.snapshotStats()
+	return rt.stats
 }
 
 // snapshotStats fills the derived counters of rt.stats from the current
@@ -444,33 +434,39 @@ func valuesEqual(a, b []term.Value) bool {
 	return true
 }
 
-// growNodeSlots doubles the node table and rehashes from the arena.
-func (rt *Runtime) growNodeSlots() {
-	n := len(rt.nodeSlots) * 2
+// grownSlots returns an empty open-addressing table twice the size of
+// slots (at least 16), for the caller to rehash into.
+func grownSlots(slots []int32) []int32 {
+	n := len(slots) * 2
 	if n < 16 {
 		n = 16
 	}
-	slots := make([]int32, n)
-	for i := range slots {
-		slots[i] = -1
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
 	}
-	m := uint64(n - 1)
-	for id := range rt.nodes {
-		i := hashPredVals(rt.nodes[id].pred, rt.nodeVals(int32(id))) & m
-		for slots[i] >= 0 {
-			i = (i + 1) & m
-		}
-		slots[i] = int32(id)
+	return out
+}
+
+// place puts id into the first free slot of its probe sequence from h.
+func place(slots []int32, h uint64, id int32) {
+	m := uint64(len(slots) - 1)
+	i := h & m
+	for slots[i] >= 0 {
+		i = (i + 1) & m
 	}
-	rt.nodeSlots = slots
+	slots[i] = id
 }
 
 // internNode returns the id for (pred, vals), creating the node if new.
 // Lookup hashes vals directly; only a genuinely new node copies vals into
 // the arena.
-func (rt *Runtime) internNode(pred symtab.Sym, vals []term.Value) (int32, bool, error) {
+func (rt *Runtime) internNode(pred symtab.Sym, vals []term.Value) (int32, error) {
 	if (len(rt.nodes)+1)*4 > len(rt.nodeSlots)*3 {
-		rt.growNodeSlots()
+		rt.nodeSlots = grownSlots(rt.nodeSlots)
+		for id := range rt.nodes {
+			place(rt.nodeSlots, hashPredVals(rt.nodes[id].pred, rt.nodeVals(int32(id))), int32(id))
+		}
 	}
 	m := uint64(len(rt.nodeSlots) - 1)
 	i := hashPredVals(pred, vals) & m
@@ -480,98 +476,112 @@ func (rt *Runtime) internNode(pred symtab.Sym, vals []term.Value) (int32, bool, 
 			break
 		}
 		if rt.nodes[id].pred == pred && valuesEqual(rt.nodeVals(id), vals) {
-			return id, false, nil
+			return id, nil
 		}
 		i = (i + 1) & m
 	}
 	if err := rt.opts.Inject.Hit(faultinject.SiteCountingNode); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if used := len(rt.nodes) + len(rt.tuples); used >= rt.opts.MaxTuples {
-		return 0, false, rt.limitErr(used)
+		return 0, rt.limitErr(used)
 	}
 	id := int32(len(rt.nodes))
 	off := int32(len(rt.nodeArena))
 	rt.nodeArena = append(rt.nodeArena, vals...)
 	rt.nodes = append(rt.nodes, node{pred: pred, off: off, end: off + int32(len(vals))})
 	rt.nodeSlots[i] = id
-	return id, true, nil
+	return id, nil
 }
 
-// arcTarget is one instantiation of a rule's left part from a given node.
-type arcTarget struct {
-	rule int
-	c    term.Value
-	to   int32
+func hashArc(a arc) uint64 {
+	return database.HashValues([]term.Value{term.Value(a.src), term.Value(a.to), term.Value(a.rule), a.c})
 }
 
-// expand computes the outgoing arcs of node id by instantiating every
-// applicable recursive rule's left part.
-func (rt *Runtime) expand(id int32) ([]arcTarget, error) {
-	nPred := rt.nodes[id].pred
-	nVals := rt.nodeVals(id)
-	var out []arcTarget
-	seen := map[arcTarget]bool{}
+// addArc records an arc unless the same left-part instantiation is
+// already known (a left part may reach one (rule, C_r, node) through
+// several bindings of variables nobody keeps).
+func (rt *Runtime) addArc(a arc) {
+	if (len(rt.arcs)+1)*4 > len(rt.arcSlots)*3 {
+		rt.arcSlots = grownSlots(rt.arcSlots)
+		for id := range rt.arcs {
+			place(rt.arcSlots, hashArc(rt.arcs[id]), int32(id))
+		}
+	}
+	m := uint64(len(rt.arcSlots) - 1)
+	i := hashArc(a) & m
+	for rt.arcSlots[i] >= 0 {
+		if rt.arcs[rt.arcSlots[i]] == a {
+			return
+		}
+		i = (i + 1) & m
+	}
+	rt.arcSlots[i] = int32(len(rt.arcs))
+	rt.arcs = append(rt.arcs, a)
+}
+
+// nodeRow appends node id's binding row — its bound values, then its id
+// as the tag — to b.
+func (rt *Runtime) nodeRow(b *batch, id int32) {
+	b.rows = append(append(b.rows, rt.nodeVals(id)...), term.Int(int64(id)))
+	b.n++
+}
+
+// expand discovers the outgoing arcs of every node in [lo, hi) by running
+// each recursive rule's left part over all of them at once. The nodes it
+// reaches for the first time are appended to rt.nodes, for the next call.
+func (rt *Runtime) expand(lo, hi int32) error {
 	for ri := range rt.recs {
 		pr := &rt.recs[ri]
+		if pr.left.ps == nil {
+			continue
+		}
 		r := pr.r
-		if r.SkipCounting || r.Rule.Head.Pred != nPred {
-			continue
-		}
-		bound := map[symtab.Sym]term.Value{}
-		if !engine.MatchTerms(rt.bank, r.HeadBound, nVals, bound) {
-			continue
-		}
-		boundVals := make([]term.Value, len(pr.leftBound))
-		for i, v := range pr.leftBound {
-			boundVals[i] = bound[v]
-		}
-		recPred := r.Rule.Body[r.RecIndex].Pred
-		sol := map[symtab.Sym]term.Value{}
-		err := pr.left.Solve(boundVals, func(vals []term.Value) error {
-			for i, v := range pr.leftWant {
-				sol[v] = vals[i]
-			}
-			for v, val := range bound {
-				sol[v] = val
-			}
-			x1 := pr.x1Buf
-			for i, t := range r.RecBound {
-				v, ok := engine.InstantiateTerm(rt.bank, t, sol)
-				if !ok {
-					return fmt.Errorf("counting: left part did not bind the recursive call in rule %s",
-						ast.FormatRule(rt.bank, r.Rule))
-				}
-				x1[i] = v
-			}
-			cvals := pr.cvalsBuf
-			for i, v := range r.Shared {
-				cvals[i] = sol[v]
-			}
-			cList := rt.bank.List(cvals...)
-			// internNode copies x1 only if the node is new, so the
-			// reusable buffer is safe to hand over.
-			to, _, err := rt.internNode(recPred, x1)
+		headPred, recPred := r.Rule.Head.Pred, r.Rule.Body[r.RecIndex].Pred
+		nx := len(r.RecBound)
+		found := func(vals []term.Value) error {
+			// vals: the recursive call's bound arguments (internNode
+			// copies them only if the node is new), C_r, the source node.
+			to, err := rt.internNode(recPred, vals[:nx])
 			if err != nil {
 				return err
 			}
-			a := arcTarget{rule: ri, c: cList, to: to}
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
+			shared := vals[nx : len(vals)-1]
+			rt.addArc(arc{
+				src: int32(vals[len(vals)-1].AsInt()), to: to,
+				rule: int32(ri), c: rt.bank.List(shared...),
+			})
 			return nil
-		})
-		if err != nil {
-			return nil, err
+		}
+		for id := lo; id < hi; id++ {
+			if rt.nodes[id].pred != headPred {
+				continue
+			}
+			rt.nodeRow(&pr.left, id)
+			if pr.left.n == solveBatchRows {
+				if err := pr.left.run(found); err != nil {
+					return err
+				}
+			}
+		}
+		if err := pr.left.run(found); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// buildCountingSet runs the depth-first exploration with on-the-fly arc
-// classification, filling each node's ahead and back entry sets.
+// buildCountingSet is phase 1. It discovers the left graph breadth-first,
+// a frontier of nodes per round of batched left-part solves, and then
+// classifies the arcs depth-first over the stored adjacency, filling each
+// node's ahead and back entry sets. A node's arcs are ordered by rule and,
+// within a rule, as its left part delivers them, so the depth-first
+// numbering and the arc classes are those of a search that expands each
+// node as it first reaches it.
 func (rt *Runtime) buildCountingSet() error {
+	if rt.built {
+		return nil
+	}
 	goalBound := make([]term.Value, len(rt.an.GoalBound))
 	for i, t := range rt.an.GoalBound {
 		if !t.IsGround() {
@@ -580,147 +590,132 @@ func (rt *Runtime) buildCountingSet() error {
 		}
 		goalBound[i] = t.Value
 	}
-	src, _, err := rt.internNode(rt.an.GoalPred, goalBound)
+	src, err := rt.internNode(rt.an.GoalPred, goalBound)
 	if err != nil {
 		return err
 	}
 	// The source carries the paper's (r0, [], nil) entry.
 	rt.nodes[src].ahead = append(rt.nodes[src].ahead, entry{rule: -1, c: rt.bank.Nil(), node: nilNode})
 
-	type frame struct {
-		id   int32
-		arcs []arcTarget
-		idx  int
-	}
-	onStack := map[int32]bool{}
-	visited := map[int32]bool{}
-	type entryKey struct {
-		to   int32
-		e    entry
-		back bool
-	}
-	entrySeen := map[entryKey]bool{}
-
-	addEntry := func(to int32, e entry, back bool) {
-		k := entryKey{to, e, back}
-		if entrySeen[k] {
-			return
+	for lo := int32(0); int(lo) < len(rt.nodes); {
+		hi := int32(len(rt.nodes))
+		if err := rt.check.TickN(int(hi - lo)); err != nil {
+			return err
 		}
-		entrySeen[k] = true
-		n := &rt.nodes[to]
-		if back {
-			n.back = append(n.back, e)
-		} else {
-			n.ahead = append(n.ahead, e)
+		if err := rt.expand(lo, hi); err != nil {
+			return err
 		}
+		lo = hi
 	}
 
-	arcs, err := rt.expand(src)
-	if err != nil {
-		return err
+	// Adjacency: arcs grouped by source node, each group in discovery
+	// order (a counting sort; a node's arcs all come from the one round
+	// that expanded it, rule by rule).
+	start := make([]int32, len(rt.nodes)+1)
+	for i := range rt.arcs {
+		start[rt.arcs[i].src+1]++
 	}
-	stack := []frame{{id: src, arcs: arcs}}
-	onStack[src] = true
-	visited[src] = true
+	for i := range rt.nodes {
+		start[i+1] += start[i]
+	}
+	bySrc := make([]int32, len(rt.arcs))
+	fill := append([]int32(nil), start[:len(rt.nodes)]...)
+	for i := range rt.arcs {
+		s := rt.arcs[i].src
+		bySrc[fill[s]] = int32(i)
+		fill[s]++
+	}
+
+	// Classification: an arc into a node on the search stack is a back
+	// arc, every other arc is ahead. next[id] is the node's next arc to
+	// take; -1 marks a node the search has not reached.
+	next := fill
+	for i := range next {
+		next[i] = -1
+	}
+	onStack := make([]bool, len(rt.nodes))
+	rt.discovery = make([]int32, 0, len(rt.nodes))
+	rt.finished = make([]int32, 0, len(rt.nodes))
+	stack := []int32{src}
+	next[src], onStack[src] = start[src], true
 	rt.discovery = append(rt.discovery, src)
-
 	for len(stack) > 0 {
 		if err := rt.check.Tick(); err != nil {
 			return err
 		}
-		f := &stack[len(stack)-1]
-		if f.idx >= len(f.arcs) {
-			onStack[f.id] = false
+		id := stack[len(stack)-1]
+		if next[id] == start[id+1] {
+			onStack[id] = false
 			stack = stack[:len(stack)-1]
+			rt.finished = append(rt.finished, id)
 			continue
 		}
-		a := f.arcs[f.idx]
-		f.idx++
-		e := entry{rule: a.rule, c: a.c, node: f.id}
-		switch {
-		case onStack[a.to]:
-			addEntry(a.to, e, true)
-		case visited[a.to]:
-			addEntry(a.to, e, false)
-		default:
-			addEntry(a.to, e, false)
-			visited[a.to] = true
-			onStack[a.to] = true
+		a := &rt.arcs[bySrc[next[id]]]
+		next[id]++
+		n := &rt.nodes[a.to]
+		e := entry{rule: int(a.rule), c: a.c, node: id}
+		if onStack[a.to] {
+			n.back = append(n.back, e)
+			continue
+		}
+		n.ahead = append(n.ahead, e)
+		if next[a.to] < 0 {
+			next[a.to], onStack[a.to] = start[a.to], true
 			rt.discovery = append(rt.discovery, a.to)
-			arcs, err := rt.expand(a.to)
-			if err != nil {
-				return err
-			}
-			stack = append(stack, frame{id: a.to, arcs: arcs})
+			stack = append(stack, a.to)
 		}
 	}
+	rt.arcs, rt.arcSlots = nil, nil
+	rt.built = true
 	return nil
 }
 
-// growTupleSlots doubles the tuple table and rehashes from the arena.
-func (rt *Runtime) growTupleSlots() {
-	n := len(rt.tupleSlots) * 2
-	if n < 16 {
-		n = 16
-	}
-	slots := make([]int32, n)
-	for i := range slots {
-		slots[i] = -1
-	}
-	m := uint64(n - 1)
-	for id := range rt.tuples {
-		t := &rt.tuples[id]
-		h := database.HashValue(hashPredVals(t.pred, rt.tupleFrees(int32(id))), term.Value(t.node))
-		i := h & m
-		for slots[i] >= 0 {
-			i = (i + 1) & m
+// hashTuple hashes an answer tuple (pred, frees, node).
+func hashTuple(pred symtab.Sym, frees []term.Value, nodeID int32) uint64 {
+	return database.HashValue(hashPredVals(pred, frees), term.Value(nodeID))
+}
+
+// tupleSlot probes for (pred, frees, node): the tuple's id and slot when
+// it is interned, else -1 and the free slot where it belongs.
+func (rt *Runtime) tupleSlot(pred symtab.Sym, frees []term.Value, nodeID int32) (id int32, slot uint64) {
+	m := uint64(len(rt.tupleSlots) - 1)
+	for i := hashTuple(pred, frees, nodeID) & m; ; i = (i + 1) & m {
+		id := rt.tupleSlots[i]
+		if id < 0 {
+			return -1, i
 		}
-		slots[i] = int32(id)
+		t := &rt.tuples[id]
+		if t.pred == pred && t.node == nodeID && valuesEqual(rt.tupleFrees(id), frees) {
+			return id, i
+		}
 	}
-	rt.tupleSlots = slots
 }
 
 // findTuple returns the dense id of (pred, frees, node), or -1.
 func (rt *Runtime) findTuple(pred symtab.Sym, frees []term.Value, nodeID int32) int32 {
-	if len(rt.tuples) == 0 {
+	if len(rt.tupleSlots) == 0 {
 		return -1
 	}
-	m := uint64(len(rt.tupleSlots) - 1)
-	h := database.HashValue(hashPredVals(pred, frees), term.Value(nodeID))
-	for i := h & m; ; i = (i + 1) & m {
-		id := rt.tupleSlots[i]
-		if id < 0 {
-			return -1
-		}
-		t := &rt.tuples[id]
-		if t.pred == pred && t.node == nodeID && valuesEqual(rt.tupleFrees(id), frees) {
-			return id
-		}
-	}
+	id, _ := rt.tupleSlot(pred, frees, nodeID)
+	return id
 }
 
-// pushTuple interns a derived tuple and, when new, enqueues its id;
-// kind/rule/parent describe the derivation for provenance (parent is -1
-// for exit seeds). frees may be a reusable buffer: it is copied into the
-// arena only when the tuple is new.
-func (rt *Runtime) pushTuple(pred symtab.Sym, frees []term.Value, nodeID int32, queue *[]int32, kind StepKind, rule int, parent int32) error {
+// pushTuple interns a derived tuple; a new one joins the worklist by
+// getting the next dense id. kind/rule/parent describe the derivation for
+// provenance (parent is -1 for exit seeds). frees may be a reused buffer:
+// it is copied into the arena only when the tuple is new.
+func (rt *Runtime) pushTuple(pred symtab.Sym, frees []term.Value, nodeID int32, kind StepKind, rule int, parent int32) error {
 	rt.stats.Moves++
 	if (len(rt.tuples)+1)*4 > len(rt.tupleSlots)*3 {
-		rt.growTupleSlots()
+		rt.tupleSlots = grownSlots(rt.tupleSlots)
+		for id := range rt.tuples {
+			t := &rt.tuples[id]
+			place(rt.tupleSlots, hashTuple(t.pred, rt.tupleFrees(int32(id)), t.node), int32(id))
+		}
 	}
-	m := uint64(len(rt.tupleSlots) - 1)
-	h := database.HashValue(hashPredVals(pred, frees), term.Value(nodeID))
-	i := h & m
-	for {
-		id := rt.tupleSlots[i]
-		if id < 0 {
-			break
-		}
-		t := &rt.tuples[id]
-		if t.pred == pred && t.node == nodeID && valuesEqual(rt.tupleFrees(id), frees) {
-			return nil // rederivation
-		}
-		i = (i + 1) & m
+	known, slot := rt.tupleSlot(pred, frees, nodeID)
+	if known >= 0 {
+		return nil // rederivation
 	}
 	if err := rt.opts.Inject.Hit(faultinject.SiteCountingStep); err != nil {
 		return err
@@ -728,196 +723,147 @@ func (rt *Runtime) pushTuple(pred symtab.Sym, frees []term.Value, nodeID int32, 
 	if used := len(rt.nodes) + len(rt.tuples); used >= rt.opts.MaxTuples {
 		return rt.limitErr(used)
 	}
-	id := int32(len(rt.tuples))
 	off := int32(len(rt.tupleArena))
 	rt.tupleArena = append(rt.tupleArena, frees...)
+	rt.tupleSlots[slot] = int32(len(rt.tuples))
 	rt.tuples = append(rt.tuples, tupleInfo{pred: pred, node: nodeID, off: off, end: off + int32(len(frees))})
-	rt.tupleSlots[i] = id
 	if rt.provenance {
 		rt.meta = append(rt.meta, tupleMeta{kind: kind, rule: rule, parent: parent})
 	}
-	*queue = append(*queue, id)
 	return nil
 }
 
-// answerPhase seeds tuples from the exit rules at every counting node and
-// saturates the move relation.
-func (rt *Runtime) answerPhase() ([]database.Tuple, error) {
-	var queue []int32
+// moveRow appends to pr's right batch the row that moves tuple tid over
+// one entry: the tuple's free values, the entry's shared values, the
+// landing node's bound values when the right part needs them, and the
+// (tuple, landing node) tags.
+func (rt *Runtime) moveRow(pr *preparedRec, tid int32, c term.Value, dest int32) error {
+	b := &pr.right
+	b.rows = append(b.rows, rt.tupleFrees(tid)...)
+	shared := 0
+	for v := c; rt.bank.IsCons(v); shared++ {
+		cell := rt.bank.Deref(v)
+		b.rows = append(b.rows, cell.Args[0])
+		v = cell.Args[1]
+	}
+	if shared != len(pr.r.Shared) {
+		return fmt.Errorf("counting: malformed shared-variable record %s", rt.bank.Format(c))
+	}
+	if pr.destInRow {
+		b.rows = append(b.rows, rt.nodeVals(dest)...)
+	}
+	b.rows = append(b.rows, term.Int(int64(tid)), term.Int(int64(dest)))
+	b.n++
+	return nil
+}
 
-	// Exit seeds.
-	for id := int32(0); int(id) < len(rt.nodes); id++ {
-		nPred := rt.nodes[id].pred
-		nVals := rt.nodeVals(id)
-		for ei := range rt.exits {
-			pe := &rt.exits[ei]
-			if pe.e.Rule.Head.Pred != nPred {
+// answerPhase is phase 2: it seeds tuples from the exit rules at every
+// counting node and saturates the move relation. The worklist is the
+// tuple table itself — ids are dense and handed out in derivation order,
+// so the tuples not yet consumed are those from a cursor on. Consuming a
+// tuple adds one row per predecessor entry of its node (undoing one
+// left-part step of that entry's rule), and one per rule without arcs
+// that applies at the same node, to the batch of the rule concerned; a
+// batch runs when it is full, and all of them when the cursor has caught
+// up.
+func (rt *Runtime) answerPhase() ([]database.Tuple, error) {
+	for ei := range rt.exits {
+		pe := &rt.exits[ei]
+		headPred := pe.e.Rule.Head.Pred
+		seed := func(vals []term.Value) error {
+			k := len(vals) - 1
+			return rt.pushTuple(headPred, vals[:k], int32(vals[k].AsInt()), StepExit, ei, -1)
+		}
+		for id := int32(0); int(id) < len(rt.nodes); id++ {
+			if rt.nodes[id].pred != headPred {
 				continue
 			}
-			bound := map[symtab.Sym]term.Value{}
-			if !engine.MatchTerms(rt.bank, pe.e.Bound, nVals, bound) {
-				continue
+			rt.nodeRow(&pe.batch, id)
+			if pe.batch.n == solveBatchRows {
+				if err := pe.batch.run(seed); err != nil {
+					return nil, err
+				}
 			}
-			boundVals := make([]term.Value, len(pe.bound))
-			for i, v := range pe.bound {
-				boundVals[i] = bound[v]
+		}
+		if err := pe.batch.run(seed); err != nil {
+			return nil, err
+		}
+	}
+
+	// One sink per rule, built once: a solution is the head's free
+	// values, then the (tuple, landing node) tags.
+	sinks := make([]func([]term.Value) error, len(rt.recs))
+	for ri := range rt.recs {
+		pr := &rt.recs[ri]
+		headPred := pr.r.Rule.Head.Pred
+		sinks[ri] = func(vals []term.Value) error {
+			k := len(vals) - 2
+			return rt.pushTuple(headPred, vals[:k], int32(vals[k+1].AsInt()), pr.kind, pr.idx, int32(vals[k].AsInt()))
+		}
+	}
+	consume := func(pr *preparedRec, tid int32, c term.Value, dest int32) error {
+		if err := rt.moveRow(pr, tid, c, dest); err != nil {
+			return err
+		}
+		if pr.right.n == solveBatchRows {
+			return pr.right.run(sinks[pr.idx])
+		}
+		return nil
+	}
+
+	tracer := rt.opts.Tracer
+	for next := int32(0); int(next) < len(rt.tuples); {
+		for ; int(next) < len(rt.tuples); next++ {
+			if err := rt.check.Tick(); err != nil {
+				return nil, err
 			}
-			sol := map[symtab.Sym]term.Value{}
-			err := pe.ps.Solve(boundVals, func(vals []term.Value) error {
-				for i, v := range pe.want {
-					sol[v] = vals[i]
+			if tracer != nil && next%4096 == 0 {
+				// Sampled, not per-tuple: the worklist-depth counter track
+				// shows saturation progress without flooding the event buffer.
+				tracer.Counter("counting.worklist", int64(len(rt.tuples))-int64(next))
+			}
+			tPred, tNode := rt.tuples[next].pred, rt.tuples[next].node
+			// An entry was created by an arc of its rule, whose target
+			// predicate is the recursive literal's — the tuple's own,
+			// since tuple and entry sit at the same node.
+			n := &rt.nodes[tNode]
+			for _, e := range n.ahead {
+				if e.rule < 0 {
+					continue // the nil entry: nothing to undo
 				}
-				for v, val := range bound {
-					sol[v] = val
+				if err := consume(&rt.recs[e.rule], next, e.c, e.node); err != nil {
+					return nil, err
 				}
-				frees, err := rt.instantiateFrees(pe.e.Free, sol, pe.e.Rule)
-				if err != nil {
-					return err
+			}
+			for _, e := range n.back {
+				if err := consume(&rt.recs[e.rule], next, e.c, e.node); err != nil {
+					return nil, err
 				}
-				return rt.pushTuple(nPred, frees, id, &queue, StepExit, ei, -1)
-			})
-			if err != nil {
+			}
+			for ri := range rt.recs {
+				pr := &rt.recs[ri]
+				if pr.kind != StepSame || pr.right.ps == nil || pr.r.Rule.Body[pr.r.RecIndex].Pred != tPred {
+					continue
+				}
+				if err := consume(pr, next, rt.bank.Nil(), tNode); err != nil {
+					return nil, err
+				}
+			}
+		}
+		for ri := range rt.recs {
+			if err := rt.recs[ri].right.run(sinks[ri]); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	var answers []database.Tuple
-	srcID := int32(0) // the source is always node 0
-	tracer := rt.opts.Tracer
-
-	for pops := int64(0); len(queue) > 0; pops++ {
-		if err := rt.check.Tick(); err != nil {
-			return nil, err
-		}
-		if tracer != nil && pops%4096 == 0 {
-			// Sampled, not per-pop: the worklist-depth counter track shows
-			// saturation progress without flooding the event buffer.
-			tracer.Counter("counting.worklist", int64(len(queue)))
-		}
-		tid := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		t := &rt.tuples[tid]
-		tPred, tNode := t.pred, t.node
-		tFrees := rt.tupleFrees(tid)
-
-		if tNode == srcID && tPred == rt.an.GoalPred {
-			// Copy: answers escape through the public result while tFrees
-			// is a view into the (growing) tuple arena.
-			answers = append(answers, append(database.Tuple(nil), tFrees...))
-		}
-
-		n := &rt.nodes[tNode]
-
-		// Entry consumption: undo one left-part step.
-		for _, e := range n.ahead {
-			if e.rule < 0 {
-				continue // the nil entry: nothing to undo
-			}
-			if err := rt.applyMove(&rt.recs[e.rule], tid, tPred, tFrees, e.node, e.c, StepMove, &queue); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range n.back {
-			if err := rt.applyMove(&rt.recs[e.rule], tid, tPred, tFrees, e.node, e.c, StepMove, &queue); err != nil {
-				return nil, err
-			}
-		}
-
-		// Left-linear moves: rules that generate no arcs apply their
-		// right part at the same node.
-		for ri := range rt.recs {
-			pr := &rt.recs[ri]
-			if !pr.r.SkipCounting || pr.r.SkipModified {
-				continue
-			}
-			if pr.r.Rule.Body[pr.r.RecIndex].Pred != tPred {
-				continue
-			}
-			if err := rt.applyMove(pr, tid, tPred, tFrees, tNode, rt.bank.Nil(), StepSame, &queue); err != nil {
-				return nil, err
-			}
+	for id := range rt.tuples {
+		// The source is always node 0. Copy: answers escape through the
+		// public result while the frees are a view into the tuple arena.
+		if t := &rt.tuples[id]; t.node == 0 && t.pred == rt.an.GoalPred {
+			answers = append(answers, append(database.Tuple(nil), rt.tupleFrees(int32(id))...))
 		}
 	}
 	return answers, nil
-}
-
-// applyMove consumes rule pr from tuple tid (= (tPred, tFrees) at its
-// node), landing at node dest with shared values c.
-func (rt *Runtime) applyMove(pr *preparedRec, tid int32, tPred symtab.Sym, tFrees []term.Value, dest int32, c term.Value, kind StepKind, queue *[]int32) error {
-	r := pr.r
-	// The entry was created by an arc of rule r, whose target predicate is
-	// the recursive literal's; it must match the tuple's predicate.
-	if r.Rule.Body[r.RecIndex].Pred != tPred {
-		return nil
-	}
-	bound := map[symtab.Sym]term.Value{}
-	if !engine.MatchTerms(rt.bank, r.RecFree, tFrees, bound) {
-		return nil
-	}
-	cvals, ok := rt.bank.ListElems(c)
-	if !ok || len(cvals) != len(r.Shared) {
-		return fmt.Errorf("counting: malformed shared-variable record %s", rt.bank.Format(c))
-	}
-	for i, v := range r.Shared {
-		if old, exists := bound[v]; exists {
-			if old != cvals[i] {
-				return nil
-			}
-			continue
-		}
-		bound[v] = cvals[i]
-	}
-	if len(r.BoundInRight) > 0 || r.SkipModified {
-		// The head's bound arguments come from the destination node.
-		if !engine.MatchTerms(rt.bank, r.HeadBound, rt.nodeVals(dest), bound) {
-			return nil
-		}
-	}
-	if r.SkipModified {
-		// Right-linear: the free arguments pass through unchanged.
-		return rt.pushTuple(r.Rule.Head.Pred, tFrees, dest, queue, kind, pr.idx, tid)
-	}
-	boundVals := make([]term.Value, len(pr.rightBound))
-	for i, v := range pr.rightBound {
-		val, ok := bound[v]
-		if !ok {
-			return fmt.Errorf("counting: internal error: variable %s unbound in right part of %s",
-				rt.bank.Symbols().String(v), ast.FormatRule(rt.bank, r.Rule))
-		}
-		boundVals[i] = val
-	}
-	sol := map[symtab.Sym]term.Value{}
-	return pr.right.Solve(boundVals, func(vals []term.Value) error {
-		for i, v := range pr.rightWant {
-			sol[v] = vals[i]
-		}
-		for v, val := range bound {
-			sol[v] = val
-		}
-		frees, err := rt.instantiateFrees(r.HeadFree, sol, r.Rule)
-		if err != nil {
-			return err
-		}
-		return rt.pushTuple(r.Rule.Head.Pred, frees, dest, queue, kind, pr.idx, tid)
-	})
-}
-
-// instantiateFrees grounds the free head arguments under sol into the
-// runtime's reusable scratch buffer; pushTuple copies it into the tuple
-// arena only when the tuple is new.
-func (rt *Runtime) instantiateFrees(freeTerms []ast.Term, sol map[symtab.Sym]term.Value, srcRule ast.Rule) ([]term.Value, error) {
-	if cap(rt.freesBuf) < len(freeTerms) {
-		rt.freesBuf = make([]term.Value, len(freeTerms))
-	}
-	frees := rt.freesBuf[:len(freeTerms)]
-	for i, ft := range freeTerms {
-		v, ok := engine.InstantiateTerm(rt.bank, ft, sol)
-		if !ok {
-			return nil, fmt.Errorf("counting: free head argument %s not bound in rule %s",
-				ast.FormatTerm(rt.bank, ft), ast.FormatRule(rt.bank, srcRule))
-		}
-		frees[i] = v
-	}
-	return frees, nil
 }

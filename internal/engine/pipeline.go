@@ -152,6 +152,9 @@ type ruleExec struct {
 	// empty marks a run whose source or some relation literal resolved
 	// to an empty window: no output is possible.
 	empty bool
+	// callerRows marks a pipeline whose delta occurrence has no relation
+	// behind it: the caller hands its rows to runRows (PreparedSolve).
+	callerRows bool
 	// workers caches the per-worker clones for parallel runs; emit is a
 	// worker's private emission relation (deduplicated, emission-ordered),
 	// merged into the head relation after the workers finish.
@@ -243,6 +246,9 @@ func (re *ruleExec) begin(delta map[symtab.Sym]Delta, cfg JoinConfig) {
 		switch cl.kind {
 		case litRelation:
 			isDelta := re.deltaBodyIdx >= 0 && cl.bodyIdx == re.deltaBodyIdx
+			if isDelta && re.callerRows {
+				continue // runRows is the source
+			}
 			prefix := cl.bodyIdx < re.deltaBodyIdx
 			d, inDelta := delta[cl.pred]
 			switch {
@@ -304,6 +310,41 @@ func (re *ruleExec) run(sink sinkFunc) error {
 	}
 	if err := re.feed(0, re.frame0, 1, sink); err != nil {
 		return err
+	}
+	return re.drain(sink)
+}
+
+// runRows is run for a pipeline whose source rows the caller holds (n of
+// them, flat in rows): the source operator unifies each row with the delta
+// literal's patterns exactly as a window scan of a relation holding them
+// would, and accounts for it the same way.
+func (re *ruleExec) runRows(rows []term.Value, n int, sink sinkFunc) error {
+	if re.empty {
+		return nil
+	}
+	ev := re.ev
+	for i := range re.frame0 {
+		re.frame0[i] = noValue
+	}
+	cl, lv := &re.order[0], &re.levels[0]
+	arity := len(cl.args)
+	ev.stats.Probes += int64(n)
+	if err := ev.check.TickN(n); err != nil {
+		return err
+	}
+	for k := 0; k < n; k++ {
+		if ev.inject != nil {
+			if err := ev.inject.Hit(faultinject.SiteEngineProbe); err != nil {
+				return err
+			}
+		}
+		if !re.extend(lv, cl, re.frame0, rows[k*arity:(k+1)*arity]) {
+			continue
+		}
+		lv.outN++
+		if err := re.push(0, sink); err != nil {
+			return err
+		}
 	}
 	return re.drain(sink)
 }

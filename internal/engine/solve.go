@@ -50,16 +50,16 @@ const (
 )
 
 // PreparedSolve is a compiled conjunction query: body literals evaluated
-// under a fixed set of pre-bound variables, producing the values of the
-// want variables. Prepare once per rule site, Solve once per binding. It
-// is an ordinary rule run: the rule "$solve(want) :- $given(bound), body"
-// with the one-row $given relation as the delta occurrence.
+// under externally supplied bindings, producing one value tuple per
+// solution. Prepare once per rule site, Solve once per binding or
+// SolveRows once per batch of bindings. It is an ordinary rule run: the
+// rule "$solve(want, tags) :- $given(given, tags), body" with the
+// caller's rows as the delta occurrence.
 type PreparedSolve struct {
-	m        *Matcher
-	re       *ruleExec
-	givenRel *database.Relation
-	delta    map[symtab.Sym]Delta
-	cfg      JoinConfig
+	m     *Matcher
+	re    *ruleExec
+	arity int // values per binding row: the given terms, then the tags
+	cfg   JoinConfig
 }
 
 // Prepare compiles body for repeated evaluation. boundVars lists the
@@ -67,21 +67,33 @@ type PreparedSolve struct {
 // whose values are reported (they may overlap boundVars). The compiled
 // ordering starts from the binding, so index probes see the bound values.
 func (m *Matcher) Prepare(body []ast.Literal, boundVars, want []symtab.Sym) (*PreparedSolve, error) {
+	return m.PrepareTerms(body, ast.Vs(boundVars), ast.Vs(want), 0)
+}
+
+// PrepareTerms is Prepare over terms, for callers whose bindings and
+// results are patterns rather than plain variables. A binding row holds
+// one value per given term followed by tags pass-through values: the
+// given terms are unified with the row (a row that does not match has no
+// solutions; variables shared between terms must agree), the body is
+// solved under the resulting bindings, and each solution reports the
+// want terms instantiated, followed by the row's tags untouched — what
+// lets a caller batch many bindings into one run and still tell whose
+// solution is whose.
+func (m *Matcher) PrepareTerms(body []ast.Literal, given, want []ast.Term, tags int) (*PreparedSolve, error) {
 	syms := m.bank.Symbols()
 	givenPred := syms.Intern(givenPredName)
-	givenArgs := make([]ast.Term, len(boundVars))
-	for i, v := range boundVars {
-		givenArgs[i] = ast.V(v)
-	}
-	headArgs := make([]ast.Term, len(want))
-	for i, v := range want {
-		headArgs[i] = ast.V(v)
+	givenArgs := append(make([]ast.Term, 0, len(given)+tags), given...)
+	headArgs := append(make([]ast.Term, 0, len(want)+tags), want...)
+	for i := 0; i < tags; i++ {
+		tag := ast.V(syms.Intern(fmt.Sprintf("$tag%d", i)))
+		givenArgs = append(givenArgs, tag)
+		headArgs = append(headArgs, tag)
 	}
 	fullBody := make([]ast.Literal, 0, len(body)+1)
 	fullBody = append(fullBody, ast.Atom(givenPred, givenArgs...))
 	fullBody = append(fullBody, body...)
 	// Marking $given as "recursive" makes compileRule emit an ordering
-	// that starts from it, so every Solve call begins fully bound.
+	// that starts from it, so every run begins from the binding rows.
 	cr, err := compileRule(m.bank, ast.Rule{
 		Head: ast.Literal{Pred: syms.Intern(solvePredName), Args: headArgs},
 		Body: fullBody,
@@ -100,37 +112,42 @@ func (m *Matcher) Prepare(body []ast.Literal, boundVars, want []symtab.Sym) (*Pr
 		return nil, fmt.Errorf("engine: Prepare: %w", err)
 	}
 	ps := &PreparedSolve{
-		m:        m,
-		givenRel: database.NewRelation(len(boundVars)),
+		m:     m,
+		arity: len(givenArgs),
 		// The $given occurrence is the delta (never filtered); every real
 		// body literal follows it, so the suffix filter covers them all.
 		cfg: JoinConfig{RowState: m.RowState, FilterSuffix: m.RowState != nil, SuffixBound: m.RowStateBound},
 	}
-	ps.delta = map[symtab.Sym]Delta{givenPred: {Rel: ps.givenRel, Lo: 0, Hi: 1}}
 	ps.re = newRuleExec(&evaluator{bank: m.bank, db: m.db, derived: m.derived, check: m.check}, cr, 0)
+	ps.re.callerRows = true
 	return ps, nil
 }
 
-// Solve evaluates the prepared conjunction under the given values for
-// boundVars (in Prepare order) and calls out with the want values for each
-// solution. The out slice is reused across calls. Solutions are delivered
-// up to a batch late: out must not change what the matcher reads, and must
-// not call Solve on the same PreparedSolve.
+// Solve evaluates the prepared conjunction under one binding row and
+// calls out with the values of each solution. The out slice is reused
+// across calls. Solutions are delivered up to a batch late: out must not
+// change what the matcher reads, and must not call Solve on the same
+// PreparedSolve.
 func (ps *PreparedSolve) Solve(boundVals []term.Value, out func([]term.Value) error) error {
-	if want := ps.givenRel.Arity(); len(boundVals) != want {
-		return fmt.Errorf("engine: Solve: got %d bound values, want %d", len(boundVals), want)
+	if len(boundVals) != ps.arity {
+		return fmt.Errorf("engine: Solve: got %d bound values, want %d", len(boundVals), ps.arity)
 	}
-	ps.m.Solves++
-	// Reset the $given relation to exactly this binding; it is the delta
-	// of the $given occurrence, which the prepared ordering evaluates
-	// first.
-	ps.givenRel.Reset()
-	ps.givenRel.Insert(database.Tuple(boundVals))
+	return ps.SolveRows(boundVals, 1, out)
+}
 
+// SolveRows is Solve over n binding rows held flat in rows (n × the row
+// width of PrepareTerms) in one run of the pipeline: every operator sees
+// the rows' frames as batches, and the solutions arrive grouped by row,
+// in row order, each group in the order Solve would deliver it.
+func (ps *PreparedSolve) SolveRows(rows []term.Value, n int, out func([]term.Value) error) error {
+	if len(rows) != n*ps.arity {
+		return fmt.Errorf("engine: SolveRows: got %d values for %d rows of %d", len(rows), n, ps.arity)
+	}
+	ps.m.Solves += int64(n)
 	ev := ps.re.ev
 	before := ev.stats.Probes
-	ps.re.begin(ps.delta, ps.cfg)
-	err := ps.re.run(func(t database.Tuple) error { return out(t) })
+	ps.re.begin(nil, ps.cfg)
+	err := ps.re.runRows(rows, n, func(t database.Tuple) error { return out(t) })
 	ps.m.Probes += ev.stats.Probes - before
 	return err
 }

@@ -265,3 +265,70 @@ func TestMatchTermsAndInstantiate(t *testing.T) {
 		t.Error("unbound variable instantiated")
 	}
 }
+
+// TestSolveRowsMatchesSolve: a batch of binding rows — patterns on both
+// sides, pass-through tags — delivers, per row and in row order, exactly
+// what one Solve per row delivers; a row that does not match its given
+// pattern delivers nothing.
+func TestSolveRowsMatchesSolve(t *testing.T) {
+	var facts string
+	for i := 0; i < 40; i++ {
+		facts += fmt.Sprintf("holds(box(k%d),v%d). holds(box(k%d),w%d). next(v%d,v%d).\n", i, i, i, i, i, i+1)
+	}
+	f := newSolveFixture(t, facts)
+	r, err := parser.ParseRule(f.bank, "out(pair(N,M)) :- in(box(X)), holds(box(X),N), next(N,M).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	given, want, body := r.Body[0].Args, r.Head.Args, r.Body[1:]
+	batched, err := f.m.PrepareTerms(body, given, want, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := f.m.PrepareTerms(body, given, want, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := f.bank.Symbols().Intern("box")
+	var rows []term.Value
+	const n = 600 // several operator batches
+	for i := 0; i < n; i++ {
+		key := f.bank.Compound(box, f.val(fmt.Sprintf("k%d", i%45))) // k40..k44 hold nothing
+		if i%7 == 0 {
+			key = f.val("unboxed") // does not match box(X)
+		}
+		rows = append(rows, key, term.Int(int64(i)), term.Int(int64(-i)))
+	}
+	var got, ref [][]term.Value
+	keep := func(dst *[][]term.Value) func([]term.Value) error {
+		return func(vals []term.Value) error {
+			*dst = append(*dst, append([]term.Value(nil), vals...))
+			return nil
+		}
+	}
+	if err := batched.SolveRows(rows, n, keep(&got)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := single.Solve(rows[3*i:3*i+3], keep(&ref)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ref) == 0 || len(got) != len(ref) {
+		t.Fatalf("batched run delivered %d solutions, row-at-a-time %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if len(got[i]) != 3 || got[i][0] != ref[i][0] || got[i][1] != ref[i][1] || got[i][2] != ref[i][2] {
+			t.Fatalf("solution %d: batched %v, row-at-a-time %v", i, got[i], ref[i])
+		}
+		if got[i][1].AsInt() != -got[i][2].AsInt() {
+			t.Fatalf("solution %d: tags %v/%v are not one row's", i, got[i][1], got[i][2])
+		}
+	}
+	if f.m.Solves != 2*n {
+		t.Errorf("Solves = %d, want one per row on both sides (%d)", f.m.Solves, 2*n)
+	}
+	if err := batched.SolveRows(rows[:5], 2, keep(&got)); err == nil {
+		t.Error("a ragged row buffer must be refused")
+	}
+}

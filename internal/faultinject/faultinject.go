@@ -40,6 +40,11 @@ const (
 	// SiteCountingStep: the counting runtime derived an answer tuple
 	// (phase 2 of Algorithm 2).
 	SiteCountingStep = "counting.step"
+	// SiteCountingProbe: the left-graph probe behind the Auto planner's
+	// verdict (and magic-counting's choice) is about to explore. An
+	// injected error here proves a failed probe degrades Auto to its
+	// data-blind ranking instead of failing the evaluation.
+	SiteCountingProbe = "counting.probe"
 	// SiteTopdownProbe: a relation probe or scan during QSQ sideways
 	// information passing.
 	SiteTopdownProbe = "topdown.probe"
@@ -80,7 +85,7 @@ const (
 func Sites() []string {
 	s := []string{
 		SiteEngineInsert, SiteEngineProbe, SiteEngineIter,
-		SiteCountingNode, SiteCountingStep,
+		SiteCountingNode, SiteCountingStep, SiteCountingProbe,
 		SiteTopdownProbe, SiteTopdownPass,
 		SiteServerApply, SiteServerPublish,
 		SiteWALAppend, SiteWALFsync, SiteWALCheckpoint, SiteWALReplay,

@@ -377,6 +377,11 @@ var (
 		"Compiled plans inserted minus evicted across all plan caches over the process lifetime.")
 	MPlannerChoices = Default.NewLabeledCounter("lincount_planner_choice_total",
 		"Auto planner rankings by the strategy ranked first.", "strategy")
+	MPlannerProbes = Default.NewLabeledCounter("lincount_planner_probe_total",
+		"Auto rankings by what became of the left-graph probe: hit (cached verdict still current), miss (graph explored), skipped (the ranking did not turn on it).", "result")
+	MPlannerQError = Default.NewHistogram("lincount_planner_qerror",
+		"Auto planner estimation error per evaluation: the factor (>= 1) between the estimated cost of the strategy that answered and its observed inferences.",
+		[]float64{1, 1.5, 2, 3, 5, 10, 30, 100, 1000})
 	MCompileDuration = Default.NewHistogram("lincount_compile_duration_seconds",
 		"Wall-clock time of plan-cache-miss query compilations (adorn, analyze, rewrite).",
 		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1})

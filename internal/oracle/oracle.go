@@ -115,6 +115,10 @@ type Run struct {
 	// Degraded counts the fallback attempts Auto burned before
 	// succeeding (0 for explicit strategies and non-degraded runs).
 	Degraded int
+	// Resolved is the strategy the run resolved to before any fallback:
+	// the planner's pick on this data for Auto, the requested strategy
+	// otherwise (zero unless OK).
+	Resolved lincount.Strategy
 }
 
 // Mismatch reports a strategy whose answers diverge from the baseline.
@@ -171,8 +175,11 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, "  %-18s MISMATCH (%d missing, %d extra)\n", run.Strategy, len(m.Missing), len(m.Extra))
 		case run.Class == OK:
 			note := ""
+			if run.Resolved != run.Strategy {
+				note = fmt.Sprintf(" via %s", run.Resolved)
+			}
 			if run.Degraded > 0 {
-				note = fmt.Sprintf(" (degraded %dx)", run.Degraded)
+				note += fmt.Sprintf(" (degraded %dx)", run.Degraded)
 			}
 			fmt.Fprintf(&b, "  %-18s ok, %d answer(s)%s\n", run.Strategy, len(run.Answers), note)
 		default:
@@ -233,6 +240,7 @@ func Check(ctx context.Context, p *lincount.Program, db *lincount.Database, quer
 		}
 		run.Answers = res.Answers
 		run.Degraded = len(res.Degraded)
+		run.Resolved = res.Resolved
 		rep.Runs = append(rep.Runs, run)
 		missing, extra := diffAnswers(base.Answers, res.Answers)
 		if len(missing) > 0 || len(extra) > 0 {

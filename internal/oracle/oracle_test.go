@@ -50,6 +50,36 @@ func TestCheckAllStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestCheckAutoFollowsData: Auto under the oracle on the same program
+// over acyclic and then cyclic data — the planner's pick differs, the
+// answers match the baseline both times, and the report says which
+// strategy Auto ran.
+func TestCheckAutoFollowsData(t *testing.T) {
+	p := lincount.MustParseProgram("sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n")
+	db := lincount.NewDatabase(p)
+	if err := db.LoadFacts("up(a,b). up(b,c). flat(c,f). down(f,g). down(g,h)."); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		add  string
+		want lincount.Strategy
+	}{{"", lincount.Counting}, {"up(c,a).", lincount.CountingRuntime}} {
+		if err := db.LoadFacts(step.add); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Check(context.Background(), p, db, "?- sg(a,Y).", []lincount.Strategy{lincount.Auto}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run := rep.Runs[0]; !rep.OK() || run.Class != OK || run.Resolved != step.want || run.Degraded != 0 {
+			t.Errorf("after %q: want auto via %s, undegraded and agreeing with the baseline:\n%s", step.add, step.want, rep)
+		}
+		if !strings.Contains(rep.String(), "via "+step.want.String()) {
+			t.Errorf("report does not name auto's pick:\n%s", rep)
+		}
+	}
+}
+
 func TestCheckClassifiesInjectedFault(t *testing.T) {
 	p := lincount.MustParseProgram(ancestry)
 	db := testDB(t, p)

@@ -11,14 +11,17 @@ import (
 	"lincount/internal/counting"
 	"lincount/internal/magic"
 	"lincount/internal/obsv"
+	"lincount/internal/symtab"
 )
 
 // Shared holds the strategy-independent compilation state of one
 // (program, query) pair: the adornment and the linearity analysis. Both
 // are computed at most once (sync.Once) no matter how many candidate
 // strategies compile against them — the Auto fallback chain and the
-// planner all rank and rewrite off the same facts. A Shared is safe for
-// concurrent use.
+// planner all rank and rewrite off the same facts. It also holds the one
+// piece of data-dependent state the ranking needs, the left-graph
+// verdict, keyed by the state of the relations it was read from. A
+// Shared is safe for concurrent use.
 type Shared struct {
 	prog  *ast.Program
 	query ast.Query
@@ -33,6 +36,12 @@ type Shared struct {
 
 	derivedOnce sync.Once
 	derived     bool
+
+	// left lists the predicates the left graph is read from, and verdict
+	// is the latest probe of it with their stamps (see Verdict).
+	leftOnce sync.Once
+	left     []symtab.Sym
+	verdict  atomic.Pointer[Verdict]
 
 	// stats is the most recently published cardinality estimator for
 	// this (program, query) pair — set by the facade each evaluation

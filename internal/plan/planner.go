@@ -27,7 +27,10 @@ type Choice struct {
 	Reason string
 }
 
-// Rank orders the candidate strategies for the shared (program, query)
+// Rank is the data-blind ranking: RankWith without a verdict.
+func Rank(sh *Shared, stats StatsFunc) []Choice { return RankWith(sh, stats, nil) }
+
+// RankWith orders the candidate strategies for the shared (program, query)
 // pair, cheapest estimated cost first. The result is the Auto
 // degradation chain: the head is the planner's pick and the tail the
 // fallbacks, always ending in semi-naive, which is applicable to
@@ -47,7 +50,25 @@ type Choice struct {
 // degenerates to the structurally proven order the old resolver used —
 // statistics sharpen the margins and make the estimates visible, they
 // cannot rank an inapplicable strategy first.
-func Rank(sh *Shared, stats StatsFunc) []Choice {
+//
+// verdict supplies the one thing whole-relation cardinalities cannot:
+// what the query's binding reaches. It is asked only when the answer can
+// change the ranking — the program is in the counting class and has no
+// reduced rewrite, which would head the ranking whatever the data — and
+// may be nil, or return nil, for a data-blind ranking. Under a verdict of
+// N nodes and M arcs the three binding-propagating candidates are costed
+// from what the binding reaches instead of from B, E and R: the left
+// parts visit the M arcs, the exit rules are tried once per node
+// (E' = min(E, N)) and the right parts undo each arc (R' = min(R, M)),
+// W = M + E' + R' in all. The extended counting rewrite (Algorithm 1 on
+// the engine) is a candidate exactly when the verdict is layered: on a
+// cyclic graph its path arguments grow without bound, and on an acyclic
+// one where paths of several shapes meet in a node its counting set holds
+// a tuple per shape (§3.4's n² case) where the runtime holds the node
+// once. It costs W; the runtime pays one interned node per reached value
+// on top, W + N − 1; magic sets rejoin per level, 2·W. N − 1 ≤ M ≤ W, so
+// the order counting ≤ runtime ≤ magic holds for every verdict.
+func RankWith(sh *Shared, stats StatsFunc, verdict func() *Verdict) []Choice {
 	if stats == nil {
 		stats = func(symtab.Sym) int64 { return 0 }
 	}
@@ -77,18 +98,42 @@ func Rank(sh *Shared, stats StatsFunc) []Choice {
 	var choices []Choice
 	if anErr == nil {
 		b, e, r := partCosts(an, stats)
-		class := an.Classify()
-		switch class {
+		reduced := false
+		switch class := an.Classify(); class {
 		case counting.RightLinearClass, counting.LeftLinearClass, counting.MixedLinearClass:
-			if an.ListRewriteSafe() {
+			if reduced = an.ListRewriteSafe(); reduced {
 				choices = append(choices, Choice{Strategy: CountingReduced, Cost: b + e,
 					Reason: fmt.Sprintf("%v and list-rewrite safe; reduction skips path reconstruction (~%.0f left-part+exit facts)", class, b+e)})
 			}
 		}
-		choices = append(choices, Choice{Strategy: CountingRuntime, Cost: b + e + r,
-			Reason: fmt.Sprintf("linear program; pointer-based counting is cycle-safe (~%.0f clique-relation facts)", b+e+r)})
-		choices = append(choices, Choice{Strategy: Magic, Cost: 2 * (b + e + r),
-			Reason: fmt.Sprintf("binding propagation restricts evaluation to the query-reachable subgraph, rejoined per level (~%.0f facts)", b+e+r)})
+		var v *Verdict
+		if !reduced && verdict != nil {
+			v = verdict()
+		}
+		if v == nil {
+			choices = append(choices, Choice{Strategy: CountingRuntime, Cost: b + e + r,
+				Reason: fmt.Sprintf("linear program; pointer-based counting is cycle-safe (~%.0f clique-relation facts)", b+e+r)})
+			choices = append(choices, Choice{Strategy: Magic, Cost: 2 * (b + e + r),
+				Reason: fmt.Sprintf("binding propagation restricts evaluation to the query-reachable subgraph, rejoined per level (~%.0f facts)", b+e+r)})
+		} else {
+			n, m := float64(v.Nodes), float64(v.Arcs)
+			w := m + min(e, n) + min(r, m)
+			graph := fmt.Sprintf("reachable left graph cyclic (%d back arcs): %d nodes, %d arcs", v.BackArcs, v.Nodes, v.Arcs)
+			switch {
+			case v.Layered:
+				graph = fmt.Sprintf("reachable left graph acyclic: %d nodes, %d arcs, one path shape per node", v.Nodes, v.Arcs)
+				if an.ListRewriteSafe() {
+					choices = append(choices, Choice{Strategy: Counting, Cost: w,
+						Reason: fmt.Sprintf("%s; the extended counting rewrite is safe and visits each arc once per direction (~%.0f facts)", graph, w)})
+				}
+			case v.Acyclic:
+				graph = fmt.Sprintf("reachable left graph acyclic: %d nodes, %d arcs, several path shapes per node (the list rewrite's counting set multiplies)", v.Nodes, v.Arcs)
+			}
+			choices = append(choices, Choice{Strategy: CountingRuntime, Cost: w + n - 1,
+				Reason: fmt.Sprintf("%s; pointer-based counting is cycle-safe and interns every node (~%.0f facts)", graph, w+n-1)})
+			choices = append(choices, Choice{Strategy: Magic, Cost: 2 * w,
+				Reason: fmt.Sprintf("%s; binding propagation reaches the same subgraph, rejoined per level (~%.0f facts)", graph, w)})
+		}
 	} else {
 		choices = append(choices, Choice{Strategy: Magic, Cost: 2 * total,
 			Reason: fmt.Sprintf("outside the counting class (%v); magic sets restrict semi-naive evaluation to the bound subgraph (~%.0f reachable facts)", anErr, total)})
@@ -104,20 +149,22 @@ func Rank(sh *Shared, stats StatsFunc) []Choice {
 	return choices
 }
 
-// tiePriority breaks cost ties in proven-structure order: the reduced
-// rewriting beats the runtime (no pointer arenas), which beats magic
-// (counting sets are smaller than magic sets for linear programs, §6 of
-// the paper), which beats raw semi-naive.
+// tiePriority breaks cost ties in proven-structure order: the rewrites
+// beat the runtime (no pointer arenas), the reduced one first, which
+// beats magic (counting sets are smaller than magic sets for linear
+// programs, §6 of the paper), which beats raw semi-naive.
 func tiePriority(s Strategy) int {
 	switch s {
 	case CountingReduced:
 		return 0
-	case CountingRuntime:
+	case Counting:
 		return 1
-	case Magic:
+	case CountingRuntime:
 		return 2
-	default:
+	case Magic:
 		return 3
+	default:
+		return 4
 	}
 }
 

@@ -348,3 +348,53 @@ func MultiRuleProgram(k int) string {
 	}
 	return sb.String()
 }
+
+// Copies returns n disjoint copies of fact text: copy i prefixes every
+// constant (the tokens that follow '(' or ',') with "c<i>_".
+func Copies(facts string, n int) string {
+	var sb strings.Builder
+	sb.Grow(n * (len(facts) + len(facts)/4))
+	for i := 0; i < n; i++ {
+		prefix := fmt.Sprintf("c%d_", i)
+		for j := 0; j < len(facts); j++ {
+			sb.WriteByte(facts[j])
+			if facts[j] == '(' || facts[j] == ',' {
+				sb.WriteString(prefix)
+			}
+		}
+	}
+	return sb.String()
+}
+
+// Shape is one program with a data set and a bound goal over it.
+type Shape struct {
+	Name, Program, Facts, Query string
+}
+
+// BenchShapes returns the four data shapes of the end-to-end benchmark
+// (BENCHMARK.json, benchmark/workloads.go) with their breadth as a
+// parameter: the cylinder's width and the number of disjoint copies of
+// the cyclic and of the right-linear chain. Depth, chain length, period
+// and answer count are the benchmark's own, and a goal reaches nothing
+// outside its cone or its copy, so at any breadth a goal does exactly the
+// work it does at full size (1024, 256, 40); only the data it never
+// touches shrinks. sg-churn is the sg-acyclic cylinder in the state the
+// churn stream leaves it in: eight fan-0 arcs of the middle level cut in
+// the right half.
+func BenchShapes(width, cyclicCopies, rlCopies int) []Shape {
+	const depth = 19
+	cylinder := Cylinder(depth, width, 2)
+	churned := cylinder
+	for i := 0; i < 8; i++ {
+		col := width/2 + i
+		arc := fmt.Sprintf("up(u_%d_%d,u_%d_%d).\n", depth/2, col, depth/2+1, col)
+		churned = strings.Replace(churned, arc, "", 1)
+	}
+	sg := "?- sg(" + CylinderQuery + ",Y)."
+	return []Shape{
+		{"sg-acyclic", SGProgram, cylinder, sg},
+		{"sg-cyclic", SGProgram, Copies(CyclicChain(60, 7), cyclicCopies), "?- sg(c0_u0,Y)."},
+		{"sg-churn", SGProgram, churned, sg},
+		{"rl-adhoc", RightLinearProgram, Copies(RightLinearChain(200, 100), rlCopies), "?- p(c0_u0,Y)."},
+	}
+}

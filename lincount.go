@@ -347,6 +347,11 @@ type Result struct {
 	// one, in the order they were tried. Empty when the first strategy
 	// succeeded. Only Auto degrades; explicit strategies fail fast.
 	Degraded []AttemptInfo
+	// Planner is the ranking an Auto evaluation ran on — the candidates
+	// with their estimated costs, the pick first; nil for an explicit
+	// strategy. The choice of the strategy that answered, held against
+	// Stats.Inferences (PlannerChoice.QError), is the planner's error.
+	Planner []PlannerChoice
 	// Rewritten is the rewritten program text (empty for Naive and
 	// SemiNaive; the analyzed canonical form for CountingRuntime).
 	Rewritten string

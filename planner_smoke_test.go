@@ -1,14 +1,16 @@
 package lincount_test
 
 // Planner smoke quartet (make planner-smoke): for each of the four
-// representative program shapes — acyclic same-generation, cyclic
+// representative program shapes — acyclic same-generation (the
+// sg-acyclic benchmark shape at its own depth and fan), cyclic
 // same-generation, left-linear and right-linear transitive closure —
-// the cost-informed planner must (a) rank the structurally proven
-// strategy first with real data statistics loaded, (b) produce a chain
-// whose head evaluates successfully, and (c) return the same answers
-// as plain semi-naive. This pins the planner to the resolution the old
-// analyzer-only resolver guaranteed: statistics sharpen estimates, they
-// must never rank an inapplicable or slower-class strategy first.
+// the planner must (a) rank the right strategy first with real data
+// loaded: the reduced rewrite where the program has one, else the
+// counting rewrite where the binding reaches an acyclic left graph and
+// the runtime where it reaches a cycle, (b) produce a chain whose head
+// evaluates successfully, and (c) return the same answers as plain
+// semi-naive. Statistics and the verdict sharpen estimates; they must
+// never rank an inapplicable or slower-class strategy first.
 
 import (
 	"reflect"
@@ -29,9 +31,9 @@ func TestPlannerSmoke(t *testing.T) {
 		{
 			name:  "acyclic-sg",
 			src:   workload.SGProgram,
-			facts: workload.Cylinder(6, 4, 2),
+			facts: workload.Cylinder(19, 64, 2),
 			query: "?- sg(" + workload.CylinderQuery + ",Y).",
-			want:  lincount.CountingRuntime,
+			want:  lincount.Counting,
 		},
 		{
 			name:  "cyclic-sg",
