@@ -2,8 +2,11 @@
 # `go build ./...` works without this file.
 #
 # `make check` is the pre-commit gate: vet plus the full test suite under
-# the race detector (the parallel scheduler and the shared budget counter
-# are only honest if they are race-clean), plus the seeded chaos suite.
+# the race detector, plus the seeded chaos suite. An evaluation runs on one
+# goroutine; what -race guards is what concurrent requests share: the
+# query server's lock-free readers against its single writer, the plan
+# cache, the planner's cached verdict slot and Relation's index-build
+# lock.
 
 GO ?= go
 
@@ -102,11 +105,10 @@ bench:
 
 # Allocation regression check, documented-but-optional like `make chaos`:
 # runs the storage-sensitive P1/P2 micro-benchmarks and the join
-# pipeline's P17 pair (serial, +4w) twice with -benchmem so run-to-run
-# variance is visible next to any real allocs/op drift. P17's serial
-# allocs/op is the guard for the pipeline's buffer reuse (buffers are
-# amortised across fixpoint iterations — a drift upward means a buffer
-# stopped being recycled).
+# pipeline's P17 bench twice with -benchmem so run-to-run variance is
+# visible next to any real allocs/op drift. P17's allocs/op is the guard
+# for the pipeline's buffer reuse (buffers are amortised across fixpoint
+# iterations — a drift upward means a buffer stopped being recycled).
 # The cold-start layer benches (P19: text load, snapshot load, the
 # materialisation build) run in the packages they measure; LoadText's
 # allocs/op is additionally held by TestLoadTextAllocs in `make test`.

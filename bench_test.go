@@ -259,9 +259,8 @@ func BenchmarkP14_PreparedVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkP17_BatchedJoin: the join pipeline, serial and partitioned
-// across four workers, on a probe-bound 4-literal recursive rule (the P17
-// wide shape at reduced size). Run under `make benchcheck`: allocs/op is
+// BenchmarkP17_BatchedJoin: the join pipeline on a probe-bound 4-literal
+// recursive rule (the P17 wide shape at reduced size). Run under `make benchcheck`: allocs/op is
 // the guarded number — the pipeline amortises its buffers across
 // iterations, so a drift upward means a buffer stopped being reused.
 func BenchmarkP17_BatchedJoin(b *testing.B) {
@@ -288,29 +287,18 @@ func BenchmarkP17_BatchedJoin(b *testing.B) {
 	if err := db.LoadFacts(facts.String()); err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts []lincount.Option
-	}{
-		{"serial", nil},
-		{"+4w", []lincount.Option{lincount.WithJoinWorkers(4)}},
+	pq, err := lincount.Prepare(p, "?- p(x0,W).", lincount.SemiNaive)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			pq, err := lincount.Prepare(p, "?- p(x0,W).", lincount.SemiNaive, m.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pq.Eval(db); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pq.Eval(db); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if _, err := pq.Eval(db); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pq.Eval(db); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

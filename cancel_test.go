@@ -3,7 +3,7 @@ package lincount
 import (
 	"context"
 	"errors"
-	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -46,7 +46,6 @@ func divergentCases() []divergentCase {
 	return []divergentCase{
 		{"naive", succCounterSrc, "", "?- num(X).", Naive, nil},
 		{"semi-naive", succCounterSrc, "", "?- num(X).", SemiNaive, nil},
-		{"parallel", succCounterSrc, "", "?- num(X).", SemiNaive, []Option{WithParallel()}},
 		{"magic", succCounterSrc, "", "?- num(5).", Magic, nil},
 		{"magic-sup", succCounterSrc, "", "?- num(5).", MagicSup, nil},
 		{"magic-counting", succCounterSrc, "", "?- num(5).", MagicCounting, nil},
@@ -149,69 +148,38 @@ func TestEvalContextMidFlightCancel(t *testing.T) {
 	}
 }
 
-// TestParallelNoGoroutineLeak: a parallel evaluation that is cancelled
-// mid-flight drains its stratum workers before returning.
-func TestParallelNoGoroutineLeak(t *testing.T) {
-	// Two independent divergent strata so both parallel workers are busy
-	// when the deadline lands.
+// TestFactBudgetCountsSeeds: the derived-fact cap is charged for every
+// fact the evaluation holds, seeds included (program facts and database
+// rows of head predicates); the trip reports Used = cap + 1, and the
+// WithFactProgress mirror reads the same count.
+func TestFactBudgetCountsSeeds(t *testing.T) {
+	// 3 program facts and 10 database rows seed a; the rules then derive
+	// 20 more a facts and 33 b facts: 66 in all, 53 without the seeds. A
+	// cap of 60 trips only if the seeds are counted.
 	src := `
-a(0).
-a(N) :- a(M), M < 100000000000, succ(M,N).
-b(0).
-b(N) :- b(M), M < 100000000000, succ(M,N).
-goal(X,Y) :- a(X), b(Y).
-`
-	p, err := ParseProgram(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		db := NewDatabase(p)
-		_, err := Eval(p, db, "?- goal(X,Y).", SemiNaive,
-			WithParallel(), WithMaxDuration(30*time.Millisecond))
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("run %d: err = %v, want context.DeadlineExceeded", i, err)
-		}
-	}
-	// The workers are joined before Eval returns, so only scheduler noise
-	// should remain; poll briefly to let exiting goroutines unwind.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestParallelGlobalFactBudget: under WithParallel the derived-fact cap is
-// global across concurrently evaluated strata, and the trip surfaces as a
-// structured ResourceLimitError.
-func TestParallelGlobalFactBudget(t *testing.T) {
-	// Two independent strata, each deriving 100 facts; a global cap of 60
-	// must trip even though either stratum alone stays under it.
-	src := `
+a(p1). a(p2). a(p3).
 a(X) :- base(X).
-a2(X) :- a(X).
-b(X) :- base(X).
-b2(X) :- b(X).
-goal(X,Y) :- a2(X), b2(Y).
+b(X) :- a(X).
 `
 	p, err := ParseProgram(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := NewDatabase(p)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 20; i++ {
 		if err := db.Assert("base", i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err = Eval(p, db, "?- goal(X,Y).", SemiNaive, WithParallel(), WithMaxDerivedFacts(60))
+	for i := 100; i < 110; i++ {
+		if err := db.Assert("a", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const limit = 60
+	var progress atomic.Int64
+	_, err = Eval(p, db, "?- b(X).", SemiNaive,
+		WithMaxDerivedFacts(limit), WithFactProgress(&progress))
 	if !errors.Is(err, ErrResourceLimit) {
 		t.Fatalf("err = %v, want ErrResourceLimit", err)
 	}
@@ -219,11 +187,14 @@ goal(X,Y) :- a2(X), b2(Y).
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want *ResourceLimitError", err)
 	}
-	if rle.Kind != LimitFacts {
-		t.Errorf("Kind = %q, want %q", rle.Kind, LimitFacts)
+	if rle.Kind != LimitFacts || rle.Component != "engine" {
+		t.Errorf("Kind/Component = %q/%q, want %q/engine", rle.Kind, rle.Component, LimitFacts)
 	}
-	if rle.Component != "engine" {
-		t.Errorf("Component = %q, want engine", rle.Component)
+	if rle.Limit != limit || rle.Used != limit+1 {
+		t.Errorf("Limit/Used = %d/%d, want %d/%d", rle.Limit, rle.Used, limit, limit+1)
+	}
+	if got := progress.Load(); got != rle.Used {
+		t.Errorf("WithFactProgress mirror = %d, want Used = %d", got, rle.Used)
 	}
 }
 

@@ -217,75 +217,6 @@ func TestChaosMalformedSpec(t *testing.T) {
 	}
 }
 
-// TestChaosParallelJoin crosses fault schedules with the partitioned
-// join pool: a fan graph wide enough to trip the parallel threshold,
-// evaluated with WithJoinWorkers under injected engine faults. The
-// invariant is the serial one — every run either reproduces the
-// fault-free serial answers exactly (order included: partitions merge
-// deterministically) or fails with a classified error, never a panic
-// and never silently different answers.
-func TestChaosParallelJoin(t *testing.T) {
-	const src = `
-tc(X,Y) :- e(X,Y).
-tc(X,Z) :- tc(X,Y), e(Y,Z).
-`
-	var facts strings.Builder
-	for i := 0; i < 3000; i++ {
-		fmt.Fprintf(&facts, "e(r,x%d).\ne(x%d,y%d).\n", i, i, i)
-	}
-	p := lincount.MustParseProgram(src + facts.String() + "?- tc(r,Y).\n")
-	db := lincount.NewDatabase(p)
-	q := "?- tc(r,Y)."
-
-	want, err := lincount.Eval(p, db, q, lincount.SemiNaive, chaosBudget...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedules := []struct {
-		name string
-		spec string
-	}{
-		{"insert-err", "engine.insert=err@5000"},
-		{"probe-err", "engine.probe=err~0.0005"},
-		{"iter-cancel", "engine.iter=cancel@2"},
-		{"storm", "*=err~0.002"},
-		{"none", ""},
-	}
-	for _, sched := range schedules {
-		for _, seed := range []int64{1, 7} {
-			for _, workers := range []int{2, 4} {
-				opts := append(append([]lincount.Option{}, chaosBudget...),
-					lincount.WithJoinWorkers(workers))
-				if sched.spec != "" {
-					opts = append(opts, lincount.WithFaultInjection(seed, sched.spec))
-				}
-				got, err := lincount.Eval(p, db, q, lincount.SemiNaive, opts...)
-				label := fmt.Sprintf("%s seed %d workers %d", sched.name, seed, workers)
-				if err != nil {
-					switch oracle.Classify(err) {
-					case oracle.InjectedFault, oracle.Canceled, oracle.ResourceLimit:
-						continue
-					default:
-						t.Errorf("%s: unclassified error %v", label, err)
-						continue
-					}
-				}
-				if len(got.Answers) != len(want.Answers) {
-					t.Errorf("%s: %d answers, want %d", label, len(got.Answers), len(want.Answers))
-					continue
-				}
-				for i := range want.Answers {
-					if strings.Join(got.Answers[i], ",") != strings.Join(want.Answers[i], ",") {
-						t.Errorf("%s: answer %d = %v, want %v (parallel merge order diverged)",
-							label, i, got.Answers[i], want.Answers[i])
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
 // mutualProgram is a two-predicate linear clique over a cyclic left graph
 // (p(a) → q(b) → p(c) → q(b)): Auto resolves it to the counting runtime
 // (the general-linear class on cyclic data), which makes it the vehicle

@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logFormat    = fs.String("log-format", "json", "structured-log format: json or text")
 		logLevel     = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		slowQuery    = fs.Duration("slow-query", 250*time.Millisecond, "capture queries slower than this in the slow-query log (0 disables)")
-		joinWorkers  = fs.Int("join-workers", 0, "partition wide rule runs across this many workers (0 or 1 = serial; results are byte-identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -194,10 +193,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *evalFaults != "" {
 		cfg.EvalOptions = append(cfg.EvalOptions,
 			lincount.WithFaultInjection(*faultSeed, *evalFaults))
-	}
-	if *joinWorkers > 1 {
-		cfg.EvalOptions = append(cfg.EvalOptions,
-			lincount.WithJoinWorkers(*joinWorkers))
 	}
 
 	s, err := server.New(cfg)

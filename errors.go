@@ -34,8 +34,8 @@ const (
 	// LimitIterations: fixpoint rounds within one recursive component
 	// (WithMaxIterations).
 	LimitIterations = limits.KindIterations
-	// LimitFacts: derived tuples across the evaluation
-	// (WithMaxDerivedFacts). Enforced globally even under WithParallel.
+	// LimitFacts: derived tuples across the evaluation, seeds included
+	// (WithMaxDerivedFacts).
 	LimitFacts = limits.KindFacts
 	// LimitTuples: counting nodes + answer tuples of the counting
 	// runtime (WithMaxDerivedFacts for the CountingRuntime strategy).

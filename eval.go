@@ -15,7 +15,6 @@ import (
 	"lincount/internal/database"
 	"lincount/internal/engine"
 	"lincount/internal/faultinject"
-	"lincount/internal/limits"
 	"lincount/internal/magic"
 	"lincount/internal/obsv"
 	"lincount/internal/parser"
@@ -32,8 +31,6 @@ type evalConfig struct {
 	maxFacts          int
 	maxCountingTuples int
 	maxDuration       time.Duration
-	parallel          bool
-	joinWorkers       int
 	noCache           bool
 	trace             func(TraceEvent)
 	faultSeed         int64
@@ -63,28 +60,6 @@ type evalConfig struct {
 	// the head of the chain carries on from it instead of exploring the
 	// left graph a second time.
 	probed *counting.Runtime
-}
-
-// WithParallel evaluates independent strata concurrently (engine
-// strategies). Strata whose rules build compound terms still run
-// sequentially. The WithMaxDerivedFacts cap stays global (the strata
-// share one atomic fact counter), and the first error or cancellation
-// cancels the sibling strata, which drain before Eval returns.
-func WithParallel() Option {
-	return func(c *evalConfig) { c.parallel = true }
-}
-
-// WithJoinWorkers partitions wide rule runs of the engine strategies
-// across n workers: the delta RowID window of a rule's source literal is
-// split into contiguous sub-ranges evaluated concurrently into private
-// buffers and merged in partition order, so results — including head
-// relation row order — are byte-identical to a serial evaluation. Rules
-// that build compound terms always run serially, as do narrow windows
-// (the fork overhead would dominate). 0 or 1 disables partitioning.
-// Composes with WithParallel: strata run concurrently and wide rules
-// within a stratum partition further.
-func WithJoinWorkers(n int) Option {
-	return func(c *evalConfig) { c.joinWorkers = n }
 }
 
 // WithoutPlanCache makes this evaluation bypass the program's plan
@@ -400,9 +375,9 @@ func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalC
 // cache-control flags are deliberately excluded.
 func (c *evalConfig) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%t|%d|%d|%s",
+	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%s",
 		c.maxIterations, c.maxFacts, c.maxCountingTuples, c.maxDuration,
-		c.parallel, c.joinWorkers, c.faultSeed, c.faultSpec)
+		c.faultSeed, c.faultSpec)
 	return h.Sum64()
 }
 
@@ -698,8 +673,7 @@ type attemptTiming struct {
 // concrete strategy, with panic containment: a panic in a compilation
 // pass or an evaluator is recovered here and returned as
 // *InternalError, so one bad query cannot crash a process embedding the
-// library. Panics that arose inside parallel strata goroutines arrive
-// as *limits.PanicError and are converted to the same public type.
+// library.
 func evalResolved(ctx context.Context, p *Program, dbi *database.Database, resolved Strategy, cfg evalConfig) (res *Result, timing attemptTiming, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -714,10 +688,6 @@ func evalResolved(ctx context.Context, p *Program, dbi *database.Database, resol
 	execStart := time.Now()
 	res, err = executeCompiled(ctx, p, dbi, cq, cfg)
 	timing.execute = time.Since(execStart)
-	var pe *limits.PanicError
-	if errors.As(err, &pe) {
-		res, err = nil, &InternalError{Strategy: resolved, Value: pe.Value, Stack: string(pe.Stack)}
-	}
 	if res != nil {
 		res.CompileTime = timing.compile
 		res.PlanCacheHit = hit
@@ -755,8 +725,6 @@ func engineOpts(cfg evalConfig, naive bool) engine.Options {
 		Naive:           naive,
 		MaxIterations:   cfg.maxIterations,
 		MaxDerivedFacts: cfg.maxFacts,
-		Parallel:        cfg.parallel,
-		JoinWorkers:     cfg.joinWorkers,
 		Inject:          cfg.inject,
 		Tracer:          cfg.tracer,
 		Profile:         cfg.profile,

@@ -583,10 +583,7 @@ scratch. Both rows end in the identical derived set.`, bands, width),
 }
 
 // P17BatchedJoin measures the engine's batched join pipeline on
-// semi-naive evaluations, serial and with the delta window partitioned
-// across a worker pool (WithJoinWorkers). (The tuple-at-a-time path it
-// was first compared against is gone; EXPERIMENTS.md keeps that column
-// as measured at PR 10.) The wide workload is a 4-literal
+// semi-naive evaluations. The wide workload is a 4-literal
 // linear-recursive rule whose middle literals fan out and whose last
 // literal filters — many probes and intermediate frames per derived
 // fact, the shape batching exists for. The band workload is the P16
@@ -600,23 +597,13 @@ func P17BatchedJoin(layers []int, reps int) Table {
 	const wideProg = "p(X,Y) :- s(X,Y).\np(X,W) :- p(X,Y), a(Y,Z), a2(Z,U), b(U,W).\n"
 	t := Table{
 		ID:      "P17",
-		Title:   "batched streaming join pipeline, serial and partitioned",
+		Title:   "batched streaming join pipeline",
 		MemCols: true,
-		Note: fmt.Sprintf(`Semi-naive, identical fixpoints per workload group (inferences/facts
-columns must match within a group; only time and allocations move).
+		Note: fmt.Sprintf(`Semi-naive.
 wide(K×N×F) is a 4-literal recursive rule with F×F fanout filtered to
 one continuation — probe-bound.
 bands(%d×L×%d) joins complete bipartite slabs — insert-bound.
-chain(N) is the one-row-delta worst case for batching. "+4w" adds
-WithJoinWorkers(4) — on a single-core host it measures partition
-overhead, not speedup.`, bands, width),
-	}
-	modes := []struct {
-		name string
-		opts []lincount.Option
-	}{
-		{"serial", nil},
-		{"+4w", []lincount.Option{lincount.WithJoinWorkers(4)}},
+chain(N) is the one-row-delta worst case for batching.`, bands, width),
 	}
 	bandFacts := func(depth int) string {
 		var facts strings.Builder
@@ -676,17 +663,15 @@ overhead, not speedup.`, bands, width),
 		query: "?- tc(n0,Y).",
 	})
 	for _, w := range ws {
-		for _, m := range modes {
-			t.Rows = append(t.Rows, measureJoinMode(w.name+" "+m.name, w.src, w.facts, w.query, reps, m.opts))
-		}
+		t.Rows = append(t.Rows, measureJoin(w.name, w.src, w.facts, w.query, reps))
 	}
 	return t
 }
 
-// measureJoinMode times reps semi-naive evaluations of one workload under
-// one set of join options, reporting the minimum duration across reps
-// and the mean allocation deltas per evaluation.
-func measureJoinMode(name, src, facts, query string, reps int, opts []lincount.Option) Row {
+// measureJoin times reps semi-naive evaluations of one workload, reporting
+// the minimum duration across reps and the mean allocation deltas per
+// evaluation.
+func measureJoin(name, src, facts, query string, reps int) Row {
 	row := Row{Workload: name, Strategy: lincount.SemiNaive.String()}
 	if reps < 1 {
 		reps = 1
@@ -701,11 +686,9 @@ func measureJoinMode(name, src, facts, query string, reps int, opts []lincount.O
 		row.Err = err.Error()
 		return row
 	}
-	all := append([]lincount.Option{
+	pq, err := lincount.Prepare(p, query, lincount.SemiNaive,
 		lincount.WithMaxDerivedFacts(5_000_000),
-		lincount.WithMaxIterations(50_000),
-	}, opts...)
-	pq, err := lincount.Prepare(p, query, lincount.SemiNaive, all...)
+		lincount.WithMaxIterations(50_000))
 	if err != nil {
 		row.Err = shortErr(err)
 		return row

@@ -10,6 +10,7 @@ import (
 	"lincount/internal/ast"
 	"lincount/internal/database"
 	"lincount/internal/engine"
+	"lincount/internal/limits"
 	"lincount/internal/parser"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
@@ -368,8 +369,8 @@ up(a,b). up(b,a). flat(a,f). down(f,g).
 `)
 	rw := f.extended(t)
 	_, err := engine.Eval(rw.Program, f.db, engine.Options{MaxDerivedFacts: 10000})
-	if !errors.Is(err, engine.ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	if !errors.Is(err, limits.ErrResourceLimit) {
+		t.Errorf("err = %v, want limits.ErrResourceLimit", err)
 	}
 }
 

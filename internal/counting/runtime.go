@@ -47,16 +47,6 @@ import (
 // tables that hash term values directly (no key strings), and the phase-2
 // worklist is a queue of tuple ids, not copied tuples.
 
-// ErrRuntimeBudget is the historical name of the unified resource-limit
-// sentinel. Budget trips now return a *limits.ResourceLimitError with
-// Kind "tuples" and Component "counting-runtime"; both
-// errors.Is(err, ErrRuntimeBudget) and
-// errors.Is(err, limits.ErrResourceLimit) match it.
-//
-// Deprecated: use limits.ErrResourceLimit (lincount.ErrResourceLimit at
-// the public API).
-var ErrRuntimeBudget = limits.ErrResourceLimit
-
 // RuntimeStats describes the work done by one runtime evaluation.
 type RuntimeStats struct {
 	// CountingNodes is the size of the counting set (distinct nodes).

@@ -49,8 +49,8 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 //
 // Concurrency: a Relation has a single writer. Concurrent readers are safe
 // (index construction is internally synchronized), but reading while the
-// writer inserts is not; the engine's parallel mode relies on completed
-// relations being read-only.
+// writer inserts is not; the query server's readers rely on published
+// snapshot relations being read-only.
 type Relation struct {
 	arity int
 	rows  int

@@ -103,12 +103,6 @@ type compiledRule struct {
 	// that occurrence first. recBodyIdx[i] is its body position.
 	deltaOrders [][]compiledLit
 	recBodyIdx  []int
-
-	// flat reports that neither the head nor any body literal contains a
-	// compound pattern: evaluating the rule never interns terms, which is
-	// what makes its delta range safe to partition across the join worker
-	// pool (the term bank is not synchronized).
-	flat bool
 }
 
 // nRecOccur reports the number of recursive body occurrences.
@@ -305,34 +299,7 @@ func compileRule(bank *term.Bank, r ast.Rule, inComponent map[symtab.Sym]bool, s
 			cr.recBodyIdx = append(cr.recBodyIdx, i)
 		}
 	}
-
-	cr.flat = true
-	for _, hp := range headPats {
-		if hasComp(hp) {
-			cr.flat = false
-		}
-	}
-	for _, bl := range lits {
-		for _, a := range bl.args {
-			if hasComp(a) {
-				cr.flat = false
-			}
-		}
-	}
 	return cr, nil
-}
-
-// hasComp reports whether the pattern contains a compound term.
-func hasComp(p pat) bool {
-	if p.kind == ast.Comp {
-		return true
-	}
-	for _, a := range p.args {
-		if hasComp(a) {
-			return true
-		}
-	}
-	return false
 }
 
 // orderBody computes one evaluation ordering; when first >= 0 that body

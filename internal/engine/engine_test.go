@@ -8,6 +8,7 @@ import (
 
 	"lincount/internal/ast"
 	"lincount/internal/database"
+	"lincount/internal/limits"
 	"lincount/internal/parser"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
@@ -303,15 +304,15 @@ func TestBudgetGuardOnInfiniteProgram(t *testing.T) {
 count(0).
 count(Y) :- count(X), succ(X,Y).
 `), f.db, Options{MaxIterations: 500})
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	if !errors.Is(err, limits.ErrResourceLimit) {
+		t.Errorf("err = %v, want limits.ErrResourceLimit", err)
 	}
 	_, err = Eval(f.program(t, `
 count(0).
 count(Y) :- count(X), succ(X,Y).
 `), f.db, Options{MaxDerivedFacts: 1000})
-	if !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	if !errors.Is(err, limits.ErrResourceLimit) {
+		t.Errorf("err = %v, want limits.ErrResourceLimit", err)
 	}
 }
 

@@ -18,15 +18,6 @@ import (
 	"lincount/internal/term"
 )
 
-// ErrBudget is the historical name of the unified resource-limit
-// sentinel. Budget trips now return a *limits.ResourceLimitError naming
-// the kind, limit, usage and component; both errors.Is(err, ErrBudget)
-// and errors.Is(err, limits.ErrResourceLimit) match it.
-//
-// Deprecated: use limits.ErrResourceLimit (lincount.ErrResourceLimit at
-// the public API).
-var ErrBudget = limits.ErrResourceLimit
-
 // Options configures an evaluation.
 type Options struct {
 	// Naive selects the naive fixpoint (recompute everything each
@@ -38,17 +29,8 @@ type Options struct {
 	// MaxDerivedFacts bounds the total number of derived tuples;
 	// 0 means DefaultMaxDerivedFacts.
 	MaxDerivedFacts int
-	// Parallel evaluates independent strata concurrently. Components
-	// whose rules contain non-ground compound patterns still run
-	// sequentially (their evaluation interns terms; see parallel.go).
-	// MaxDerivedFacts remains a global cap: the concurrent strata share
-	// one atomic fact counter. The first error (or the context's
-	// cancellation) cancels the sibling strata, which drain cooperatively
-	// before EvalContext returns.
-	Parallel bool
 	// Trace, when non-nil, receives one event per component and per
-	// fixpoint iteration — the engine's EXPLAIN ANALYZE. In parallel
-	// mode callbacks are serialized but may interleave across strata.
+	// fixpoint iteration — the engine's EXPLAIN ANALYZE.
 	Trace func(TraceEvent)
 	// Inject, when non-nil, is consulted at the engine's hook sites
 	// (relation inserts, index probes, fixpoint iterations) and may
@@ -84,14 +66,6 @@ type Options struct {
 	// same way relation lengths do. Estimates are hints: a wrong one
 	// costs memory or a rehash, never correctness.
 	Sizes SizeHint
-	// JoinWorkers > 1 partitions a wide rule's delta RowID range across
-	// that many workers (sub-stratum parallelism). Workers evaluate
-	// disjoint contiguous sub-ranges of the source window into private
-	// emission buffers that are merged in partition order, so the head
-	// relation's contents and RowID assignment are byte-identical to a
-	// serial run. Rules that build compound terms run serially (the term
-	// bank is not synchronized). 0 or 1 disables partitioning.
-	JoinWorkers int
 }
 
 // SizeHint estimates a predicate's cardinality; see Options.Sizes.
@@ -130,20 +104,6 @@ type Stats struct {
 	DerivedFacts int64
 	Probes       int64
 	ArenaValues  int64
-	// ParallelRuns counts rule runs that were partitioned across the
-	// join worker pool (Options.JoinWorkers).
-	ParallelRuns int64
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Iterations += other.Iterations
-	s.Components += other.Components
-	s.Inferences += other.Inferences
-	s.DerivedFacts += other.DerivedFacts
-	s.Probes += other.Probes
-	s.ArenaValues += other.ArenaValues
-	s.ParallelRuns += other.ParallelRuns
 }
 
 // RuleStat is one rule's profiling record, collected only when a Tracer
@@ -192,16 +152,12 @@ type evaluator struct {
 
 	maxIter  int
 	maxFacts int64
-	// check polls the evaluation context (nil when ungoverned); ctx is
-	// retained for deriving the parallel scheduler's cancellation scope.
+	// check polls the evaluation context (nil when ungoverned).
 	check *limits.Checker
-	ctx   context.Context
 	// inject is the fault-injection hook (nil when disabled).
 	inject *faultinject.Injector
-	// tracer records structured spans (nil when disabled); tid is this
-	// evaluator's track in the trace (parallel strata get their own).
+	// tracer records structured spans (nil when disabled).
 	tracer *obsv.Tracer
-	tid    int64
 	// prof accumulates per-rule profiles when profiling is on (a tracer
 	// is attached or Options.Profile is set); profOrder preserves
 	// first-run order for Result.Rules.
@@ -210,11 +166,6 @@ type evaluator struct {
 	// progress, when non-nil, mirrors the derived-fact count for live
 	// introspection (Options.FactProgress).
 	progress *atomic.Int64
-	// factTotal is the global derived-fact count the budget is enforced
-	// against. It is shared (one atomic counter) across the concurrent
-	// strata of a parallel evaluation, so MaxDerivedFacts is a true
-	// global cap there, not a per-component approximation.
-	factTotal *atomic.Int64
 
 	// execs caches the per-evaluation pipeline state (binding frames,
 	// probe keys, index handles) per rule variant: deltaOcc+1 indexes the
@@ -237,19 +188,16 @@ func Eval(p *ast.Program, db *database.Database, opts Options) (*Result, error) 
 // once it is done. An un-cancelable ctx adds no per-inference cost.
 func EvalContext(ctx context.Context, p *ast.Program, db *database.Database, opts Options) (*Result, error) {
 	ev := &evaluator{
-		bank:      p.Bank,
-		db:        db,
-		derived:   make(map[symtab.Sym]*database.Relation),
-		arity:     make(map[symtab.Sym]int),
-		opts:      opts,
-		maxIter:   opts.MaxIterations,
-		check:     limits.NewChecker(ctx, "engine"),
-		ctx:       ctx,
-		inject:    opts.Inject,
-		tracer:    opts.Tracer,
-		tid:       1,
-		factTotal: new(atomic.Int64),
-		progress:  opts.FactProgress,
+		bank:     p.Bank,
+		db:       db,
+		derived:  make(map[symtab.Sym]*database.Relation),
+		arity:    make(map[symtab.Sym]int),
+		opts:     opts,
+		maxIter:  opts.MaxIterations,
+		check:    limits.NewChecker(ctx, "engine"),
+		inject:   opts.Inject,
+		tracer:   opts.Tracer,
+		progress: opts.FactProgress,
 	}
 	if ev.tracer != nil || opts.Profile {
 		ev.prof = make(map[*compiledRule]*RuleStat)
@@ -297,7 +245,6 @@ func EvalContext(ctx context.Context, p *ast.Program, db *database.Database, opt
 				t[i] = a.Value
 			}
 			if rel.Insert(t) {
-				ev.stats.DerivedFacts++
 				ev.countFact()
 			}
 		}
@@ -314,42 +261,10 @@ func EvalContext(ctx context.Context, p *ast.Program, db *database.Database, opt
 			for id := database.RowID(0); int(id) < base.Len(); id++ {
 				// Insert copies the base row view into the derived arena.
 				if rel.Insert(database.Tuple(base.Row(id))) {
-					ev.stats.DerivedFacts++
 					ev.countFact()
 				}
 			}
 		}
-	}
-
-	if ev.opts.Parallel {
-		for _, layer := range layerComponents(comps) {
-			var par, seq []Component
-			for _, ci := range layer {
-				c := comps[ci]
-				ev.stats.Components++
-				if len(layer) > 1 && flatComponent(c) {
-					par = append(par, c)
-				} else {
-					seq = append(seq, c)
-				}
-			}
-			if len(par) == 1 {
-				seq = append(seq, par[0])
-				par = nil
-			}
-			for _, c := range seq {
-				if err := ev.evalComponent(c); err != nil {
-					return nil, err
-				}
-			}
-			if len(par) > 0 {
-				if err := ev.evalComponentsParallel(par); err != nil {
-					return nil, err
-				}
-			}
-		}
-		ev.noteArenas()
-		return &Result{bank: p.Bank, Derived: ev.derived, Stats: ev.stats, Rules: ev.ruleStats()}, nil
 	}
 
 	for _, comp := range comps {
@@ -484,7 +399,7 @@ func (ev *evaluator) predNames(preds []symtab.Sym) []string {
 func (ev *evaluator) evalComponent(comp Component) (err error) {
 	ev.trace(TraceEvent{Kind: "component", Preds: ev.predNames(comp.Preds)})
 	if ev.tracer != nil {
-		sp := ev.tracer.BeginTID("engine", "component "+strings.Join(ev.predNames(comp.Preds), ","), ev.tid)
+		sp := ev.tracer.Begin("engine", "component "+strings.Join(ev.predNames(comp.Preds), ","))
 		iter0, facts0 := ev.stats.Iterations, ev.stats.DerivedFacts
 		defer func() {
 			sp.End(obsv.A("iterations", int64(ev.stats.Iterations-iter0)),
@@ -556,7 +471,7 @@ func (ev *evaluator) naiveFixpoint(rules []*compiledRule) error {
 			return ev.limitErr(limits.KindIterations, int64(iter), int64(ev.maxIter))
 		}
 		ev.stats.Iterations++
-		isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
+		isp := ev.tracer.Begin("engine", "iteration")
 		before := ev.stats.DerivedFacts
 		for _, cr := range rules {
 			if err := ev.runRule(cr, -1, nil); err != nil {
@@ -612,7 +527,7 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 
 	// Iteration 0: naive pass over all rules.
 	ev.stats.Iterations++
-	isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
+	isp := ev.tracer.Begin("engine", "iteration")
 	for _, cr := range rules {
 		if err := ev.runRule(cr, -1, nil); err != nil {
 			isp.End(obsv.A("iter", 0))
@@ -637,7 +552,7 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 			return ev.limitErr(limits.KindIterations, int64(iter), int64(ev.maxIter))
 		}
 		ev.stats.Iterations++
-		isp := ev.tracer.BeginTID("engine", "iteration", ev.tid)
+		isp := ev.tracer.Begin("engine", "iteration")
 		for _, cr := range rules {
 			for occ := 0; occ < cr.nRecOccur(); occ++ {
 				if err := ev.runRule(cr, occ, delta); err != nil {
@@ -656,14 +571,13 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 	return nil
 }
 
-// countFact bumps the global fact total the budget is enforced against
-// and, when armed, the live progress mirror. Returns the new total.
-func (ev *evaluator) countFact() int64 {
-	n := ev.factTotal.Add(1)
+// countFact counts one new derived fact (a seed or a derivation) in Stats
+// and, when armed, the live progress mirror.
+func (ev *evaluator) countFact() {
+	ev.stats.DerivedFacts++
 	if ev.progress != nil {
 		ev.progress.Add(1)
 	}
-	return n
 }
 
 // runRule evaluates one rule variant into the head relation. With
@@ -675,7 +589,7 @@ func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sy
 		return ev.runRuleFast(cr, deltaOcc, delta)
 	}
 	p := ev.profFor(cr)
-	sp := ev.tracer.BeginTID("engine.rule", p.Rule, ev.tid)
+	sp := ev.tracer.Begin("engine.rule", p.Rule)
 	inf0, df0 := ev.stats.Inferences, ev.stats.DerivedFacts
 	start := time.Now()
 	err := ev.runRuleFast(cr, deltaOcc, delta)

@@ -16,15 +16,11 @@ package engine
 // a counting window of the incremental engine's exact-once discipline, or
 // the relation's length at that instant — and optionally a row-state
 // filter (JoinConfig.RowState). Rows appended during the run lie past
-// every window, which is what makes the cached index handles sound, lets
-// a sink insert into a relation the run is reading, and makes the delta
-// range partitionable: with JoinWorkers > 1 a wide source window is split
-// into contiguous sub-ranges evaluated concurrently into private emission
-// buffers, merged in partition order. Each operator preserves its input
-// order and expands matches in ascending RowID order, so the sink sees
-// body instantiations in the nested-loop order of the body ordering, and
-// the concatenated emissions of the partitions equal the serial emission
-// sequence exactly (see docs/INTERNALS.md § Batched execution pipeline).
+// every window, which is what makes the cached index handles sound and
+// lets a sink insert into a relation the run is reading. Each operator
+// preserves its input order and expands matches in ascending RowID order,
+// so the sink sees body instantiations in the nested-loop order of the
+// body ordering (see docs/INTERNALS.md § Batched execution pipeline).
 //
 // Solutions reach the sink up to a batch late. A sink must therefore not
 // change anything the same run still reads inside its windows and filters
@@ -32,10 +28,6 @@ package engine
 // sink qualifies), and must not re-enter the ruleExec it is called from.
 
 import (
-	"context"
-	"runtime/debug"
-	"sync"
-
 	"lincount/internal/ast"
 	"lincount/internal/database"
 	"lincount/internal/faultinject"
@@ -53,12 +45,6 @@ const (
 	// maintained row) never pays for a batch it does not fill.
 	batchFrames = 256
 	minFrames   = 4
-	// joinParallelMinRows is the minimum source window width worth
-	// partitioning across the worker pool; below it the fork/merge
-	// overhead outweighs the parallelism.
-	joinParallelMinRows = 2048
-	// maxJoinWorkers caps Options.JoinWorkers.
-	maxJoinWorkers = 64
 )
 
 // Integer bounds of the 62-bit term.Value encoding: at the boundary succ
@@ -138,7 +124,7 @@ func (lv *execLevel) grow(ns int) {
 
 // ruleExec is the per-evaluation execution state of one rule variant's
 // pipeline. It is reused across runs (buffers amortized) and owned by
-// exactly one goroutine; parallel runs build one per worker.
+// exactly one goroutine.
 type ruleExec struct {
 	ev           *evaluator
 	cr           *compiledRule
@@ -155,11 +141,6 @@ type ruleExec struct {
 	// callerRows marks a pipeline whose delta occurrence has no relation
 	// behind it: the caller hands its rows to runRows (PreparedSolve).
 	callerRows bool
-	// workers caches the per-worker clones for parallel runs; emit is a
-	// worker's private emission relation (deduplicated, emission-ordered),
-	// merged into the head relation after the workers finish.
-	workers []*ruleExec
-	emit    *database.Relation
 }
 
 func newRuleExec(ev *evaluator, cr *compiledRule, deltaOcc int) *ruleExec {
@@ -689,169 +670,25 @@ func (ev *evaluator) insertSink(headRel *database.Relation) sinkFunc {
 	}
 }
 
-// noteDerived accounts one new derived fact: the counter, the fault
-// injection hook and the global fact budget.
+// noteDerived accounts one new derived fact: the counters, the fault
+// injection hook and the fact budget, which counts the seeds too.
 func (ev *evaluator) noteDerived() error {
-	ev.stats.DerivedFacts++
+	ev.countFact()
 	if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
 		return err
 	}
-	if n := ev.countFact(); n > ev.maxFacts {
+	if n := ev.stats.DerivedFacts; n > ev.maxFacts {
 		return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
 	}
 	return nil
 }
 
-// runRuleFast evaluates one rule variant into its head relation,
-// partitioning the source window across the worker pool when profitable.
+// runRuleFast evaluates one rule variant into its head relation.
 func (ev *evaluator) runRuleFast(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]Delta) error {
 	re := ev.execFor(cr, deltaOcc)
 	re.begin(delta, JoinConfig{})
 	if re.empty {
 		return nil
 	}
-	if w := ev.joinWorkerCount(re); w > 1 {
-		return ev.runRuleParallel(re, w)
-	}
 	return re.run(ev.insertSink(ev.derived[cr.headPred]))
-}
-
-// joinWorkerCount decides the partition width for one run: the
-// configured pool size, clamped, and only for flat rules whose source is
-// a relation window wide enough to be worth splitting.
-func (ev *evaluator) joinWorkerCount(re *ruleExec) int {
-	w := ev.opts.JoinWorkers
-	if w <= 1 || !re.cr.flat || len(re.order) == 0 || re.order[0].kind != litRelation {
-		return 1
-	}
-	width := int(re.levels[0].hi - re.levels[0].lo)
-	if width < joinParallelMinRows {
-		return 1
-	}
-	if w > maxJoinWorkers {
-		w = maxJoinWorkers
-	}
-	if w > width {
-		w = width
-	}
-	return w
-}
-
-// runRuleParallel splits the source window of an already-begun run into w
-// contiguous sub-ranges and evaluates them concurrently, each worker on a
-// private pipeline clone with private stats and a private emission
-// buffer, sharing the parent's relations (frozen for the duration), fault
-// injector and atomic fact total. The first error cancels the run's
-// context; the workers drain cooperatively. On success the emission
-// buffers are inserted into the head relation in partition order — the
-// deterministic merge.
-func (ev *evaluator) runRuleParallel(re *ruleExec, w int) error {
-	parent := ev.ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	runCtx, cancel := context.WithCancelCause(parent)
-	defer cancel(nil)
-	ev.stats.ParallelRuns++
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel(err)
-	}
-
-	if len(re.workers) != w {
-		re.workers = make([]*ruleExec, w)
-	}
-	lo, hi := re.levels[0].lo, re.levels[0].hi
-	width := int(hi - lo)
-	for i := 0; i < w; i++ {
-		wre := re.workers[i]
-		if wre == nil {
-			wev := &evaluator{
-				bank:      ev.bank,
-				db:        ev.db,
-				derived:   ev.derived,
-				arity:     ev.arity,
-				opts:      ev.opts,
-				maxIter:   ev.maxIter,
-				maxFacts:  ev.maxFacts,
-				inject:    ev.inject,
-				factTotal: ev.factTotal,
-			}
-			wre = newRuleExec(wev, re.cr, re.deltaOcc)
-			wre.emit = database.NewRelationSized(len(re.cr.head), ev.sizeHint(re.cr.headPred))
-			re.workers[i] = wre
-		}
-		wev := wre.ev
-		wev.check = limits.NewChecker(runCtx, "engine")
-		wev.ctx = runCtx
-		wev.stats = Stats{}
-		// Share the parent's per-level resolution (relations and windows
-		// were resolved under begin on this goroutine), then narrow the
-		// source window to this worker's partition. Each worker resolves
-		// its own index handles (Relation.IndexFor serializes the build).
-		for j := range re.levels {
-			wre.levels[j].rel = re.levels[j].rel
-			wre.levels[j].lo = re.levels[j].lo
-			wre.levels[j].hi = re.levels[j].hi
-			wre.levels[j].st = re.levels[j].st
-			wre.levels[j].stBound = re.levels[j].stBound
-			wre.levels[j].outN = 0
-		}
-		wre.empty = false
-		wre.levels[0].lo = lo + database.RowID(i*width/w)
-		wre.levels[0].hi = lo + database.RowID((i+1)*width/w)
-		wre.emit.Reset()
-
-		wg.Add(1)
-		go func(wre *ruleExec) {
-			defer wg.Done()
-			// A panic must not cross the goroutine boundary; carry it out
-			// as an error (it resurfaces as *InternalError at the API).
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&limits.PanicError{Component: "engine", Value: r, Stack: debug.Stack()})
-				}
-			}()
-			err := wre.run(func(t database.Tuple) error {
-				wre.ev.stats.Inferences++
-				wre.emit.Insert(t)
-				return nil
-			})
-			if err != nil {
-				fail(err)
-			}
-		}(wre)
-	}
-	wg.Wait()
-	for i := 0; i < w; i++ {
-		ev.stats.Add(re.workers[i].ev.stats)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ev.check.Check(); err != nil {
-		return err
-	}
-	headRel := ev.derived[re.cr.headPred]
-	for i := 0; i < w; i++ {
-		emit := re.workers[i].emit
-		for id := database.RowID(0); int(id) < emit.Len(); id++ {
-			if headRel.Insert(database.Tuple(emit.Row(id))) {
-				if err := ev.noteDerived(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -158,86 +158,7 @@ down(a,a). down(b,d). down(c,e).`,
 	}
 }
 
-// fanFacts builds a wide two-hop graph: r -> x_i -> y_i for n spokes, so
-// the recursive tc rule sees delta windows well past the parallel
-// threshold.
-func fanFacts(n int) string {
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "e(r, x%d). e(x%d, y%d).\n", i, i, i)
-	}
-	return sb.String()
-}
-
 const tcSrc = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y)."
-
-// TestParallelByteIdentical is the tentpole determinism check: a rule run
-// partitioned across the worker pool must leave the head relation
-// byte-identical to a serial run — same rows, same RowID order.
-func TestParallelByteIdentical(t *testing.T) {
-	facts := fanFacts(3000)
-	fs := newFixture(t, facts)
-	serial := eval(t, fs, tcSrc, Options{})
-	if serial.Stats.ParallelRuns != 0 {
-		t.Fatalf("serial run recorded %d parallel runs", serial.Stats.ParallelRuns)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		fp := newFixture(t, facts)
-		par := eval(t, fp, tcSrc, Options{JoinWorkers: workers})
-		if par.Stats.ParallelRuns == 0 {
-			t.Fatalf("JoinWorkers=%d: worker pool never engaged", workers)
-		}
-		tcS := relStrings(fs.bank, serial.Relation(fs.bank.Symbols().Intern("tc")))
-		tcP := relStrings(fp.bank, par.Relation(fp.bank.Symbols().Intern("tc")))
-		if len(tcS) != len(tcP) {
-			t.Fatalf("JoinWorkers=%d: %d rows != serial %d", workers, len(tcP), len(tcS))
-		}
-		for i := range tcS {
-			if tcS[i] != tcP[i] {
-				t.Fatalf("JoinWorkers=%d: row %d = %q, serial has %q", workers, i, tcP[i], tcS[i])
-			}
-		}
-		if par.Stats.DerivedFacts != serial.Stats.DerivedFacts ||
-			par.Stats.Inferences != serial.Stats.Inferences {
-			t.Errorf("JoinWorkers=%d: stats diverged: parallel %+v, serial %+v",
-				workers, par.Stats, serial.Stats)
-		}
-	}
-}
-
-// TestParallelRespectsFactBudget checks the shared fact budget still
-// trips (with the usual error kind) when derivations happen under the
-// worker pool, and that the engine does not overshoot the limit by more
-// than the final flush.
-func TestParallelRespectsFactBudget(t *testing.T) {
-	f := newFixture(t, fanFacts(2500))
-	_, err := Eval(f.program(t, tcSrc), f.db, Options{JoinWorkers: 4, MaxDerivedFacts: 1000})
-	if err == nil {
-		t.Fatal("expected fact-budget error")
-	}
-	if !strings.Contains(err.Error(), "fact") {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-// TestParallelSkipsCompoundRules checks the flat gate: rules with
-// compound patterns must stay serial (term interning is unsynchronized)
-// even when the source window is wide.
-func TestParallelSkipsCompoundRules(t *testing.T) {
-	var sb strings.Builder
-	for i := 0; i < 3000; i++ {
-		fmt.Fprintf(&sb, "e(n%d, n%d).\n", i, i+1)
-	}
-	f := newFixture(t, sb.String())
-	src := "w(X,Y,p(X,Y)) :- e(X,Y).\n"
-	res := eval(t, f, src, Options{JoinWorkers: 4})
-	if res.Stats.ParallelRuns != 0 {
-		t.Errorf("compound-head rule ran parallel %d times", res.Stats.ParallelRuns)
-	}
-	if got := res.Relation(f.bank.Symbols().Intern("w")).Len(); got != 3000 {
-		t.Errorf("w has %d rows, want 3000", got)
-	}
-}
 
 // TestBatchedDeltaWindows pins the semi-naive contract: a recursive rule
 // run reads its delta window, not the accumulated relation. On chain(40)

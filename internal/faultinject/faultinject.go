@@ -171,12 +171,11 @@ func (r rule) String() string {
 // hit fires a fault. The zero value is not usable; call New or
 // ParseSpec. A nil *Injector is a valid disabled injector.
 //
-// Injectors are safe for concurrent use (the engine's parallel strata
-// share one): decisions are made under a mutex; the per-site hit
-// counters are part of the deterministic state. Note that under
-// concurrency the interleaving of hits across goroutines is scheduling-
-// dependent, so probabilistic rules stay reproducible only for
-// sequential evaluations.
+// Injectors are safe for concurrent use: decisions are made under a
+// mutex; the per-site hit counters are part of the deterministic state.
+// Note that under concurrency the interleaving of hits across goroutines
+// is scheduling-dependent, so probabilistic rules stay reproducible only
+// for sequential evaluations.
 type Injector struct {
 	mu     sync.Mutex
 	rng    uint64

@@ -14,8 +14,7 @@ import (
 
 // ErrResourceLimit is the sentinel matched by every resource-limit error,
 // whichever component tripped it: errors.Is(err, ErrResourceLimit) is the
-// one test callers need. The engine's historical engine.ErrBudget and
-// counting.ErrRuntimeBudget are aliases of this value.
+// one test callers need.
 var ErrResourceLimit = errors.New("lincount: resource limit exceeded")
 
 // Limit kinds, naming the budget that tripped.
@@ -52,8 +51,7 @@ func (e *ResourceLimitError) Error() string {
 		e.Component, e.Kind, e.Used, e.Limit)
 }
 
-// Is makes errors.Is(err, ErrResourceLimit) — and, via aliasing, the
-// legacy errors.Is(err, engine.ErrBudget) — report true.
+// Is makes errors.Is(err, ErrResourceLimit) report true.
 func (e *ResourceLimitError) Is(target error) bool { return target == ErrResourceLimit }
 
 // CanceledError reports a cooperative stop: the evaluation observed its
@@ -73,19 +71,6 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// PanicError carries a panic recovered inside an evaluator goroutine
-// (the parallel scheduler cannot let a stratum panic cross its goroutine
-// boundary). The public Eval boundary converts it to *InternalError.
-type PanicError struct {
-	Component string
-	Value     any
-	Stack     []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("%s: internal panic: %v", e.Component, e.Value)
-}
-
 // DefaultCheckInterval is how many Tick calls elapse between context
 // polls. Fixpoint inner loops advance by at least one inference or probe
 // per tick, so cancellation latency is bounded by the time those take —
@@ -95,8 +80,8 @@ const DefaultCheckInterval = 1024
 // Checker polls a context cooperatively. A nil *Checker is a valid no-op
 // (every method returns nil), and NewChecker returns nil for contexts
 // that can never be canceled, so ungoverned evaluations pay only a nil
-// check per tick. Checker is not safe for concurrent use; concurrent
-// evaluators each take their own via Fork.
+// check per tick. Checker is not safe for concurrent use; each evaluation
+// takes its own.
 type Checker struct {
 	ctx       context.Context
 	component string
@@ -111,24 +96,6 @@ func NewChecker(ctx context.Context, component string) *Checker {
 		return nil
 	}
 	return &Checker{ctx: ctx, component: component, interval: DefaultCheckInterval}
-}
-
-// Context returns the checker's context (context.Background() for the
-// nil checker), for deriving child contexts.
-func (c *Checker) Context() context.Context {
-	if c == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
-
-// Fork returns an independent checker over the same context, for handing
-// to a concurrently running evaluator (the tick counter is per-checker).
-func (c *Checker) Fork() *Checker {
-	if c == nil {
-		return nil
-	}
-	return &Checker{ctx: c.ctx, component: c.component, interval: c.interval}
 }
 
 // Check polls the context now. It returns a *CanceledError wrapping the

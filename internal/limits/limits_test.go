@@ -39,11 +39,8 @@ func TestNilCheckerIsNoop(t *testing.T) {
 			t.Fatalf("nil.Tick() = %v", err)
 		}
 	}
-	if c.Fork() != nil {
-		t.Error("nil.Fork() != nil")
-	}
-	if c.Context() == nil {
-		t.Error("nil.Context() = nil")
+	if err := c.TickN(3 * DefaultCheckInterval); err != nil {
+		t.Errorf("nil.TickN() = %v", err)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -50,7 +49,6 @@ type Event struct {
 	Name  string
 	Cat   string
 	Phase byte
-	TID   int64
 	Start time.Duration
 	Dur   time.Duration
 	Args  []Arg
@@ -66,37 +64,26 @@ const DefaultMaxEvents = 1 << 17
 // no-op costing one pointer comparison, which is the only cost an
 // untraced evaluation pays at the hook sites.
 //
-// Tracers are safe for concurrent use (the engine's parallel strata
-// share one); recording takes a mutex, which is acceptable because the
-// instrumented units are iterations and rule passes, not per-tuple work.
+// Tracers are safe for concurrent use (evaluations running at once may
+// record into one); recording takes a mutex, which is acceptable because
+// the instrumented units are iterations and rule passes, not per-tuple
+// work.
 type Tracer struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	events  []Event
 	max     int
 	dropped int64
-	nextTID atomic.Int64
 }
 
 // NewTracer returns an empty tracer whose epoch is now.
 func NewTracer() *Tracer {
-	t := &Tracer{epoch: time.Now(), max: DefaultMaxEvents}
-	t.nextTID.Store(1)
-	return t
+	return &Tracer{epoch: time.Now(), max: DefaultMaxEvents}
 }
 
 // Enabled reports whether the tracer records events; it is the cheap
 // guard hot paths use before assembling arguments.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// NewTID allocates a fresh track id, used to give each parallel stratum
-// its own row in the Chrome trace view. The main track is TID 1.
-func (t *Tracer) NewTID() int64 {
-	if t == nil {
-		return 1
-	}
-	return t.nextTID.Add(1)
-}
 
 // Span is an in-flight interval started by Begin. End records it. The
 // zero Span (from a nil tracer) is a valid no-op.
@@ -104,22 +91,16 @@ type Span struct {
 	t     *Tracer
 	name  string
 	cat   string
-	tid   int64
 	start time.Duration
 }
 
-// Begin starts a span on the main track. On a nil tracer it returns the
-// no-op zero Span without reading the clock.
+// Begin starts a span. On a nil tracer it returns the no-op zero Span
+// without reading the clock.
 func (t *Tracer) Begin(cat, name string) Span {
-	return t.BeginTID(cat, name, 1)
-}
-
-// BeginTID starts a span on an explicit track.
-func (t *Tracer) BeginTID(cat, name string, tid int64) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, cat: cat, tid: tid, start: time.Since(t.epoch)}
+	return Span{t: t, name: name, cat: cat, start: time.Since(t.epoch)}
 }
 
 // End records the span with optional integer arguments.
@@ -129,7 +110,7 @@ func (s Span) End(args ...Arg) {
 	}
 	now := time.Since(s.t.epoch)
 	s.t.record(Event{
-		Name: s.name, Cat: s.cat, Phase: PhaseSpan, TID: s.tid,
+		Name: s.name, Cat: s.cat, Phase: PhaseSpan,
 		Start: s.start, Dur: now - s.start, Args: args,
 	})
 }
@@ -140,7 +121,7 @@ func (t *Tracer) Instant(cat, name string, args ...Arg) {
 		return
 	}
 	t.record(Event{
-		Name: name, Cat: cat, Phase: PhaseInstant, TID: 1,
+		Name: name, Cat: cat, Phase: PhaseInstant,
 		Start: time.Since(t.epoch), Args: args,
 	})
 }
@@ -152,7 +133,7 @@ func (t *Tracer) Counter(name string, val int64) {
 		return
 	}
 	t.record(Event{
-		Name: name, Cat: "counter", Phase: PhaseCounter, TID: 1,
+		Name: name, Cat: "counter", Phase: PhaseCounter,
 		Start: time.Since(t.epoch), Args: []Arg{{Key: "value", Val: val}},
 	})
 }
@@ -209,18 +190,16 @@ func (t *Tracer) SpanNames() []string {
 
 // WriteText renders the events as a human-readable log, one line per
 // event, ordered by start time. Span nesting is shown by indentation
-// computed per track from interval containment.
+// computed from interval containment.
 func (t *Tracer) WriteText(w io.Writer) error {
 	if t == nil {
 		_, err := fmt.Fprintln(w, "trace: disabled")
 		return err
 	}
-	events := t.Events()
-	// open[tid] holds the end times of the spans currently containing the
-	// event being printed, per track.
-	open := map[int64][]time.Duration{}
-	for _, e := range events {
-		stack := open[e.TID]
+	// stack holds the end times of the spans currently containing the
+	// event being printed.
+	var stack []time.Duration
+	for _, e := range t.Events() {
 		for len(stack) > 0 && e.Start >= stack[len(stack)-1] {
 			stack = stack[:len(stack)-1]
 		}
@@ -234,10 +213,6 @@ func (t *Tracer) WriteText(w io.Writer) error {
 		for _, a := range e.Args {
 			fmt.Fprintf(&sb, " %s=%d", a.Key, a.Val)
 		}
-		if e.TID != 1 {
-			fmt.Fprintf(&sb, " tid=%d", e.TID)
-		}
-		open[e.TID] = stack
 		if _, err := fmt.Fprintln(w, sb.String()); err != nil {
 			return err
 		}
@@ -275,7 +250,7 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	for _, e := range events {
 		ce := chromeEvent{
 			Name: e.Name, Cat: e.Cat, Ph: string(rune(e.Phase)),
-			TS: float64(e.Start) / 1e3, PID: 1, TID: e.TID,
+			TS: float64(e.Start) / 1e3, PID: 1, TID: 1,
 		}
 		if e.Phase == PhaseSpan {
 			ce.Dur = float64(e.Dur) / 1e3

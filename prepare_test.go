@@ -185,10 +185,11 @@ func TestPreparedQueryConcurrentEval(t *testing.T) {
 }
 
 // TestPreparedQueryConcurrentJoinModes exercises one PreparedQuery from
-// many goroutines while mixing join-execution modes: the serial pipeline
-// and the partitioned worker pool at two widths. The compiled plan is
-// shared; pipeline state (frames, probe keys, cached index handles) is
-// per-evaluation, so every mode must agree under -race.
+// many goroutines while mixing evaluation modes: the cached plan, a
+// cache bypass that recompiles per call, and one tracer shared by every
+// traced call. The compiled plan is shared; pipeline state (frames, probe
+// keys, cached index handles) is per-evaluation, so every mode must agree
+// under -race.
 func TestPreparedQueryConcurrentJoinModes(t *testing.T) {
 	p, db := sgSetup(t)
 	pq, err := lincount.Prepare(p, sgQuery(), lincount.Auto)
@@ -201,8 +202,8 @@ func TestPreparedQueryConcurrentJoinModes(t *testing.T) {
 	}
 	modes := [][]lincount.Option{
 		nil,
-		{lincount.WithJoinWorkers(4)},
-		{lincount.WithJoinWorkers(2)},
+		{lincount.WithoutPlanCache()},
+		{lincount.WithTracer(lincount.NewTracer())},
 	}
 	const rounds = 8
 	var wg sync.WaitGroup
