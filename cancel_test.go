@@ -3,6 +3,8 @@ package lincount
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -224,6 +226,25 @@ func TestResourceLimitErrorStructure(t *testing.T) {
 	}
 	if rle.Kind != LimitPasses || rle.Component != "topdown" {
 		t.Errorf("qsq got Kind=%q Component=%q, want %q/topdown", rle.Kind, rle.Component, LimitPasses)
+	}
+
+	// So does its fact budget: every new answer tuple is charged to it.
+	var chain strings.Builder
+	chain.WriteString("anc(X,Y) :- e(X,Y).\nanc(X,Y) :- e(X,Z), anc(Z,Y).\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&chain, "e(n%d,n%d).\n", i, i+1)
+	}
+	p, err = ParseProgram(chain.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Eval(p, NewDatabase(p), "?- anc(n0, Y).", QSQ, WithMaxDerivedFacts(50))
+	if !errors.As(err, &rle) {
+		t.Fatalf("qsq err = %v, want *ResourceLimitError", err)
+	}
+	if rle.Kind != LimitFacts || rle.Component != "topdown" || rle.Limit != 50 || rle.Used != 51 {
+		t.Errorf("qsq got Kind=%q Component=%q Limit/Used=%d/%d, want %q/topdown 50/51",
+			rle.Kind, rle.Component, rle.Limit, rle.Used, LimitFacts)
 	}
 }
 

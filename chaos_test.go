@@ -137,6 +137,55 @@ func TestChaosInvariant(t *testing.T) {
 	}
 }
 
+// TestChaosTopdownScheduleFires: the topdown-err schedule is not passed
+// vacuously. Forced QSQ under it fails with a classified injected fault
+// on every corpus program whose clean run takes at least four passes
+// (the pass cancellation), and the per-row probe fault fires on some.
+func TestChaosTopdownScheduleFires(t *testing.T) {
+	var spec string
+	for _, s := range chaosSchedules {
+		if s.name == "topdown-err" {
+			spec = s.spec
+		}
+	}
+	var canceled, probed int
+	for _, c := range loadChaosCorpus(t) {
+		p, err := lincount.ParseProgram(c.text)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.name, err)
+		}
+		db := lincount.NewDatabase(p)
+		query := p.Queries()[0]
+		clean, err := lincount.Eval(p, db, query, lincount.QSQ, chaosBudget...)
+		if oracle.Classify(err) == oracle.NotApplicable {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: clean run: %v", c.name, err)
+		}
+		_, err = lincount.Eval(p, db, query, lincount.QSQ,
+			append([]lincount.Option{lincount.WithFaultInjection(1, spec)}, chaosBudget...)...)
+		if class := oracle.Classify(err); err != nil && class != oracle.InjectedFault {
+			t.Errorf("%s: %v (%s), want an injected fault", c.name, err, class)
+		}
+		var ce *lincount.CanceledError
+		switch {
+		case err == nil:
+			if clean.Stats.Iterations >= 4 {
+				t.Errorf("%s: %d passes and the pass cancellation did not fire", c.name, clean.Stats.Iterations)
+			}
+		case errors.As(err, &ce):
+			canceled++
+		default:
+			probed++
+		}
+	}
+	t.Logf("topdown-err: %d pass cancellations, %d probe faults", canceled, probed)
+	if canceled == 0 || probed == 0 {
+		t.Errorf("topdown-err fired %d pass cancellations and %d probe faults, want both", canceled, probed)
+	}
+}
+
 // TestChaosAutoVerdict runs Auto with its data-aware ranking over the
 // whole corpus, cyclic and acyclic programs alike, without faults: cold
 // (a fresh plan.Shared, so the verdict is probed), then twice through

@@ -161,7 +161,10 @@ func WithMaxCountingTuples(n int) Option {
 // probability P per hit, seeded by seed), where kind is err, delay
 // (with a ":duration" suffix) or cancel, and site names an evaluator
 // hook point (engine.insert, engine.probe, engine.iter, counting.node,
-// counting.step, topdown.probe, topdown.pass, or * for all).
+// counting.step, counting.probe, topdown.probe, topdown.pass, or * for
+// all). QSQ hits topdown.probe once per input row it feeds to a rule's
+// solves and topdown.pass once per global pass; its joins run on the
+// engine's executor without hitting engine.probe.
 //
 // Injected errors match errors.Is(err, ErrInjectedFault) and are
 // retryable for the Auto degradation chain; injected cancellations
@@ -968,7 +971,7 @@ func statsFromQSQ(s topdown.Stats) Stats {
 // execQSQ runs the top-down Query-SubQuery method over the plan's
 // shared adornment.
 func execQSQ(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
-	topts := topdown.Options{MaxPasses: cfg.maxIterations, Inject: cfg.inject, Tracer: cfg.tracer}
+	topts := topdown.Options{MaxPasses: cfg.maxIterations, MaxFacts: cfg.maxFacts, Inject: cfg.inject, Tracer: cfg.tracer}
 	if cfg.statsSink != nil {
 		ts := new(topdown.Stats)
 		topts.StatsOut = ts

@@ -662,24 +662,52 @@ func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
 
 // SortTuplesFormatted orders tuples by their rendered text (integers still
 // compare numerically within a column). Slower than SortTuples but gives
-// the alphabetical order humans expect from query output.
+// the alphabetical order humans expect from query output. Every value is
+// formatted once, before the sort.
 func SortTuplesFormatted(bank *term.Bank, ts []database.Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := range a {
-			if a[k] == b[k] {
-				continue
-			}
-			if a[k].IsInt() && b[k].IsInt() {
-				return a[k].AsInt() < b[k].AsInt()
-			}
-			fa, fb := bank.Format(a[k]), bank.Format(b[k])
-			if fa != fb {
-				return fa < fb
-			}
+	if len(ts) < 2 {
+		return
+	}
+	n := 0
+	for _, t := range ts {
+		n += len(t)
+	}
+	texts := make([]string, n)
+	keys := make([]formattedKey, len(ts))
+	for i, t := range ts {
+		k := texts[:len(t):len(t)]
+		texts = texts[len(t):]
+		for j, v := range t {
+			k[j] = bank.Format(v)
 		}
-		return false
-	})
+		keys[i] = formattedKey{t: t, text: k}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	for i := range keys {
+		ts[i] = keys[i].t
+	}
+}
+
+// formattedKey is a tuple with the rendered text of each of its values.
+type formattedKey struct {
+	t    database.Tuple
+	text []string
+}
+
+func (a formattedKey) less(b formattedKey) bool {
+	for k, v := range a.t {
+		w := b.t[k]
+		if v == w {
+			continue
+		}
+		if v.IsInt() && w.IsInt() {
+			return v.AsInt() < w.AsInt()
+		}
+		if fa, fb := a.text[k], b.text[k]; fa != fb {
+			return fa < fb
+		}
+	}
+	return false
 }
 
 // SortTuples orders tuples deterministically (column-major term.Compare).

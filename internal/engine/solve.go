@@ -13,7 +13,8 @@ import (
 // Matcher evaluates body conjunctions against a base database plus a set of
 // derived relations. It is the engine primitive the counting runtime
 // (Algorithm 2) uses to instantiate left parts, exit bodies and right parts
-// under externally supplied bindings.
+// under externally supplied bindings, and QSQ uses to pass bindings
+// sideways through rule bodies.
 type Matcher struct {
 	bank    *term.Bank
 	db      *database.Database
@@ -150,32 +151,6 @@ func (ps *PreparedSolve) SolveRows(rows []term.Value, n int, out func([]term.Val
 	err := ps.re.runRows(rows, n, func(t database.Tuple) error { return out(t) })
 	ps.m.Probes += ev.stats.Probes - before
 	return err
-}
-
-// Solve is the one-shot form: it compiles and evaluates body under the
-// bound map, calling out with the values of want (pre-bound want variables
-// are passed through). Prefer Prepare for hot paths.
-func (m *Matcher) Solve(body []ast.Literal, bound map[symtab.Sym]term.Value, want []symtab.Sym, out func([]term.Value) error) error {
-	boundVars := make([]symtab.Sym, 0, len(bound))
-	for v := range bound {
-		boundVars = append(boundVars, v)
-	}
-	// Deterministic order for reproducibility.
-	syms := m.bank.Symbols()
-	for i := 1; i < len(boundVars); i++ {
-		for j := i; j > 0 && syms.String(boundVars[j]) < syms.String(boundVars[j-1]); j-- {
-			boundVars[j], boundVars[j-1] = boundVars[j-1], boundVars[j]
-		}
-	}
-	ps, err := m.Prepare(body, boundVars, want)
-	if err != nil {
-		return err
-	}
-	vals := make([]term.Value, len(boundVars))
-	for i, v := range boundVars {
-		vals[i] = bound[v]
-	}
-	return ps.Solve(vals, out)
 }
 
 // MatchTerms unifies a list of patterns (possibly sharing variables)

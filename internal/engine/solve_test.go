@@ -214,11 +214,15 @@ func TestPreparedSolveDerivedOverlay(t *testing.T) {
 	}
 }
 
+// TestMatcherOneShotSolve: a single lookup is one Prepare and one Solve.
 func TestMatcherOneShotSolve(t *testing.T) {
 	f := newSolveFixture(t, "up(a,b). up(b,c).")
-	bound := map[symtab.Sym]term.Value{f.syms("X")[0]: f.val("a")}
+	ps, err := f.m.Prepare(f.body(t, "up(X,Y)"), f.syms("X"), f.syms("Y"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	err := f.m.Solve(f.body(t, "up(X,Y)"), bound, f.syms("Y"), func(vals []term.Value) error {
+	err = ps.Solve([]term.Value{f.val("a")}, func(vals []term.Value) error {
 		got = append(got, f.bank.Format(vals[0]))
 		return nil
 	})

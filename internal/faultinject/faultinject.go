@@ -45,8 +45,7 @@ const (
 	// injected error here proves a failed probe degrades Auto to its
 	// data-blind ranking instead of failing the evaluation.
 	SiteCountingProbe = "counting.probe"
-	// SiteTopdownProbe: a relation probe or scan during QSQ sideways
-	// information passing.
+	// SiteTopdownProbe: one input row QSQ feeds to a rule's solves.
 	SiteTopdownProbe = "topdown.probe"
 	// SiteTopdownPass: one global QSQ fixpoint sweep.
 	SiteTopdownPass = "topdown.pass"

@@ -605,25 +605,21 @@ func (a *applier) rederive(comp engine.Component, j *engine.Joiner, over map[sym
 	mt.SetChecker(a.check)
 	mt.RowState = a.rowState
 	mt.RowStateBound = 0
-	type headRule struct {
-		rule ast.Rule
-		ps   *engine.PreparedSolve
-		vars []symtab.Sym
-	}
-	rulesFor := make(map[symtab.Sym][]headRule)
+	// A rule's solve takes the tuple as its binding row: the executor
+	// unifies it with the head's arguments (a tuple the head does not
+	// match has no solutions) and counts the body's instantiations.
+	rulesFor := make(map[symtab.Sym][]*engine.PreparedSolve)
 	for _, r := range comp.Rules {
 		if r.IsFact() {
 			continue
 		}
-		vars := r.Head.Vars()
-		ps, err := mt.Prepare(r.Body, vars, nil)
+		ps, err := mt.PrepareTerms(r.Body, r.Head.Args, nil, 0)
 		if err != nil {
 			return err
 		}
-		rulesFor[r.Head.Pred] = append(rulesFor[r.Head.Pred], headRule{rule: r, ps: ps, vars: vars})
+		rulesFor[r.Head.Pred] = append(rulesFor[r.Head.Pred], ps)
 	}
 	reins := make(map[symtab.Sym]*database.Relation)
-	boundVals := make([]term.Value, 0, 8)
 	for _, p := range comp.Preds {
 		o := over[p]
 		rel := m.derived[p]
@@ -651,16 +647,8 @@ func (a *applier) rederive(comp engine.Component, j *engine.Joiner, over map[sym
 					c += m.factCounts[p][fid]
 				}
 			}
-			for _, hr := range rulesFor[p] {
-				bound := make(map[symtab.Sym]term.Value, len(hr.vars))
-				if !engine.MatchTerms(m.bank, hr.rule.Head.Args, t, bound) {
-					continue
-				}
-				boundVals = boundVals[:0]
-				for _, v := range hr.vars {
-					boundVals = append(boundVals, bound[v])
-				}
-				if err := hr.ps.Solve(boundVals, func([]term.Value) error { c++; return nil }); err != nil {
+			for _, ps := range rulesFor[p] {
+				if err := ps.Solve(t, func([]term.Value) error { c++; return nil }); err != nil {
 					return err
 				}
 			}

@@ -1,26 +1,26 @@
-// Package topdown implements the Query-SubQuery (QSQ) evaluation method
-// (Vieille 1986), the set-at-a-time top-down strategy that the
-// Bancilhon–Ramakrishnan comparisons — reference [4] of the paper — run
-// alongside magic sets and counting. QSQ is the operational counterpart
-// of the magic-set rewriting: instead of materializing magic predicates
-// through rewritten rules, it maintains, per adorned predicate, the set of
-// *input* (bound-argument) tuples asked so far and the set of *answers*
-// derived, and propagates bindings sideways through rule bodies until both
-// reach a fixpoint (the iterative QSQI variant, which is the easiest to
-// show correct).
-//
-// Its presence lets the experiment suite cross-check the rewriting-based
-// strategies against an independently implemented evaluation discipline.
+// Package topdown implements the Query-SubQuery (QSQ) method (Vieille
+// 1986), the top-down strategy the Bancilhon–Ramakrishnan comparisons —
+// reference [4] of the paper — run beside magic sets and counting. It
+// keeps, per adorned predicate, the *input* (bound-argument) tuples asked
+// so far and the *answers* derived, and passes bindings sideways through
+// rule bodies until both reach a fixpoint (the iterative QSQI variant).
+// The sideways passing is the engine's: every rule body is a prepared
+// solve (engine.Matcher.PrepareTerms) fed batches of input rows. Its
+// independent checks are the semi-naive baseline (the oracle) and the
+// executor's brute-force reference tests.
 package topdown
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"lincount/internal/adorn"
 	"lincount/internal/ast"
 	"lincount/internal/database"
+	"lincount/internal/engine"
 	"lincount/internal/faultinject"
 	"lincount/internal/limits"
 	"lincount/internal/obsv"
@@ -28,24 +28,26 @@ import (
 	"lincount/internal/term"
 )
 
-// ErrUnsupported is returned for programs outside QSQ's scope here:
-// negated derived literals (stratified top-down negation is a much larger
-// machine than this reproduction needs).
+// ErrUnsupported is returned for negated derived literals (stratified
+// top-down negation is a much larger machine than this reproduction needs).
 var ErrUnsupported = errors.New("topdown: negated derived literals are not supported by QSQ")
+
+// feedRows is how many input rows one SolveRows run takes.
+const feedRows = 256
 
 // Stats counts the work of one evaluation.
 type Stats struct {
 	// Passes is the number of global fixpoint sweeps.
 	Passes int
-	// InputTuples is the total size of the input (subquery) sets — the
-	// operational analogue of the magic set.
+	// InputTuples is the total size of the input (subquery) sets, the
+	// operational twin of the magic set: an all-free predicate's empty
+	// subquery is not counted, as it has no magic predicate.
 	InputTuples int
 	// AnswerTuples is the total size of the answer sets.
 	AnswerTuples int
-	// Inferences counts successful head derivations, including
-	// rederivations.
+	// Inferences counts full-body solutions, including rederivations.
 	Inferences int64
-	// Probes counts index lookups and scans during sideways passing.
+	// Probes is the executor's probe count (engine.Matcher.Probes).
 	Probes int64
 	// ArenaValues is the number of term values resident in the input and
 	// answer relations' arenas when the fixpoint completes.
@@ -54,31 +56,42 @@ type Stats struct {
 
 // Result of a QSQ evaluation.
 type Result struct {
-	// Answers holds the goal predicate's answer tuples (full arity),
-	// restricted to the query constants.
+	// Answers holds the goal's answer tuples matching the query constants.
 	Answers []database.Tuple
 	Stats   Stats
 }
 
 // state is the per-adorned-predicate bookkeeping.
 type state struct {
-	pattern string
 	input   *database.Relation // bound-argument tuples
 	answers *database.Relation // full-arity tuples
+	fed     int                // input length at the start of the pass
+}
+
+// site is one prepared solve, fed the input rows of head: a whole rule
+// body, whose solutions are head answers, or the body before a derived
+// literal, whose solutions are subqueries into the callee's input (dst).
+type site struct {
+	head   *state
+	ps     *engine.PreparedSolve
+	dst    *database.Relation
+	answer bool
 }
 
 type evaluator struct {
-	a     *adorn.Adorned
-	bank  *term.Bank
-	db    *database.Database
 	preds map[symtab.Sym]*state
+	sites []site
+	m     *engine.Matcher
 	stats Stats
-	// grewThisPass is set whenever an input or answer tuple is new.
-	grewThisPass bool
-	maxPasses    int
-	check        *limits.Checker
-	inject       *faultinject.Injector
-	tracer       *obsv.Tracer
+	// grew is set whenever an input or answer tuple is new.
+	grew bool
+	// facts counts answer tuples against maxFacts.
+	facts, maxFacts, maxPasses int
+	check                      *limits.Checker
+	inject                     *faultinject.Injector
+	tracer                     *obsv.Tracer
+	// rows holds the input rows of one run; out buffers its solutions.
+	rows, out []term.Value
 }
 
 // tally recomputes the set-size counters from the per-predicate state;
@@ -86,26 +99,28 @@ type evaluator struct {
 func (ev *evaluator) tally() {
 	ev.stats.InputTuples, ev.stats.AnswerTuples, ev.stats.ArenaValues = 0, 0, 0
 	for _, st := range ev.preds {
-		ev.stats.InputTuples += st.input.Len()
+		if st.input.Arity() > 0 {
+			ev.stats.InputTuples += st.input.Len()
+		}
 		ev.stats.AnswerTuples += st.answers.Len()
 		ev.stats.ArenaValues += int64(st.input.ArenaLen() + st.answers.ArenaLen())
 	}
+	ev.stats.Probes = ev.m.Probes
 }
 
 // Options bounds an evaluation.
 type Options struct {
 	// MaxPasses bounds global sweeps (0 = 1,000,000).
 	MaxPasses int
-	// Inject, when non-nil, is consulted at QSQ's hook sites (per probe
-	// and per global sweep). Nil costs one pointer comparison per site.
+	// MaxFacts bounds the answer tuples (0 = engine.DefaultMaxDerivedFacts).
+	MaxFacts int
+	// Inject, when non-nil, is hit once per input row fed and per sweep.
 	Inject *faultinject.Injector
-	// Tracer, when non-nil, records one span per global sweep with the
-	// cumulative inference and probe counts. Nil costs one pointer
-	// comparison per sweep.
+	// Tracer, when non-nil, records one span per sweep with the
+	// cumulative inference and probe counts.
 	Tracer *obsv.Tracer
-	// StatsOut, when non-nil, receives the evaluation's Stats even when
-	// the fixpoint fails partway (pass limit, injected fault,
-	// cancellation).
+	// StatsOut, when non-nil, receives the Stats even when the fixpoint
+	// fails partway (pass limit, injected fault, cancellation).
 	StatsOut *Stats
 }
 
@@ -114,65 +129,51 @@ func Eval(a *adorn.Adorned, db *database.Database, opts Options) (*Result, error
 	return EvalContext(context.Background(), a, db, opts)
 }
 
-// EvalContext is Eval under a context: the global fixpoint polls ctx once
-// per sweep and every few thousand probes or inferences, returning a
-// cancellation error wrapping context.Cause(ctx) once it is done.
+// EvalContext is Eval under a context, polled once per sweep and by the
+// executor; cancellation returns an error wrapping context.Cause(ctx).
 func EvalContext(ctx context.Context, a *adorn.Adorned, db *database.Database, opts Options) (*Result, error) {
+	bank := a.Program.Bank
+	derived := map[symtab.Sym]*database.Relation{}
 	ev := &evaluator{
-		a:         a,
-		bank:      a.Program.Bank,
-		db:        db,
 		preds:     map[symtab.Sym]*state{},
-		maxPasses: opts.MaxPasses,
+		m:         engine.NewMatcher(bank, db, derived),
+		maxPasses: cmp.Or(opts.MaxPasses, 1_000_000),
+		maxFacts:  cmp.Or(opts.MaxFacts, engine.DefaultMaxDerivedFacts),
 		check:     limits.NewChecker(ctx, "topdown"),
 		inject:    opts.Inject,
 		tracer:    opts.Tracer,
 	}
+	ev.m.SetChecker(ev.check)
 	if opts.StatsOut != nil {
-		// Fill even on the error paths: a failed attempt's partial work
-		// counters are what Auto-degradation reporting needs.
+		// Even on error: Auto's degradation reports the partial work.
 		defer func() {
 			ev.tally()
 			*opts.StatsOut = ev.stats
 		}()
 	}
-	if ev.maxPasses == 0 {
-		ev.maxPasses = 1_000_000
-	}
 	for p, pattern := range a.Patterns {
-		nb := 0
-		for i := 0; i < len(pattern); i++ {
-			if pattern[i] == 'b' {
-				nb++
-			}
-		}
-		ev.preds[p] = &state{
-			pattern: pattern,
-			input:   database.NewRelation(nb),
+		st := &state{
+			input:   database.NewRelation(strings.Count(pattern, "b")),
 			answers: database.NewRelation(len(pattern)),
 		}
+		ev.preds[p] = st
+		derived[p] = st.answers
 	}
-	// Validate scope.
 	for _, r := range a.Program.Rules {
-		for _, l := range r.Body {
-			if _, derived := ev.preds[l.Pred]; derived && l.Negated {
-				return nil, fmt.Errorf("%w: %s", ErrUnsupported, ast.FormatLiteral(ev.bank, l))
-			}
+		if err := ev.prepare(a, r); err != nil {
+			return nil, err
 		}
 	}
 
 	// Seed the goal's input.
 	goal := ev.preds[a.Query.Goal.Pred]
 	if goal == nil {
-		return nil, fmt.Errorf("topdown: goal %s has no rules", ast.FormatLiteral(ev.bank, a.Query.Goal))
+		return nil, fmt.Errorf("topdown: goal %s has no rules", ast.FormatLiteral(bank, a.Query.Goal))
 	}
-	seed := make(database.Tuple, 0, goal.input.Arity())
+	// Adornment binds only ground goal arguments, which are constants.
+	seed := database.Tuple{}
 	boundArgs, _ := adorn.BoundArgs(a.Query.Goal, a.GoalAdornment)
 	for _, t := range boundArgs {
-		if !t.IsGround() {
-			return nil, fmt.Errorf("topdown: query bound argument %s is not ground",
-				ast.FormatTerm(ev.bank, t))
-		}
 		seed = append(seed, t.Value)
 	}
 	goal.input.Insert(seed)
@@ -193,319 +194,112 @@ func EvalContext(ctx context.Context, a *adorn.Adorned, db *database.Database, o
 			}
 		}
 		ev.stats.Passes++
-		ev.grewThisPass = false
+		ev.grew = false
+		for _, st := range ev.preds {
+			st.fed = st.input.Len()
+		}
 		psp := ev.tracer.Begin("qsq", "qsq.pass")
-		for _, r := range ev.a.Program.Rules {
-			if err := ev.sweepRule(r); err != nil {
+		for i := range ev.sites {
+			if err := ev.feed(&ev.sites[i]); err != nil {
 				psp.End(obsv.A("pass", int64(pass)))
 				return nil, err
 			}
 		}
 		psp.End(obsv.A("pass", int64(pass)),
 			obsv.A("inferences", ev.stats.Inferences),
-			obsv.A("probes", ev.stats.Probes))
-		if !ev.grewThisPass {
+			obsv.A("probes", ev.m.Probes))
+		if !ev.grew {
 			break
 		}
 	}
-
 	ev.tally()
 
-	// Collect the goal's answers matching the query constants.
+	// The goal's answers matching the query constants. Clone: t is reused
+	// by the executor and the result escapes.
 	var out []database.Tuple
-	it := goal.answers.Scan()
-	for id, ok := it.Next(); ok; id, ok = it.Next() {
-		t := database.Tuple(goal.answers.Row(id))
-		match := true
-		bound := map[symtab.Sym]term.Value{}
-		for i, arg := range a.Query.Goal.Args {
-			if !matchArg(ev.bank, arg, t[i], bound) {
-				match = false
-				break
-			}
-		}
-		if match {
-			// Clone is required: the result escapes this evaluation while t
-			// is a view into the answers relation's arena.
-			out = append(out, t.Clone())
-		}
+	ps, err := ev.m.PrepareTerms([]ast.Literal{a.Query.Goal}, nil, a.Query.Goal.Args, 0)
+	if err == nil {
+		err = ps.SolveRows(nil, 1, func(t []term.Value) error {
+			out = append(out, database.Tuple(t).Clone())
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Answers: out, Stats: ev.stats}, nil
 }
 
-func matchArg(bank *term.Bank, pat ast.Term, v term.Value, bound map[symtab.Sym]term.Value) bool {
-	switch pat.Kind {
-	case ast.Const:
-		return pat.Value == v
-	case ast.Var:
-		if old, ok := bound[pat.Name]; ok {
-			return old == v
-		}
-		bound[pat.Name] = v
-		return true
-	default:
-		if !v.IsCompound() {
-			return false
-		}
-		c := bank.Deref(v)
-		if c.Functor != pat.Name || len(c.Args) != len(pat.Args) {
-			return false
-		}
-		for i := range pat.Args {
-			if !matchArg(bank, pat.Args[i], c.Args[i], bound) {
-				return false
-			}
-		}
-		return true
+// prepare compiles rule r's sites: the whole body from the head's bound
+// arguments to the head, then, for each derived body literal, the body
+// before it from the same bindings to the literal's bound arguments.
+func (ev *evaluator) prepare(a *adorn.Adorned, r ast.Rule) error {
+	bank, head := a.Program.Bank, ev.preds[r.Head.Pred]
+	given, _ := adorn.BoundArgs(r.Head, a.Patterns[r.Head.Pred])
+	ps, err := ev.m.PrepareTerms(r.Body, given, r.Head.Args, 0)
+	if err != nil {
+		return fmt.Errorf("topdown: rule %s: %w", ast.FormatRule(bank, r), err)
 	}
-}
-
-// sweepRule runs one rule against every current input tuple of its head.
-func (ev *evaluator) sweepRule(r ast.Rule) error {
-	st := ev.preds[r.Head.Pred]
-	boundArgs, _ := adorn.BoundArgs(r.Head, st.pattern)
-	// The iterator snapshots the input set's length at creation:
-	// subqueries registered during this sweep extend st.input but are
-	// processed by the next global pass, exactly as the pre-arena
-	// slice-range iteration behaved.
-	it := st.input.Scan()
-	for id, ok := it.Next(); ok; id, ok = it.Next() {
-		in := st.input.Row(id)
-		bound := map[symtab.Sym]term.Value{}
-		match := true
-		for i, arg := range boundArgs {
-			if !matchArg(ev.bank, arg, in[i], bound) {
-				match = false
-				break
-			}
-		}
-		if !match {
+	ev.sites = append(ev.sites, site{head: head, ps: ps, dst: head.answers, answer: true})
+	for k, l := range r.Body {
+		callee, derived := ev.preds[l.Pred]
+		if !derived {
 			continue
 		}
-		if err := ev.body(r, 0, bound); err != nil {
-			return err
+		if l.Negated {
+			return fmt.Errorf("%w: %s", ErrUnsupported, ast.FormatLiteral(bank, l))
 		}
+		want, _ := adorn.BoundArgs(l, a.Patterns[l.Pred])
+		if ps, err = ev.m.PrepareTerms(r.Body[:k], given, want, 0); err != nil {
+			return fmt.Errorf("topdown: rule %s: call %s: %w",
+				ast.FormatRule(bank, r), ast.FormatLiteral(bank, l), err)
+		}
+		ev.sites = append(ev.sites, site{head: head, ps: ps, dst: callee.input})
 	}
 	return nil
 }
 
-// body processes rule r's body from literal i under the bindings,
-// registering subqueries at derived literals and emitting head answers at
-// the end.
-func (ev *evaluator) body(r ast.Rule, i int, bound map[symtab.Sym]term.Value) error {
-	if i == len(r.Body) {
-		st := ev.preds[r.Head.Pred]
-		t := make(database.Tuple, len(r.Head.Args))
-		for j, arg := range r.Head.Args {
-			v, ok := instantiate(ev.bank, arg, bound)
-			if !ok {
-				return fmt.Errorf("topdown: rule %s is unsafe: head argument %s unbound",
-					ast.FormatRule(ev.bank, r), ast.FormatTerm(ev.bank, arg))
+// feed runs site s over its head's input rows of this pass, feedRows per
+// run. Solutions are inserted after each run: the executor delivers them
+// up to a batch late, so what a run reads must not change during it.
+func (ev *evaluator) feed(s *site) error {
+	w := s.dst.Arity()
+	for lo := 0; lo < s.head.fed; lo += feedRows {
+		n := min(feedRows, s.head.fed-lo)
+		ev.rows = ev.rows[:0]
+		for id := lo; id < lo+n; id++ {
+			if err := ev.inject.Hit(faultinject.SiteTopdownProbe); err != nil {
+				return err
 			}
-			t[j] = v
+			ev.rows = append(ev.rows, s.head.input.Row(database.RowID(id))...)
 		}
-		ev.stats.Inferences++
-		if err := ev.check.Tick(); err != nil {
-			return err
-		}
-		if st.answers.Insert(t) {
-			ev.grewThisPass = true
-		}
-		return nil
-	}
-
-	l := r.Body[i]
-	name := ev.bank.Symbols().String(l.Pred)
-	if ast.IsBuiltinName(name) {
-		return ev.builtin(r, i, l, bound)
-	}
-	if st, derived := ev.preds[l.Pred]; derived {
-		// Register the subquery.
-		boundArgs, _ := adorn.BoundArgs(l, st.pattern)
-		in := make(database.Tuple, len(boundArgs))
-		for j, arg := range boundArgs {
-			v, ok := instantiate(ev.bank, arg, bound)
-			if !ok {
-				return fmt.Errorf("topdown: rule %s: bound argument %s of %s not bound at call time",
-					ast.FormatRule(ev.bank, r), ast.FormatTerm(ev.bank, arg), name)
-			}
-			in[j] = v
-		}
-		if st.input.Insert(in) {
-			ev.grewThisPass = true
-		}
-		// Continue with the answers known so far.
-		return ev.scan(r, i, l, st.answers, bound)
-	}
-	// Base literal (possibly negated).
-	rel := ev.db.Relation(l.Pred)
-	if l.Negated {
-		probe := make(database.Tuple, len(l.Args))
-		for j, arg := range l.Args {
-			v, ok := instantiate(ev.bank, arg, bound)
-			if !ok {
-				return fmt.Errorf("topdown: rule %s: negated literal %s has unbound variables",
-					ast.FormatRule(ev.bank, r), ast.FormatLiteral(ev.bank, l))
-			}
-			probe[j] = v
-		}
-		if rel != nil && rel.Contains(probe) {
+		sols := 0
+		ev.out = ev.out[:0]
+		err := s.ps.SolveRows(ev.rows, n, func(t []term.Value) error {
+			sols++
+			ev.out = append(ev.out, t...)
 			return nil
-		}
-		return ev.body(r, i+1, bound)
-	}
-	if rel == nil {
-		return nil
-	}
-	return ev.scan(r, i, l, rel, bound)
-}
-
-// scan joins literal l against rel under the current bindings.
-func (ev *evaluator) scan(r ast.Rule, i int, l ast.Literal, rel *database.Relation, bound map[symtab.Sym]term.Value) error {
-	// Probe with the positions already ground.
-	var mask uint64
-	var probe []term.Value
-	for j, arg := range l.Args {
-		if v, ok := instantiate(ev.bank, arg, bound); ok {
-			mask |= 1 << uint(j)
-			probe = append(probe, v)
-		}
-	}
-	try := func(t database.Tuple) error {
-		local := map[symtab.Sym]term.Value{}
-		for k, v := range bound {
-			local[k] = v
-		}
-		for j, arg := range l.Args {
-			if !matchArg(ev.bank, arg, t[j], local) {
-				return nil
-			}
-		}
-		return ev.body(r, i+1, local)
-	}
-	ev.stats.Probes++
-	if err := ev.check.Tick(); err != nil {
-		return err
-	}
-	if err := ev.inject.Hit(faultinject.SiteTopdownProbe); err != nil {
-		return err
-	}
-	// Probe and Scan snapshot rel's length: answers derived while this
-	// literal's matches recurse belong to the next pass, as before.
-	it := rel.Probe(mask, probe)
-	for id, ok := it.Next(); ok; id, ok = it.Next() {
-		if err := try(database.Tuple(rel.Row(id))); err != nil {
+		})
+		if err != nil {
 			return err
+		}
+		if s.answer {
+			ev.stats.Inferences += int64(sols)
+		}
+		for k := 0; k < sols; k++ {
+			if !s.dst.Insert(database.Tuple(ev.out[k*w : (k+1)*w])) {
+				continue
+			}
+			ev.grew = true
+			if s.answer {
+				if ev.facts++; ev.facts > ev.maxFacts {
+					return &limits.ResourceLimitError{
+						Kind: limits.KindFacts, Limit: int64(ev.maxFacts),
+						Used: int64(ev.facts), Component: "topdown",
+					}
+				}
+			}
 		}
 	}
 	return nil
-}
-
-func instantiate(bank *term.Bank, t ast.Term, bound map[symtab.Sym]term.Value) (term.Value, bool) {
-	switch t.Kind {
-	case ast.Const:
-		return t.Value, true
-	case ast.Var:
-		v, ok := bound[t.Name]
-		return v, ok
-	default:
-		args := make([]term.Value, len(t.Args))
-		for i, a := range t.Args {
-			v, ok := instantiate(bank, a, bound)
-			if !ok {
-				return 0, false
-			}
-			args[i] = v
-		}
-		return bank.Compound(t.Name, args...), true
-	}
-}
-
-// builtin evaluates the builtins QSQ supports (the same set as the
-// engine); eq and succ may bind one plain variable.
-func (ev *evaluator) builtin(r ast.Rule, i int, l ast.Literal, bound map[symtab.Sym]term.Value) error {
-	name := ev.bank.Symbols().String(l.Pred)
-	if len(l.Args) != 2 {
-		return fmt.Errorf("topdown: builtin %s expects 2 arguments", name)
-	}
-	x, xok := instantiate(ev.bank, l.Args[0], bound)
-	y, yok := instantiate(ev.bank, l.Args[1], bound)
-	cont := func(extra symtab.Sym, v term.Value) error {
-		if extra == symtab.None {
-			return ev.body(r, i+1, bound)
-		}
-		local := map[symtab.Sym]term.Value{}
-		for k, vv := range bound {
-			local[k] = vv
-		}
-		local[extra] = v
-		return ev.body(r, i+1, local)
-	}
-	const maxTermInt = 1<<61 - 1
-	switch name {
-	case ast.BuiltinEq:
-		switch {
-		case xok && yok:
-			if x == y {
-				return cont(symtab.None, 0)
-			}
-			return nil
-		case xok && l.Args[1].Kind == ast.Var:
-			return cont(l.Args[1].Name, x)
-		case yok && l.Args[0].Kind == ast.Var:
-			return cont(l.Args[0].Name, y)
-		}
-		return fmt.Errorf("topdown: = with both sides unbound in %s", ast.FormatRule(ev.bank, r))
-	case ast.BuiltinSucc:
-		switch {
-		case xok && yok:
-			if x.IsInt() && y.IsInt() && x.AsInt() < maxTermInt && y.AsInt() == x.AsInt()+1 {
-				return cont(symtab.None, 0)
-			}
-			return nil
-		case xok && l.Args[1].Kind == ast.Var:
-			if !x.IsInt() || x.AsInt() >= maxTermInt {
-				return nil
-			}
-			return cont(l.Args[1].Name, term.Int(x.AsInt()+1))
-		case yok && l.Args[0].Kind == ast.Var:
-			if !y.IsInt() || y.AsInt() <= -(1<<61) {
-				return nil
-			}
-			return cont(l.Args[0].Name, term.Int(y.AsInt()-1))
-		}
-		return fmt.Errorf("topdown: succ with both sides unbound in %s", ast.FormatRule(ev.bank, r))
-	default:
-		if !xok || !yok {
-			return fmt.Errorf("topdown: comparison %s with unbound side in %s", name, ast.FormatRule(ev.bank, r))
-		}
-		var c int
-		if x.IsInt() && y.IsInt() {
-			switch {
-			case x.AsInt() < y.AsInt():
-				c = -1
-			case x.AsInt() > y.AsInt():
-				c = 1
-			}
-		} else {
-			c = term.Compare(x, y)
-		}
-		ok := false
-		switch name {
-		case ast.BuiltinNeq:
-			ok = c != 0
-		case ast.BuiltinLt:
-			ok = c < 0
-		case ast.BuiltinLe:
-			ok = c <= 0
-		case ast.BuiltinGt:
-			ok = c > 0
-		case ast.BuiltinGe:
-			ok = c >= 0
-		}
-		if ok {
-			return cont(symtab.None, 0)
-		}
-		return nil
-	}
 }
