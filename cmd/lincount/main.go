@@ -49,7 +49,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		stats       = fs.Bool("stats", false, "print evaluation statistics")
 		showRewrite = fs.Bool("rewrite", false, "print the rewritten program before the answers")
 		why         = fs.Bool("why", false, "print a derivation witness for every answer (linear programs only)")
-		trace       = fs.Bool("trace", false, "print per-component and per-iteration fixpoint events")
+		trace       = fs.Bool("trace", false, "print the evaluation trace (strata, fixpoint iterations, runtime phases, QSQ passes) as % comment lines after the answers")
 		lintOnly    = fs.Bool("lint", false, "run static diagnostics over the program and exit")
 		cset        = fs.Bool("cset", false, "print the counting set (paper notation) instead of evaluating")
 		obsAddr     = fs.String("obs", "", "serve /metrics, /debug/pprof/* and /trace.json on this address (e.g. 127.0.0.1:9464)")
@@ -78,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lincount: observability on http://%s/\n", server.Addr)
 	}
 	var tracer *lincount.Tracer
-	if *obsAddr != "" || *traceJSON != "" {
+	if *obsAddr != "" || *traceJSON != "" || *trace {
 		tracer = lincount.NewTracer()
 	}
 
@@ -166,17 +166,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		var opts []lincount.Option
-		if *trace {
-			opts = append(opts, lincount.WithTrace(func(e lincount.TraceEvent) {
-				switch e.Kind {
-				case "component":
-					fmt.Fprintf(stdout, "%% stratum: %s\n", strings.Join(e.Preds, ", "))
-				default:
-					fmt.Fprintf(stdout, "%%   iter %-3d delta=%-6d total=%d\n",
-						e.Iteration, e.DeltaFacts, e.TotalFacts)
-				}
-			}))
-		}
 		if *timeout > 0 {
 			opts = append(opts, lincount.WithMaxDuration(*timeout))
 		}
@@ -225,6 +214,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				len(res.Answers), st.Inferences, st.DerivedFacts,
 				st.CountingNodes, st.AnswerTuples, st.Iterations, st.Probes,
 				st.ArenaValues)
+		}
+	}
+	if *trace {
+		var text strings.Builder
+		if err := tracer.WriteText(&text); err != nil {
+			return fail(err)
+		}
+		for _, line := range strings.Split(strings.TrimRight(text.String(), "\n"), "\n") {
+			fmt.Fprintf(stdout, "%% %s\n", line)
 		}
 	}
 	if tracer != nil {

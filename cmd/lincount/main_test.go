@@ -87,13 +87,29 @@ func TestCLITrace(t *testing.T) {
 	dir := t.TempDir()
 	prog := writeFile(t, dir, "sg.dl", sgText)
 	facts := writeFile(t, dir, "facts.dl", "up(a,b). flat(b,c). down(c,d).")
-	out, _, code := runCLI(t, "-program", prog, "-facts", facts,
-		"-strategy", "magic", "-trace")
-	if code != 0 {
-		t.Fatal("exit nonzero")
-	}
-	if !strings.Contains(out, "% stratum:") || !strings.Contains(out, "iter") {
-		t.Errorf("output:\n%s", out)
+	// Every strategy family traces: the engine's strata and iterations,
+	// the counting runtime's phases, QSQ's passes. Stdout stays answers
+	// plus % comment lines.
+	for strategy, want := range map[string][]string{
+		"magic":            {"[engine] component ", "[engine] iteration", "delta=", "total="},
+		"counting-runtime": {"[counting] counting.build", "[counting] counting.answer"},
+		"qsq":              {"[qsq] qsq.pass"},
+	} {
+		out, _, code := runCLI(t, "-program", prog, "-facts", facts,
+			"-strategy", strategy, "-trace")
+		if code != 0 {
+			t.Fatalf("%s: exit nonzero", strategy)
+		}
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: output lacks %q:\n%s", strategy, w, out)
+			}
+		}
+		for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+			if !strings.HasPrefix(line, "%") && line != "a, d" {
+				t.Errorf("%s: line %q is neither an answer nor a comment", strategy, line)
+			}
+		}
 	}
 }
 

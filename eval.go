@@ -27,23 +27,14 @@ import (
 type Option func(*evalConfig)
 
 type evalConfig struct {
-	maxIterations     int
-	maxFacts          int
-	maxCountingTuples int
-	maxDuration       time.Duration
-	noCache           bool
-	trace             func(TraceEvent)
-	faultSeed         int64
-	faultSpec         string
-	inject            *faultinject.Injector
-	tracer            *obsv.Tracer
-	profile           bool
-	progress          *atomic.Int64
-	// statsSink, when non-nil, receives the evaluation's work counters
-	// even when it fails partway — the partial stats of a degraded
-	// attempt. Always non-nil below evalCore (it points at a local
-	// there when no caller supplied one).
-	statsSink *Stats
+	// exec carries the budgets, observers, fault injector and (below
+	// evalCore, always non-nil) stats sink into plan execution; the sink
+	// receives the work counters even when an attempt fails partway.
+	exec        plan.ExecOptions
+	maxDuration time.Duration
+	noCache     bool
+	faultSeed   int64
+	faultSpec   string
 
 	// Compilation state threaded by the facade once per evaluation: the
 	// normalized query text (the plan-cache key's query component), the
@@ -55,11 +46,6 @@ type evalConfig struct {
 	queryText string
 	shared    *plan.Shared
 	optsFP    uint64
-	// probed, when non-nil, is the counting runtime whose phase 1 the
-	// planner's probe ran and found cyclic: the CountingRuntime attempt at
-	// the head of the chain carries on from it instead of exploring the
-	// left graph a second time.
-	probed *counting.Runtime
 }
 
 // WithoutPlanCache makes this evaluation bypass the program's plan
@@ -69,23 +55,6 @@ type evalConfig struct {
 // hatch if a cached plan is ever suspected of misbehaving.
 func WithoutPlanCache() Option {
 	return func(c *evalConfig) { c.noCache = true }
-}
-
-// TraceEvent is one step of an evaluation trace: a stratum starting
-// ("component") or one fixpoint round ("iteration").
-type TraceEvent struct {
-	Kind       string
-	Preds      []string
-	Iteration  int
-	DeltaFacts int64
-	TotalFacts int64
-}
-
-// WithTrace streams per-component and per-iteration events of the engine
-// strategies to fn — an EXPLAIN ANALYZE for the fixpoint. The counting
-// runtime (Algorithm 2) is not iteration-based and emits no events.
-func WithTrace(fn func(TraceEvent)) Option {
-	return func(c *evalConfig) { c.trace = fn }
 }
 
 // Tracer records a structured trace of an evaluation: spans for the
@@ -106,7 +75,7 @@ func NewTracer() *Tracer { return obsv.NewTracer() }
 // without this option the hook sites are single nil checks and the
 // evaluation allocates nothing extra.
 func WithTracer(t *Tracer) Option {
-	return func(c *evalConfig) { c.tracer = t }
+	return func(c *evalConfig) { c.exec.Tracer = t }
 }
 
 // WithRuleProfile enables per-rule profiling (Result.RuleProfile) for
@@ -116,7 +85,7 @@ func WithTracer(t *Tracer) Option {
 // slow-query log uses it to attribute a slow request's time. Like the
 // other observers it does not participate in the plan-cache key.
 func WithRuleProfile() Option {
-	return func(c *evalConfig) { c.profile = true }
+	return func(c *evalConfig) { c.exec.Profile = true }
 }
 
 // WithFactProgress mirrors the evaluation's derived-fact count into c
@@ -127,12 +96,12 @@ func WithRuleProfile() Option {
 // counter is not reset: pass a fresh one per evaluation. Excluded from
 // the plan-cache key like every observer.
 func WithFactProgress(c *atomic.Int64) Option {
-	return func(cc *evalConfig) { cc.progress = c }
+	return func(cc *evalConfig) { cc.exec.Progress = c }
 }
 
 // WithMaxIterations bounds fixpoint iterations (engine strategies).
 func WithMaxIterations(n int) Option {
-	return func(c *evalConfig) { c.maxIterations = n }
+	return func(c *evalConfig) { c.exec.MaxIterations = n }
 }
 
 // WithMaxDerivedFacts bounds the number of derived tuples. This is the
@@ -140,7 +109,7 @@ func WithMaxIterations(n int) Option {
 // degradation attempt (a fallback only gets what the failed attempts
 // left), so the cap holds for the evaluation as a whole.
 func WithMaxDerivedFacts(n int) Option {
-	return func(c *evalConfig) { c.maxFacts = n }
+	return func(c *evalConfig) { c.exec.MaxFacts = n }
 }
 
 // WithMaxCountingTuples bounds the counting runtime's tuple arena
@@ -152,7 +121,7 @@ func WithMaxDerivedFacts(n int) Option {
 // budget. Zero means the counting runtime uses the shared budget (or its
 // own default).
 func WithMaxCountingTuples(n int) Option {
-	return func(c *evalConfig) { c.maxCountingTuples = n }
+	return func(c *evalConfig) { c.exec.MaxCountingTuples = n }
 }
 
 // WithFaultInjection arms deterministic fault injection for this
@@ -214,9 +183,9 @@ func EvalContext(ctx context.Context, p *Program, db *Database, query string, st
 	for _, o := range opts {
 		o(&cfg)
 	}
-	esp := cfg.tracer.Begin("eval", "eval")
+	esp := cfg.exec.Tracer.Begin("eval", "eval")
 	defer esp.End()
-	psp := cfg.tracer.Begin("eval", "parse")
+	psp := cfg.exec.Tracer.Begin("eval", "parse")
 	q, err := parser.ParseQuery(p.bank, query)
 	psp.End()
 	if err != nil {
@@ -241,52 +210,48 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 		if err != nil {
 			return nil, fmt.Errorf("lincount: %w", err)
 		}
-		cfg.inject = inj
+		cfg.exec.Inject = inj
 	}
 	if cfg.maxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.maxDuration)
 		defer cancel()
 	}
-	if cfg.inject.WantsCancel() {
+	if cfg.exec.Inject.WantsCancel() {
 		// Injected cancellation storms flow through the ordinary
 		// cooperative-cancellation machinery, with ErrInjectedFault as
 		// the context cause so callers can tell them from real Ctrl-Cs.
 		var cancel context.CancelCauseFunc
 		ctx, cancel = context.WithCancelCause(ctx)
 		defer cancel(nil)
-		cfg.inject.BindCancel(func() { cancel(faultinject.ErrInjected) })
+		cfg.exec.Inject.BindCancel(func() { cancel(faultinject.ErrInjected) })
 	}
 	var sink Stats
-	if cfg.statsSink == nil {
-		cfg.statsSink = &sink
-	}
+	cfg.exec.StatsOut = &sink
 	// A context that is already done returns promptly, before any
 	// compilation or evaluation work.
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Component: "lincount", Cause: context.Cause(ctx)}
 	}
-	var dbi *database.Database
-	if db != nil {
-		dbi = db.db
-	}
-
+	dbi := db.data()
 	cfg.queryText = ast.FormatQuery(p.bank, q)
 	cfg.optsFP = cfg.fingerprint()
 	cfg.shared = p.sharedFor(cfg.queryText, q, cfg.noCache)
 	stats := p.statsFunc(dbi)
-	cfg.shared.SetStats(stats)
+	// The planner's cardinality estimates pre-size the engine's head
+	// relations and join indexes.
+	cfg.exec.Sizes = engine.SizeHint(stats)
 
 	start := time.Now()
 	resolved := strategy
 	var choices []plan.Choice
 	if strategy == Auto {
-		plsp := cfg.tracer.Begin("eval", "plan")
+		plsp := cfg.exec.Tracer.Begin("eval", "plan")
 		var err error
-		choices, cfg.probed, err = p.rankFor(ctx, dbi, cfg, stats)
+		choices, cfg.exec.Probed, err = p.rankFor(ctx, dbi, cfg, stats)
 		plsp.End(obsv.A("candidates", int64(len(choices))))
 		if err != nil {
-			recordEval(Auto, *cfg.statsSink, 0, cfg.inject.Fired(), time.Since(start), err)
+			recordEval(Auto, sink, 0, cfg.exec.Inject.Fired(), time.Since(start), err)
 			return nil, err
 		}
 		resolved = choices[0].Strategy
@@ -302,12 +267,12 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 	}
 	dur := time.Since(start)
 	if err != nil {
-		recordEval(resolved, *cfg.statsSink, 0, cfg.inject.Fired(), dur, err)
+		recordEval(resolved, sink, 0, cfg.exec.Inject.Fired(), dur, err)
 		return nil, err
 	}
 	res.Resolved = resolved
 	res.Stats.Duration = dur
-	recordEval(res.Strategy, res.Stats, len(res.Degraded), cfg.inject.Fired(), dur, nil)
+	recordEval(res.Strategy, res.Stats, len(res.Degraded), cfg.exec.Inject.Fired(), dur, nil)
 	if strategy == Auto {
 		res.Planner = plannerChoices(choices)
 		for _, c := range res.Planner {
@@ -343,7 +308,7 @@ func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalC
 			if err != nil {
 				return probe, err
 			}
-			rt, err := counting.NewRuntimeContext(ctx, an, dbi, runtimeOpts(cfg))
+			rt, err := counting.NewRuntimeContext(ctx, an, dbi, cfg.exec.RuntimeOptions())
 			if err != nil {
 				return probe, err
 			}
@@ -374,12 +339,12 @@ func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalC
 // functions of (program, query, strategy) — but keying on the options
 // keeps an entry's observable behavior identical across hits and makes
 // option changes an explicit cache miss, which is cheap insurance and
-// easy to reason about. Observers (tracer, trace fn, stats sink) and
+// easy to reason about. Observers (tracer, profile, stats sink) and
 // cache-control flags are deliberately excluded.
 func (c *evalConfig) fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%s",
-		c.maxIterations, c.maxFacts, c.maxCountingTuples, c.maxDuration,
+		c.exec.MaxIterations, c.exec.MaxFacts, c.exec.MaxCountingTuples, c.maxDuration,
 		c.faultSeed, c.faultSpec)
 	return h.Sum64()
 }
@@ -422,15 +387,15 @@ func (p *Program) planFor(s Strategy, cfg evalConfig) (cq *plan.CompiledQuery, h
 	if useCache {
 		if cq, ok := p.plans.Get(key); ok {
 			obsv.MPlanCacheHits.Add(1)
-			sp := cfg.tracer.Begin("eval", "compile:"+s.String())
+			sp := cfg.exec.Tracer.Begin("eval", "compile:"+s.String())
 			sp.End(obsv.A("cache_hit", 1))
 			return cq, true, 0, nil
 		}
 		obsv.MPlanCacheMisses.Add(1)
 	}
-	csp := cfg.tracer.Begin("eval", "compile:"+s.String())
+	csp := cfg.exec.Tracer.Begin("eval", "compile:"+s.String())
 	start := time.Now()
-	cq, err = plan.Compile(cfg.shared, s, cfg.tracer)
+	cq, err = plan.Compile(cfg.shared, s, cfg.exec.Tracer)
 	compileTime = time.Since(start)
 	csp.End(obsv.A("cache_hit", 0))
 	if err != nil {
@@ -504,27 +469,25 @@ func errClass(err error) string {
 // time split out.
 func evalAuto(ctx context.Context, p *Program, dbi *database.Database, chain []plan.Choice, cfg evalConfig) (*Result, error) {
 	var attempts []AttemptInfo
-	remaining := int64(cfg.maxFacts) // shared budget; 0 = per-attempt defaults
+	remaining := int64(cfg.exec.MaxFacts) // shared budget; 0 = per-attempt defaults
 	for i, c := range chain {
 		s := c.Strategy
 		acfg := cfg
 		if i > 0 {
-			acfg.probed = nil // the probe's runtime belongs to the head attempt
+			acfg.exec.Probed = nil // the probe's runtime belongs to the head attempt
 		}
-		if cfg.maxFacts > 0 {
-			acfg.maxFacts = int(remaining)
+		if cfg.exec.MaxFacts > 0 {
+			acfg.exec.MaxFacts = int(remaining)
 		}
 		// Each attempt gets its own stats sink so a failed attempt's
 		// partial work counters survive into AttemptInfo.Stats.
 		var attemptStats Stats
-		acfg.statsSink = &attemptStats
-		asp := cfg.tracer.Begin("eval", "attempt:"+s.String())
+		acfg.exec.StatsOut = &attemptStats
+		asp := cfg.exec.Tracer.Begin("eval", "attempt:"+s.String())
 		attemptStart := time.Now()
 		res, timing, err := evalResolved(ctx, p, dbi, s, acfg)
 		asp.End(obsv.A("failed", boolArg(err != nil)))
-		if cfg.statsSink != nil {
-			*cfg.statsSink = attemptStats
-		}
+		*cfg.exec.StatsOut = attemptStats
 		if err == nil {
 			res.Degraded = attempts
 			return res, nil
@@ -549,7 +512,7 @@ func evalAuto(ctx context.Context, p *Program, dbi *database.Database, chain []p
 			PlanCacheHit: timing.cacheHit,
 			Stats:        attemptStats,
 		})
-		if cfg.maxFacts > 0 {
+		if cfg.exec.MaxFacts > 0 {
 			// Charge what the failed attempt measurably consumed (its
 			// derived-fact or counting-tuple usage); attempts that failed
 			// before tripping a counted budget charge nothing.
@@ -652,10 +615,7 @@ func PlannerChoices(p *Program, db *Database, query string) ([]PlannerChoice, er
 	if err != nil {
 		return nil, fmt.Errorf("lincount: parsing query: %w", err)
 	}
-	var dbi *database.Database
-	if db != nil {
-		dbi = db.db
-	}
+	dbi := db.data()
 	cfg := evalConfig{shared: p.sharedFor(ast.FormatQuery(p.bank, q), q, false)}
 	ranked, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))
 	if err != nil {
@@ -689,81 +649,21 @@ func evalResolved(ctx context.Context, p *Program, dbi *database.Database, resol
 		return nil, timing, err
 	}
 	execStart := time.Now()
-	res, err = executeCompiled(ctx, p, dbi, cq, cfg)
+	out, err := cq.Execute(ctx, dbi, cfg.exec)
 	timing.execute = time.Since(execStart)
-	if res != nil {
-		res.CompileTime = timing.compile
-		res.PlanCacheHit = hit
+	if err != nil {
+		return nil, timing, err
 	}
-	return res, timing, err
-}
-
-// executeCompiled runs a compiled plan against the database. This is
-// the execute half of the compile-then-execute split: everything
-// data-independent already happened in plan.Compile.
-func executeCompiled(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
-	if cq.Extensional {
-		// Purely extensional goal: every strategy delegates to
-		// semi-naive evaluation of the original program.
-		return execEngine(ctx, p, dbi, cq, SemiNaive, false, cfg)
-	}
-	switch cq.Strategy {
-	case Naive:
-		return execEngine(ctx, p, dbi, cq, Naive, true, cfg)
-	case SemiNaive, Magic, MagicSup, CountingClassic, Counting, CountingReduced:
-		return execEngine(ctx, p, dbi, cq, cq.Strategy, false, cfg)
-	case CountingRuntime:
-		return execRuntime(ctx, p, dbi, cq, cfg)
-	case QSQ:
-		return execQSQ(ctx, p, dbi, cq, cfg)
-	case MagicCounting:
-		return execMagicCounting(ctx, p, dbi, cq, cfg)
-	default:
-		return nil, fmt.Errorf("lincount: unknown strategy %v", cq.Strategy)
-	}
-}
-
-func engineOpts(cfg evalConfig, naive bool) engine.Options {
-	opts := engine.Options{
-		Naive:           naive,
-		MaxIterations:   cfg.maxIterations,
-		MaxDerivedFacts: cfg.maxFacts,
-		Inject:          cfg.inject,
-		Tracer:          cfg.tracer,
-		Profile:         cfg.profile,
-		FactProgress:    cfg.progress,
-	}
-	// Thread the planner's cardinality estimator through so the engine
-	// pre-sizes head relations and join indexes to their expected
-	// cardinality instead of growing into them.
-	if cfg.shared != nil {
-		if st := cfg.shared.Stats(); st != nil {
-			opts.Sizes = engine.SizeHint(st)
-		}
-	}
-	if cfg.trace != nil {
-		fn := cfg.trace
-		opts.Trace = func(e engine.TraceEvent) {
-			fn(TraceEvent{
-				Kind:       e.Kind,
-				Preds:      e.Preds,
-				Iteration:  e.Iteration,
-				DeltaFacts: e.DeltaFacts,
-				TotalFacts: e.TotalFacts,
-			})
-		}
-	}
-	return opts
-}
-
-func statsFromEngine(s engine.Stats) Stats {
-	return Stats{
-		Iterations:   s.Iterations,
-		Inferences:   s.Inferences,
-		DerivedFacts: s.DerivedFacts,
-		Probes:       s.Probes,
-		ArenaValues:  s.ArenaValues,
-	}
+	return &Result{
+		Answers:        finishRows(p, out.Answers),
+		Strategy:       out.Strategy,
+		Rewritten:      out.Rewritten,
+		RewrittenQuery: out.RewrittenQuery,
+		Stats:          out.Stats,
+		CompileTime:    timing.compile,
+		PlanCacheHit:   hit,
+		RuleProfile:    out.Rules,
+	}, timing, nil
 }
 
 // finishRows formats, dedupes and sorts answer tuples.
@@ -782,292 +682,4 @@ func finishRows(p *Program, tuples []database.Tuple) [][]string {
 		return answerKey(rows[i]) < answerKey(rows[j])
 	})
 	return rows
-}
-
-// ruleProfileFromEngine converts the engine's per-rule profiles to the
-// public type (nil in, nil out).
-func ruleProfileFromEngine(rs []engine.RuleStat) []RuleProfile {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]RuleProfile, len(rs))
-	for i, r := range rs {
-		out[i] = RuleProfile{
-			Rule: r.Rule, Runs: r.Runs,
-			Inferences: r.Inferences, DerivedFacts: r.DerivedFacts,
-			Duration: r.Duration,
-		}
-	}
-	return out
-}
-
-// sinkEngineStats wires an engine stats sink into eopts so partial work
-// counters survive a failed evaluation; the returned flush copies them
-// into cfg.statsSink and must run before the caller returns.
-func sinkEngineStats(cfg evalConfig, eopts *engine.Options) func() {
-	if cfg.statsSink == nil {
-		return func() {}
-	}
-	es := new(engine.Stats)
-	eopts.StatsOut = es
-	return func() { *cfg.statsSink = statsFromEngine(*es) }
-}
-
-// execEngine evaluates an engine-compiled plan (direct, magic and
-// counting families) bottom-up and reads answers at the plan's entry
-// query, reconstructing them through the counting rewrite's answer
-// predicates when the plan carries one.
-func execEngine(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, outStrategy Strategy, naive bool, cfg evalConfig) (*Result, error) {
-	eopts := engineOpts(cfg, naive)
-	defer sinkEngineStats(cfg, &eopts)()
-	res, err := engine.EvalContext(ctx, cq.Program, dbi, eopts)
-	if err != nil {
-		return nil, err
-	}
-	asp := cfg.tracer.Begin("eval", "answers")
-	entry := cq.EntryQuery
-	tuples := engine.Answers(res, dbi, entry)
-	counted := cq.Counting
-	if cq.Extensional {
-		counted = nil
-	}
-	if counted != nil {
-		tuples = counted.ReconstructAnswers(tuples)
-	}
-	out := &Result{
-		Answers:        finishRows(p, tuples),
-		Strategy:       outStrategy,
-		Rewritten:      cq.RewrittenText,
-		RewrittenQuery: cq.RewrittenQueryText,
-		Stats:          statsFromEngine(res.Stats),
-		RuleProfile:    ruleProfileFromEngine(res.Rules),
-	}
-	asp.End(obsv.A("rows", int64(len(out.Answers))))
-	switch {
-	case counted != nil:
-		for c := range counted.CountingPreds {
-			if rel := res.Relation(c); rel != nil {
-				out.Stats.CountingNodes += rel.Len()
-			}
-		}
-		for ap := range counted.AnswerPreds {
-			if rel := res.Relation(ap); rel != nil {
-				out.Stats.AnswerTuples += rel.Len()
-			}
-		}
-	default:
-		if rel := res.Relation(entry.Goal.Pred); rel != nil {
-			out.Stats.AnswerTuples = rel.Len()
-		}
-		if cq.Magic != nil && !cq.Extensional {
-			for m := range cq.Magic.MagicPreds {
-				if rel := res.Relation(m); rel != nil {
-					out.Stats.CountingNodes += rel.Len() // magic-set size, for comparison
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// statsFromRuntime converts counting-runtime stats to the public shape.
-func statsFromRuntime(s counting.RuntimeStats) Stats {
-	return Stats{
-		Inferences:    s.Moves,
-		Probes:        s.Probes,
-		CountingNodes: s.CountingNodes,
-		AnswerTuples:  s.AnswerTuples,
-		DerivedFacts:  int64(s.AnswerTuples + s.CountingNodes),
-		ArenaValues:   s.ArenaValues,
-	}
-}
-
-// runtimeOpts are the counting runtime's options under cfg: its own
-// tuple budget, or the shared fact budget when it has none.
-func runtimeOpts(cfg evalConfig) counting.RuntimeOptions {
-	maxTuples := cfg.maxCountingTuples
-	if maxTuples == 0 {
-		maxTuples = cfg.maxFacts
-	}
-	return counting.RuntimeOptions{MaxTuples: maxTuples, Inject: cfg.inject, Tracer: cfg.tracer}
-}
-
-// execRuntime runs the pointer-based counting runtime (Algorithm 2)
-// over the plan's shared analysis — from phase 2 when the planner's probe
-// already built the counting set (cfg.probed).
-func execRuntime(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
-	rt := cfg.probed
-	if rt == nil {
-		var err error
-		if rt, err = counting.NewRuntimeContext(ctx, cq.Analysis, dbi, runtimeOpts(cfg)); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.statsSink != nil {
-		defer func() { *cfg.statsSink = statsFromRuntime(rt.Stats()) }()
-	}
-	rres, err := rt.Run()
-	if err != nil {
-		return nil, err
-	}
-	asp := cfg.tracer.Begin("eval", "answers")
-	tuples := counting.ReconstructRuntimeAnswers(cq.Analysis, rres.Answers)
-	out := &Result{
-		Answers:        finishRows(p, tuples),
-		Strategy:       CountingRuntime,
-		Rewritten:      cq.RewrittenText,
-		RewrittenQuery: cq.RewrittenQueryText,
-		Stats:          statsFromRuntime(rres.Stats),
-	}
-	asp.End(obsv.A("rows", int64(len(out.Answers))))
-	return out, nil
-}
-
-// execMagicCounting implements the magic-counting hybrid (reference
-// [16]): run the reduced counting program when the left graph reachable
-// from the query constants is acyclic, magic sets otherwise. The verdict
-// is the planner's (cached on the plan.Shared per state of the data, so
-// a repeated query probes once), and the chosen sub-strategy is compiled
-// through the same shared state and plan cache as a direct evaluation
-// would use.
-func execMagicCounting(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
-	sub := Magic
-	if cq.Analysis != nil {
-		v, _, err := cfg.shared.Verdict(dbi, func() (counting.LeftGraphProbe, error) {
-			return counting.ProbeLeftGraphContext(ctx, cq.Analysis, dbi, runtimeOpts(cfg))
-		})
-		if err != nil {
-			return nil, err
-		}
-		if v.Acyclic && cq.Analysis.ListRewriteSafe() {
-			sub = CountingReduced
-		}
-	}
-	scq, _, _, err := p.planFor(sub, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := executeCompiled(ctx, p, dbi, scq, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Strategy = MagicCounting
-	return res, nil
-}
-
-// statsFromQSQ converts QSQ stats to the public shape.
-func statsFromQSQ(s topdown.Stats) Stats {
-	return Stats{
-		Iterations:    s.Passes,
-		Inferences:    s.Inferences,
-		DerivedFacts:  int64(s.AnswerTuples),
-		Probes:        s.Probes,
-		CountingNodes: s.InputTuples, // the subquery (magic) set
-		AnswerTuples:  s.AnswerTuples,
-		ArenaValues:   s.ArenaValues,
-	}
-}
-
-// execQSQ runs the top-down Query-SubQuery method over the plan's
-// shared adornment.
-func execQSQ(ctx context.Context, p *Program, dbi *database.Database, cq *plan.CompiledQuery, cfg evalConfig) (*Result, error) {
-	topts := topdown.Options{MaxPasses: cfg.maxIterations, MaxFacts: cfg.maxFacts, Inject: cfg.inject, Tracer: cfg.tracer}
-	if cfg.statsSink != nil {
-		ts := new(topdown.Stats)
-		topts.StatsOut = ts
-		defer func() { *cfg.statsSink = statsFromQSQ(*ts) }()
-	}
-	// Facts embedded in the program are fact rules of adorned predicates
-	// (Adorn treats every rule head as derived), so QSQ reads them
-	// through its answer sets; only db supplies extensional relations.
-	res, err := topdown.EvalContext(ctx, cq.Adorned, dbi, topts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Answers:  finishRows(p, res.Answers),
-		Strategy: QSQ,
-		Stats:    statsFromQSQ(res.Stats),
-	}, nil
-}
-
-// compileFor compiles one strategy for an introspection entry point
-// (Plan, Rewrite), resolving Auto with the planner first. It goes
-// through the plan cache with default options, so introspection warms
-// the same entries evaluation uses.
-func (p *Program) compileFor(q ast.Query, db *Database, strategy Strategy) (*plan.CompiledQuery, Strategy, error) {
-	var dbi *database.Database
-	if db != nil {
-		dbi = db.db
-	}
-	cfg := evalConfig{}
-	cfg.queryText = ast.FormatQuery(p.bank, q)
-	cfg.optsFP = cfg.fingerprint()
-	cfg.shared = p.sharedFor(cfg.queryText, q, false)
-	stats := p.statsFunc(dbi)
-	cfg.shared.SetStats(stats)
-	if strategy == Auto {
-		choices, _, err := p.rankFor(context.TODO(), dbi, cfg, stats)
-		if err != nil {
-			return nil, strategy, err
-		}
-		strategy = choices[0].Strategy
-	}
-	cq, _, _, err := p.planFor(strategy, cfg)
-	return cq, strategy, err
-}
-
-// Plan returns the evaluation plan — strata in execution order and, per
-// rule, the compiled join order with index probe patterns — of the program
-// a strategy would evaluate for the query. When db is non-nil its relation
-// cardinalities participate in the join ordering, as during evaluation.
-// Not available for MagicCounting (data-dependent) or CountingRuntime
-// (not evaluated by the rule engine).
-func Plan(p *Program, db *Database, query string, strategy Strategy) (string, error) {
-	if db != nil && db.owner != p {
-		return "", ErrWrongDatabase
-	}
-	q, err := parser.ParseQuery(p.bank, query)
-	if err != nil {
-		return "", err
-	}
-	cq, resolved, err := p.compileFor(q, db, strategy)
-	switch resolved {
-	case CountingRuntime:
-		return "", errors.New("lincount: the counting runtime is not evaluated by the rule engine; see Rewrite for its declarative form")
-	case MagicCounting:
-		return "", errors.New("lincount: magic-counting chooses its rewriting from the data; plan the Magic or CountingReduced strategy instead")
-	}
-	if err != nil {
-		return "", err
-	}
-	var dbi *database.Database
-	if db != nil {
-		dbi = db.db
-	}
-	return engine.PlanText(cq.Program, dbi)
-}
-
-// Rewrite returns the rewritten program and goal text for a strategy
-// without evaluating it. For Naive and SemiNaive it returns the original
-// program.
-func Rewrite(p *Program, query string, strategy Strategy) (program, goal string, err error) {
-	q, err := parser.ParseQuery(p.bank, query)
-	if err != nil {
-		return "", "", err
-	}
-	cq, resolved, err := p.compileFor(q, nil, strategy)
-	switch resolved {
-	case Naive, SemiNaive:
-		return p.program.Format(), ast.FormatQuery(p.bank, q), nil
-	case MagicCounting:
-		return "", "", errors.New("lincount: magic-counting chooses its rewriting from the data; use Eval and inspect Result.Rewritten")
-	}
-	if err != nil {
-		return "", "", err
-	}
-	if cq.Extensional {
-		return p.program.Format(), ast.FormatQuery(p.bank, q), nil
-	}
-	return cq.RewrittenText, cq.RewrittenQueryText, nil
 }

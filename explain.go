@@ -1,11 +1,15 @@
 package lincount
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"lincount/internal/ast"
 	"lincount/internal/counting"
+	"lincount/internal/engine"
 	"lincount/internal/parser"
+	"lincount/internal/plan"
 )
 
 // Explanation pairs one answer row of a query with a derivation witness:
@@ -37,7 +41,7 @@ func CountingSet(p *Program, db *Database, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return counting.DumpCountingSet(an, db.db)
+	return counting.DumpCountingSet(an, db.data())
 }
 
 // Explain evaluates query with the counting runtime, recording provenance,
@@ -64,7 +68,7 @@ func Explain(p *Program, db *Database, query string) ([]Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, res, err := counting.RunWithProvenance(an, db.db, counting.RuntimeOptions{})
+	rt, res, err := counting.RunWithProvenance(an, db.data(), counting.RuntimeOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -81,4 +85,76 @@ func Explain(p *Program, db *Database, query string) ([]Explanation, error) {
 		})
 	}
 	return out, nil
+}
+
+// compileFor compiles one strategy for an introspection entry point
+// (Plan, Rewrite), resolving Auto with the planner first. It goes
+// through the plan cache with default options, so introspection warms
+// the same entries evaluation uses.
+func (p *Program) compileFor(q ast.Query, db *Database, strategy Strategy) (*plan.CompiledQuery, Strategy, error) {
+	dbi := db.data()
+	cfg := evalConfig{}
+	cfg.queryText = ast.FormatQuery(p.bank, q)
+	cfg.optsFP = cfg.fingerprint()
+	cfg.shared = p.sharedFor(cfg.queryText, q, false)
+	if strategy == Auto {
+		choices, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))
+		if err != nil {
+			return nil, strategy, err
+		}
+		strategy = choices[0].Strategy
+	}
+	cq, _, _, err := p.planFor(strategy, cfg)
+	return cq, strategy, err
+}
+
+// Plan returns the evaluation plan — strata in execution order and, per
+// rule, the compiled join order with index probe patterns — of the program
+// a strategy would evaluate for the query. When db is non-nil its relation
+// cardinalities participate in the join ordering, as during evaluation.
+// Not available for MagicCounting (data-dependent) or CountingRuntime
+// (not evaluated by the rule engine).
+func Plan(p *Program, db *Database, query string, strategy Strategy) (string, error) {
+	if db != nil && db.owner != p {
+		return "", ErrWrongDatabase
+	}
+	q, err := parser.ParseQuery(p.bank, query)
+	if err != nil {
+		return "", err
+	}
+	cq, resolved, err := p.compileFor(q, db, strategy)
+	switch resolved {
+	case CountingRuntime:
+		return "", errors.New("lincount: the counting runtime is not evaluated by the rule engine; see Rewrite for its declarative form")
+	case MagicCounting:
+		return "", errors.New("lincount: magic-counting chooses its rewriting from the data; plan the Magic or CountingReduced strategy instead")
+	}
+	if err != nil {
+		return "", err
+	}
+	return engine.PlanText(cq.Program, db.data())
+}
+
+// Rewrite returns the rewritten program and goal text for a strategy
+// without evaluating it. For Naive and SemiNaive it returns the original
+// program.
+func Rewrite(p *Program, query string, strategy Strategy) (program, goal string, err error) {
+	q, err := parser.ParseQuery(p.bank, query)
+	if err != nil {
+		return "", "", err
+	}
+	cq, resolved, err := p.compileFor(q, nil, strategy)
+	switch resolved {
+	case Naive, SemiNaive:
+		return p.program.Format(), ast.FormatQuery(p.bank, q), nil
+	case MagicCounting:
+		return "", "", errors.New("lincount: magic-counting chooses its rewriting from the data; use Eval and inspect Result.Rewritten")
+	}
+	if err != nil {
+		return "", "", err
+	}
+	if cq.Extensional {
+		return p.program.Format(), ast.FormatQuery(p.bank, q), nil
+	}
+	return cq.RewrittenText, cq.RewrittenQueryText, nil
 }

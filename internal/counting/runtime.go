@@ -67,6 +67,20 @@ type RuntimeStats struct {
 	ArenaValues int64
 }
 
+// EngineStats reports s in the counter type every strategy shares: the
+// runtime's moves are its inferences, and its derived facts are the nodes
+// and tuples it interned.
+func (s RuntimeStats) EngineStats() engine.Stats {
+	return engine.Stats{
+		Inferences:    s.Moves,
+		Probes:        s.Probes,
+		CountingNodes: s.CountingNodes,
+		AnswerTuples:  s.AnswerTuples,
+		DerivedFacts:  int64(s.AnswerTuples + s.CountingNodes),
+		ArenaValues:   s.ArenaValues,
+	}
+}
+
 // RunResult is the outcome of a runtime evaluation.
 type RunResult struct {
 	// Answers holds the goal's free-argument tuples, deterministically

@@ -12,6 +12,10 @@ import (
 	"lincount/internal/term"
 )
 
+// legacyMagic is the retired pre-trailer snapshot format's magic; Load
+// rejects it.
+const legacyMagic = "LCDB1"
+
 // FuzzLoadSnapshot checks the snapshot reader never panics or accepts
 // structurally invalid input silently. Seeds include valid snapshots and
 // systematic corruptions of one.
@@ -42,9 +46,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte("LCDB1"))
 	f.Add([]byte("LCDB2"))
 	f.Add([]byte("not a snapshot at all"))
-	// Legacy V1 form of the primary seed (same payload, old magic, no
-	// CRC trailer), plus truncations of it: the pre-trailer parser path.
-	v1 := append([]byte(snapshotMagicV1), valid[len(snapshotMagicV2):len(valid)-4]...)
+	// The retired pre-trailer LCDB1 form of the primary seed (same
+	// payload, old magic, no CRC trailer), plus truncations of it: all
+	// must be rejected.
+	v1 := append([]byte(legacyMagic), valid[len(snapshotMagic):len(valid)-4]...)
 	f.Add(v1)
 	f.Add(v1[:len(v1)-3])
 	f.Add(v1[:len(v1)/2])
@@ -131,13 +136,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 
 	// Found by this fuzzer: a list cell declared with no arguments, which
-	// loaded and then crashed Format.
-	f.Add([]byte("LCDB1\b\x00\x0200\x03'.'\x0200\x010\x010\x010\x010\x02\x00\x01\x01\x02\x02\x00\x02\x02\x000\a\x01\x01\x02\x01"))
+	// loaded and then crashed Format. It was found in the LCDB1 form; the
+	// same payload under the current magic, checksummed, still reaches
+	// the decoder's list-cell check.
+	found := []byte("LCDB1\b\x00\x0200\x03'.'\x0200\x010\x010\x010\x010\x02\x00\x01\x01\x02\x02\x00\x02\x02\x000\a\x01\x01\x02\x01")
+	f.Add(found)
+	sealed := append([]byte(snapshotMagic), found[len(legacyMagic):]...)
+	f.Add(binary.LittleEndian.AppendUint32(sealed, crc32.ChecksumIEEE(sealed)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := New(term.NewBank(symtab.New()))
 		if err := Load(bytes.NewReader(data), db); err != nil {
 			return // rejection is fine
+		}
+		if bytes.HasPrefix(data, []byte(legacyMagic)) {
+			t.Fatal("LCDB1 snapshot accepted")
 		}
 		// Anything accepted must re-save and re-load to identical text.
 		var out bytes.Buffer

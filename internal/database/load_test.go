@@ -251,7 +251,7 @@ func TestSnapshotInvalidPayloadLeavesTargetUntouched(t *testing.T) {
 	// body assembles a snapshot from uvarint fields after two symbols
 	// ("" and "p") and no compounds.
 	body := func(fields ...uint64) []byte {
-		b := []byte(snapshotMagicV2)
+		b := []byte(snapshotMagic)
 		b = append(b, 2, 0, 1, 'p', 0)
 		for _, f := range fields {
 			b = binary.AppendUvarint(b, f)
@@ -265,7 +265,7 @@ func TestSnapshotInvalidPayloadLeavesTargetUntouched(t *testing.T) {
 		// p/1 clashes with the populated target's p/2 (and is fine for an empty one)
 		"arity clash":        body(1, 1, 1, 1, 0, 14),
 		"count beyond bytes": body(1, 1, 1, 1<<40),
-		"symbol count lies":  reseal(append([]byte(snapshotMagicV2), 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0)),
+		"symbol count lies":  reseal(append([]byte(snapshotMagic), 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0)),
 		"integer beyond 62b": body(1, 1, 1, 1, 0, 0xffffffffffffffff),
 	}
 	for name, snap := range bad {

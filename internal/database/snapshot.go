@@ -29,15 +29,12 @@ import (
 // writer compound index). Compound args always reference earlier
 // compounds, because the writer emits them in bank interning order.
 //
-// The CRC trailer detects truncation and bit rot: a "LCDB2" snapshot
-// whose checksum does not match is rejected with SnapshotCorruptError
-// before any of it is merged into the database. Legacy "LCDB1"
-// snapshots (the same payload without the trailer) still load.
+// The CRC trailer detects truncation and bit rot: a snapshot whose
+// checksum does not match is rejected with SnapshotCorruptError before any
+// of it is merged into the database. Any other magic — the pre-trailer
+// "LCDB1" format included — is rejected as not a snapshot.
 
-const (
-	snapshotMagicV1 = "LCDB1"
-	snapshotMagicV2 = "LCDB2"
-)
+const snapshotMagic = "LCDB2"
 
 // SnapshotCorruptError reports a snapshot that failed its integrity
 // check: a truncated stream or a CRC mismatch (bit rot, a torn write, a
@@ -58,12 +55,12 @@ func (e *SnapshotCorruptError) Error() string {
 	return fmt.Sprintf("database: corrupt snapshot: %s (stored crc %08x, computed %08x)", e.Reason, e.Want, e.Got)
 }
 
-// Save writes a snapshot of db to w, in the current ("LCDB2",
-// CRC-trailed) format.
+// Save writes a snapshot of db to w, in the "LCDB2" (CRC-trailed)
+// format.
 func Save(w io.Writer, db *Database) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.WriteString(snapshotMagicV2); err != nil {
+	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
 
@@ -143,35 +140,32 @@ func writeValue(bw *bufio.Writer, v term.Value) {
 // snapshot's tuples are merged). Symbols and compounds are re-interned
 // into db's bank, so the snapshot may come from a different universe.
 //
-// Current ("LCDB2") snapshots carry a CRC-32 trailer, verified first: a
+// Only "LCDB2" snapshots load. Their CRC-32 trailer is verified first: a
 // truncated or bit-flipped snapshot is rejected with *SnapshotCorruptError.
-// Legacy "LCDB1" snapshots load without the integrity check. Either way
-// the payload is decoded in one pass, straight from memory, into staged
-// relations, and db changes only once the whole payload has validated:
-// whatever the error, db's relations are exactly what they were.
+// The payload is then decoded in one pass, straight from memory, into
+// staged relations, and db changes only once the whole payload has
+// validated: whatever the error, db's relations are exactly what they
+// were.
 func Load(r io.Reader, db *Database) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("database: reading snapshot: %w", err)
 	}
-	if len(data) < len(snapshotMagicV2) {
+	if len(data) < len(snapshotMagic) {
 		return fmt.Errorf("database: reading snapshot header: %w", io.ErrUnexpectedEOF)
 	}
-	head, payload := data[:len(snapshotMagicV2)], data[len(snapshotMagicV2):]
-	switch string(head) {
-	case snapshotMagicV1:
-	case snapshotMagicV2:
-		if len(payload) < 4 {
-			return &SnapshotCorruptError{Reason: "truncated (no room for the CRC trailer)"}
-		}
-		want := binary.LittleEndian.Uint32(payload[len(payload)-4:])
-		if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
-			return &SnapshotCorruptError{Reason: "checksum mismatch", Want: want, Got: got}
-		}
-		payload = payload[:len(payload)-4]
-	default:
+	head, payload := data[:len(snapshotMagic)], data[len(snapshotMagic):]
+	if string(head) != snapshotMagic {
 		return fmt.Errorf("database: not a snapshot file (bad magic %q)", head)
 	}
+	if len(payload) < 4 {
+		return &SnapshotCorruptError{Reason: "truncated (no room for the CRC trailer)"}
+	}
+	want := binary.LittleEndian.Uint32(payload[len(payload)-4:])
+	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+		return &SnapshotCorruptError{Reason: "checksum mismatch", Want: want, Got: got}
+	}
+	payload = payload[:len(payload)-4]
 	// The payload is checksummed but possibly adversarial: decode it into
 	// staging relations, commit only if all of it validates.
 	staging := New(db.bank)

@@ -127,7 +127,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	// Flip every byte position in turn: each corruption must be caught
 	// by the CRC (payload and trailer alike), and none may merge
 	// anything into the destination.
-	for i := len(snapshotMagicV2); i < len(valid); i++ {
+	for i := len(snapshotMagic); i < len(valid); i++ {
 		c := append([]byte(nil), valid...)
 		c[i] ^= 0x01
 		dst := newDB()
@@ -155,7 +155,7 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	for _, n := range []int{len(valid) - 1, len(valid) - 4, len(valid) / 2, len(snapshotMagicV2) + 2, len(snapshotMagicV2)} {
+	for _, n := range []int{len(valid) - 1, len(valid) - 4, len(valid) / 2, len(snapshotMagic) + 2, len(snapshotMagic)} {
 		dst := newDB()
 		err := Load(bytes.NewReader(valid[:n]), dst)
 		if err == nil {
@@ -196,9 +196,10 @@ func TestSnapshotCorruptLeavesDatabaseUntouched(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyV1Loads: pre-CRC snapshots (magic "LCDB1", same
-// payload, no trailer) must keep loading.
-func TestSnapshotLegacyV1Loads(t *testing.T) {
+// TestSnapshotLegacyV1Rejected: pre-CRC snapshots (magic "LCDB1", the
+// same payload, no trailer) are not read any more. They fail on the magic
+// and leave the database untouched.
+func TestSnapshotLegacyV1Rejected(t *testing.T) {
 	src := newDB()
 	if err := src.LoadText("up(a,b). pt(p(1,2)). n(-9)."); err != nil {
 		t.Fatal(err)
@@ -208,15 +209,18 @@ func TestSnapshotLegacyV1Loads(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := buf.Bytes()
-	// A V1 snapshot is the V2 payload under the old magic, without the
-	// trailer — the byte layout between magic and trailer is identical.
-	v1 := append([]byte(snapshotMagicV1), v2[len(snapshotMagicV2):len(v2)-4]...)
+	v1 := append([]byte("LCDB1"), v2[len(snapshotMagic):len(v2)-4]...)
 	dst := newDB()
-	if err := Load(bytes.NewReader(v1), dst); err != nil {
+	if err := dst.LoadText("keep(x,y)."); err != nil {
 		t.Fatal(err)
 	}
-	if src.Format() != dst.Format() {
-		t.Errorf("legacy round trip mismatch:\n%s\nvs\n%s", src.Format(), dst.Format())
+	before := dst.Format()
+	err := Load(bytes.NewReader(v1), dst)
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("LCDB1 snapshot: error %v, want the bad-magic error", err)
+	}
+	if dst.Format() != before {
+		t.Errorf("database changed by a rejected snapshot:\n%s\nvs\n%s", before, dst.Format())
 	}
 }
 

@@ -29,9 +29,6 @@ type Options struct {
 	// MaxDerivedFacts bounds the total number of derived tuples;
 	// 0 means DefaultMaxDerivedFacts.
 	MaxDerivedFacts int
-	// Trace, when non-nil, receives one event per component and per
-	// fixpoint iteration — the engine's EXPLAIN ANALYZE.
-	Trace func(TraceEvent)
 	// Inject, when non-nil, is consulted at the engine's hook sites
 	// (relation inserts, index probes, fixpoint iterations) and may
 	// surface injected errors, latency, or cancellations. Nil costs one
@@ -57,7 +54,8 @@ type Options struct {
 	// StatsOut, when non-nil, receives the evaluator's Stats even when
 	// evaluation fails partway (budget trip, injected fault,
 	// cancellation) — the partial work counters a degraded attempt would
-	// otherwise discard.
+	// otherwise discard. Only the fields the fixpoint itself counts are
+	// set.
 	StatsOut *Stats
 	// Sizes, when non-nil, supplies per-predicate cardinality estimates
 	// (the planner's stats, threaded through plan.Shared by the facade).
@@ -71,20 +69,6 @@ type Options struct {
 // SizeHint estimates a predicate's cardinality; see Options.Sizes.
 type SizeHint func(symtab.Sym) int64
 
-// TraceEvent is one step of an evaluation trace.
-type TraceEvent struct {
-	// Kind is "component" (a stratum starts) or "iteration".
-	Kind string
-	// Preds names the component's predicates.
-	Preds []string
-	// Iteration is the 0-based fixpoint round within the component.
-	Iteration int
-	// DeltaFacts is the number of new tuples this round produced.
-	DeltaFacts int64
-	// TotalFacts is the cumulative number of derived tuples.
-	TotalFacts int64
-}
-
 // Default budgets: generous enough for every experiment in the repository,
 // small enough that an unsafe program fails in well under a second.
 const (
@@ -92,23 +76,41 @@ const (
 	DefaultMaxDerivedFacts = 50_000_000
 )
 
-// Stats counts evaluation work. Inferences is the classic deductive-database
-// cost metric: the number of successful rule instantiations, including those
-// that rederive known facts. ArenaValues is the number of term values
-// resident in the derived relations' arenas when evaluation finishes — the
-// storage footprint of the materialized model, in values, not bytes.
+// Stats counts the work of one evaluation. It is the one work-counter type
+// of every strategy: the fixpoints here, the counting runtime and QSQ all
+// report in it. Fields that do not apply to a strategy are zero.
 type Stats struct {
-	Iterations   int
-	Components   int
-	Inferences   int64
+	// Iterations counts fixpoint rounds (QSQ: global passes).
+	Iterations int
+	// Inferences counts successful rule instantiations including
+	// rederivations — the classic deductive-database cost metric (the
+	// counting runtime's moves).
+	Inferences int64
+	// DerivedFacts counts distinct derived tuples.
 	DerivedFacts int64
-	Probes       int64
-	ArenaValues  int64
+	// Probes counts index lookups.
+	Probes int64
+	// CountingNodes is the counting-set size (counting strategies; for
+	// engine-evaluated counting programs it is the counting relation's
+	// cardinality, for Magic and QSQ the magic set's).
+	CountingNodes int
+	// AnswerTuples counts distinct answer-predicate tuples.
+	AnswerTuples int
+	// ArenaValues is the number of term values resident in the
+	// evaluation's columnar arenas when it completes: derived relations
+	// for engine strategies, input/answer relations for QSQ, and the
+	// node and tuple arenas for the counting runtime — the storage
+	// footprint in values, not bytes.
+	ArenaValues int64
+	// Duration is the wall-clock time of the evaluation, including
+	// rewriting (set by the caller that times it).
+	Duration time.Duration
 }
 
 // RuleStat is one rule's profiling record, collected only when a Tracer
 // is attached or Options.Profile is set (profiling costs clock reads
-// per rule run, so unprofiled evaluations skip it entirely).
+// per rule run, so unprofiled evaluations skip it entirely). For
+// rewriting strategies the rules are those of the rewritten program.
 type RuleStat struct {
 	// Rule is the rule's source text.
 	Rule string
@@ -131,8 +133,8 @@ type Result struct {
 	maintained bool
 	Derived    map[symtab.Sym]*database.Relation
 	Stats      Stats
-	// Rules holds per-rule profiles when Options.Tracer was set (nil
-	// otherwise), in component order.
+	// Rules holds per-rule profiles when Options.Tracer or
+	// Options.Profile was set (nil otherwise), in component order.
 	Rules []RuleStat
 }
 
@@ -268,7 +270,6 @@ func EvalContext(ctx context.Context, p *ast.Program, db *database.Database, opt
 	}
 
 	for _, comp := range comps {
-		ev.stats.Components++
 		if err := ev.evalComponent(comp); err != nil {
 			return nil, err
 		}
@@ -381,12 +382,6 @@ func (ev *evaluator) readRel(pred symtab.Sym) *database.Relation {
 	return nil
 }
 
-func (ev *evaluator) trace(e TraceEvent) {
-	if ev.opts.Trace != nil {
-		ev.opts.Trace(e)
-	}
-}
-
 func (ev *evaluator) predNames(preds []symtab.Sym) []string {
 	syms := ev.bank.Symbols()
 	out := make([]string, len(preds))
@@ -397,7 +392,6 @@ func (ev *evaluator) predNames(preds []symtab.Sym) []string {
 }
 
 func (ev *evaluator) evalComponent(comp Component) (err error) {
-	ev.trace(TraceEvent{Kind: "component", Preds: ev.predNames(comp.Preds)})
 	if ev.tracer != nil {
 		sp := ev.tracer.Begin("engine", "component "+strings.Join(ev.predNames(comp.Preds), ","))
 		iter0, facts0 := ev.stats.Iterations, ev.stats.DerivedFacts
@@ -479,11 +473,6 @@ func (ev *evaluator) naiveFixpoint(rules []*compiledRule) error {
 				return err
 			}
 		}
-		ev.trace(TraceEvent{
-			Kind: "iteration", Iteration: iter,
-			DeltaFacts: ev.stats.DerivedFacts - before,
-			TotalFacts: ev.stats.DerivedFacts,
-		})
 		isp.End(obsv.A("iter", int64(iter)),
 			obsv.A("delta", ev.stats.DerivedFacts-before),
 			obsv.A("total", ev.stats.DerivedFacts))
@@ -535,10 +524,6 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 		}
 	}
 	dn := advance()
-	ev.trace(TraceEvent{
-		Kind: "iteration", Iteration: 0,
-		DeltaFacts: dn, TotalFacts: ev.stats.DerivedFacts,
-	})
 	isp.End(obsv.A("iter", 0), obsv.A("delta", dn), obsv.A("total", ev.stats.DerivedFacts))
 
 	for iter := 1; dn > 0; iter++ {
@@ -562,10 +547,6 @@ func (ev *evaluator) semiNaiveFixpoint(comp Component, rules []*compiledRule) er
 			}
 		}
 		dn = advance()
-		ev.trace(TraceEvent{
-			Kind: "iteration", Iteration: iter,
-			DeltaFacts: dn, TotalFacts: ev.stats.DerivedFacts,
-		})
 		isp.End(obsv.A("iter", int64(iter)), obsv.A("delta", dn), obsv.A("total", ev.stats.DerivedFacts))
 	}
 	return nil

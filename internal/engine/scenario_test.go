@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"lincount/internal/obsv"
 )
 
 // Scenario tests: larger shapes and edge cases the unit tests do not
@@ -18,7 +20,8 @@ func TestDeepStrataChain(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		fmt.Fprintf(&src, "p%d(X) :- p%d(X), not q%d(X).\n", i+1, i, i)
 	}
-	res := eval(t, f, src.String(), Options{})
+	tr := obsv.NewTracer()
+	res := eval(t, f, src.String(), Options{Tracer: tr})
 	top := res.Relation(f.bank.Symbols().Intern(fmt.Sprintf("p%d", depth)))
 	// a removed at stratum 17, b at stratum 3.
 	if top == nil || top.Len() != 0 {
@@ -28,8 +31,14 @@ func TestDeepStrataChain(t *testing.T) {
 	if mid.Len() != 1 { // only a survives past q3
 		t.Errorf("p10 = %d tuples, want 1", mid.Len())
 	}
-	if res.Stats.Components < depth {
-		t.Errorf("components = %d", res.Stats.Components)
+	components := 0
+	for _, e := range tr.Events() {
+		if strings.HasPrefix(e.Name, "component ") {
+			components++
+		}
+	}
+	if components < depth {
+		t.Errorf("components = %d", components)
 	}
 }
 
@@ -82,50 +91,62 @@ e(a1,t). e(a2,t). e(a3,t).
 	}
 }
 
+// iterationSpans returns the args of the "iteration" spans tr recorded,
+// in start order.
+func iterationSpans(tr *obsv.Tracer) []map[string]int64 {
+	var out []map[string]int64
+	for _, e := range tr.Events() {
+		if e.Name != "iteration" {
+			continue
+		}
+		args := map[string]int64{}
+		for _, a := range e.Args {
+			args[a.Key] = a.Val
+		}
+		out = append(out, args)
+	}
+	return out
+}
+
 func TestTraceMonotoneTotals(t *testing.T) {
 	f := newFixture(t, "e(a,b). e(b,c). e(c,d).")
-	var events []TraceEvent
+	tr := obsv.NewTracer()
 	_, err := Eval(f.program(t, `
 tc(X,Y) :- e(X,Y).
 tc(X,Y) :- e(X,Z), tc(Z,Y).
-`), f.db, Options{Trace: func(e TraceEvent) { events = append(events, e) }})
+`), f.db, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	iters := iterationSpans(tr)
 	var last int64
-	iterations := 0
-	for _, e := range events {
-		if e.Kind != "iteration" {
-			continue
+	for _, it := range iters {
+		if it["total"] < last {
+			t.Error("total decreased")
 		}
-		iterations++
-		if e.TotalFacts < last {
-			t.Error("TotalFacts decreased")
-		}
-		last = e.TotalFacts
+		last = it["total"]
 	}
-	if iterations < 3 {
-		t.Errorf("iterations traced = %d", iterations)
+	if len(iters) < 3 {
+		t.Fatalf("iterations traced = %d", len(iters))
 	}
 	// The final iteration must report an empty delta.
-	lastIter := events[len(events)-1]
-	if lastIter.Kind != "iteration" || lastIter.DeltaFacts != 0 {
-		t.Errorf("final event = %+v", lastIter)
+	if final := iters[len(iters)-1]; final["delta"] != 0 {
+		t.Errorf("final iteration = %v", final)
 	}
 }
 
 func TestNaiveTraceEvents(t *testing.T) {
-	f := newFixture(t, "e(a,b). e(b,c).")
-	count := 0
+	f := newFixture(t, "e(a,b). e(b,c). e(c,d). e(d,e).")
+	tr := obsv.NewTracer()
 	_, err := Eval(f.program(t, `
 tc(X,Y) :- e(X,Y).
 tc(X,Y) :- e(X,Z), tc(Z,Y).
-`), f.db, Options{Naive: true, Trace: func(e TraceEvent) { count++ }})
+`), f.db, Options{Naive: true, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count < 3 {
-		t.Errorf("naive trace events = %d", count)
+	if n := len(iterationSpans(tr)); n < 3 {
+		t.Errorf("naive iteration spans = %d", n)
 	}
 }
 

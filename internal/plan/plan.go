@@ -166,6 +166,16 @@ type CompiledQuery struct {
 	Passes []PassInfo
 	// CompileTime is the total wall-clock time of the compile.
 	CompileTime time.Duration
+
+	// shared is the state the plan was compiled from; MagicCounting reads
+	// its left-graph verdict at execution.
+	shared *Shared
+	// viaMagic and viaReduced are MagicCounting's compiled alternatives:
+	// magic sets (magicErr when they do not compile — an error only once
+	// the verdict picks them) and, when the analysis allows the list
+	// rewrite, the reduced counting program.
+	viaMagic, viaReduced *CompiledQuery
+	magicErr             error
 }
 
 // A pass is one step of the compilation pipeline; it reads the shared
@@ -214,6 +224,19 @@ var passAnalyzeOptional = pass{name: "analyze", run: func(cq *CompiledQuery, sh 
 	}
 	return false, nil
 }}
+
+// compileAlternatives is MagicCounting's "alternatives" pass: it compiles
+// both alternatives against the same shared state, so execution only has
+// to pick one.
+func compileAlternatives(cq *CompiledQuery, sh *Shared) (bool, error) {
+	cq.viaMagic, cq.magicErr = Compile(sh, Magic, nil)
+	if cq.Analysis == nil || !cq.Analysis.ListRewriteSafe() {
+		return false, nil
+	}
+	var err error
+	cq.viaReduced, err = Compile(sh, CountingReduced, nil)
+	return false, err
+}
 
 func rewritePass(name string, fn func(cq *CompiledQuery, sh *Shared) error) pass {
 	return pass{name: name, run: func(cq *CompiledQuery, sh *Shared) (bool, error) {
@@ -292,8 +315,9 @@ var passFinalize = pass{name: "finalize", run: func(cq *CompiledQuery, sh *Share
 		cq.RewrittenText = counting.RewriteCyclicText(cq.Analysis)
 		cq.RewrittenQueryText = strings.TrimSpace(ast.FormatQuery(bank, cq.Adorned.Query))
 	default:
-		// Naive, SemiNaive, QSQ, MagicCounting: evaluate/dispatch over
-		// the original program and read answers at the original goal.
+		// Naive, SemiNaive, QSQ, MagicCounting: evaluate (or, for
+		// MagicCounting, pick an alternative) over the original program and
+		// read answers at the original goal.
 		cq.Program = sh.prog
 		cq.EntryQuery = cq.Query
 	}
@@ -321,7 +345,7 @@ func passesFor(s Strategy) []pass {
 	case QSQ:
 		return []pass{passAdorn, passFinalize}
 	case MagicCounting:
-		return []pass{passAdorn, passAnalyzeOptional, passFinalize}
+		return []pass{passAdorn, passAnalyzeOptional, {name: "alternatives", run: compileAlternatives}, passFinalize}
 	default:
 		return nil
 	}
@@ -337,7 +361,7 @@ func Compile(sh *Shared, s Strategy, tr *obsv.Tracer) (*CompiledQuery, error) {
 		return nil, &UnknownStrategyError{Strategy: s}
 	}
 	start := time.Now()
-	cq := &CompiledQuery{Strategy: s, Query: sh.query}
+	cq := &CompiledQuery{Strategy: s, Query: sh.query, shared: sh}
 	for _, p := range passes {
 		sp := tr.Begin("compile", p.name)
 		pstart := time.Now()

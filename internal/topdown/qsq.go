@@ -35,30 +35,16 @@ var ErrUnsupported = errors.New("topdown: negated derived literals are not suppo
 // feedRows is how many input rows one SolveRows run takes.
 const feedRows = 256
 
-// Stats counts the work of one evaluation.
-type Stats struct {
-	// Passes is the number of global fixpoint sweeps.
-	Passes int
-	// InputTuples is the total size of the input (subquery) sets, the
-	// operational twin of the magic set: an all-free predicate's empty
-	// subquery is not counted, as it has no magic predicate.
-	InputTuples int
-	// AnswerTuples is the total size of the answer sets.
-	AnswerTuples int
-	// Inferences counts full-body solutions, including rederivations.
-	Inferences int64
-	// Probes is the executor's probe count (engine.Matcher.Probes).
-	Probes int64
-	// ArenaValues is the number of term values resident in the input and
-	// answer relations' arenas when the fixpoint completes.
-	ArenaValues int64
-}
-
-// Result of a QSQ evaluation.
+// Result of a QSQ evaluation. Its Stats count global sweeps as
+// Iterations, full-body solutions (rederivations included) as Inferences,
+// the executor's probes as Probes, the answer sets' total size as both
+// AnswerTuples and DerivedFacts, and the input (subquery) sets' total size
+// as CountingNodes — the operational twin of the magic set: an all-free
+// predicate's empty subquery is not counted, as it has no magic predicate.
 type Result struct {
 	// Answers holds the goal's answer tuples matching the query constants.
 	Answers []database.Tuple
-	Stats   Stats
+	Stats   engine.Stats
 }
 
 // state is the per-adorned-predicate bookkeeping.
@@ -82,7 +68,7 @@ type evaluator struct {
 	preds map[symtab.Sym]*state
 	sites []site
 	m     *engine.Matcher
-	stats Stats
+	stats engine.Stats
 	// grew is set whenever an input or answer tuple is new.
 	grew bool
 	// facts counts answer tuples against maxFacts.
@@ -97,14 +83,15 @@ type evaluator struct {
 // tally recomputes the set-size counters from the per-predicate state;
 // safe to call mid-fixpoint or after a failure.
 func (ev *evaluator) tally() {
-	ev.stats.InputTuples, ev.stats.AnswerTuples, ev.stats.ArenaValues = 0, 0, 0
+	ev.stats.CountingNodes, ev.stats.AnswerTuples, ev.stats.ArenaValues = 0, 0, 0
 	for _, st := range ev.preds {
 		if st.input.Arity() > 0 {
-			ev.stats.InputTuples += st.input.Len()
+			ev.stats.CountingNodes += st.input.Len()
 		}
 		ev.stats.AnswerTuples += st.answers.Len()
 		ev.stats.ArenaValues += int64(st.input.ArenaLen() + st.answers.ArenaLen())
 	}
+	ev.stats.DerivedFacts = int64(ev.stats.AnswerTuples)
 	ev.stats.Probes = ev.m.Probes
 }
 
@@ -121,7 +108,7 @@ type Options struct {
 	Tracer *obsv.Tracer
 	// StatsOut, when non-nil, receives the Stats even when the fixpoint
 	// fails partway (pass limit, injected fault, cancellation).
-	StatsOut *Stats
+	StatsOut *engine.Stats
 }
 
 // Eval runs QSQ for the adorned query over db.
@@ -193,7 +180,7 @@ func EvalContext(ctx context.Context, a *adorn.Adorned, db *database.Database, o
 				Used: int64(pass), Component: "topdown",
 			}
 		}
-		ev.stats.Passes++
+		ev.stats.Iterations++
 		ev.grew = false
 		for _, st := range ev.preds {
 			st.fed = st.input.Len()

@@ -90,8 +90,8 @@ up(z1,z2). up(z2,z3). up(z3,z4). flat(z4,q). down(q,r).
 		t.Fatal(err)
 	}
 	// Inputs: a and b only — never the z branch.
-	if res.Stats.InputTuples != 2 {
-		t.Errorf("input tuples = %d, want 2", res.Stats.InputTuples)
+	if res.Stats.CountingNodes != 2 {
+		t.Errorf("input tuples = %d, want 2", res.Stats.CountingNodes)
 	}
 }
 

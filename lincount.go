@@ -10,6 +10,7 @@ import (
 
 	"lincount/internal/ast"
 	"lincount/internal/database"
+	"lincount/internal/engine"
 	"lincount/internal/lint"
 	"lincount/internal/obsv"
 	"lincount/internal/parser"
@@ -255,33 +256,24 @@ func (d *Database) LoadSnapshot(r io.Reader) error { return database.Load(r, d.d
 // Text renders the database as fact text.
 func (d *Database) Text() string { return d.db.Format() }
 
-// Stats reports the work an evaluation performed. Fields that do not apply
-// to a strategy are zero.
-type Stats struct {
-	// Iterations counts fixpoint rounds (engine strategies).
-	Iterations int
-	// Inferences counts successful rule instantiations including
-	// rederivations — the classic deductive-database cost metric.
-	Inferences int64
-	// DerivedFacts counts distinct derived tuples (engine strategies).
-	DerivedFacts int64
-	// Probes counts index lookups.
-	Probes int64
-	// CountingNodes is the counting-set size (counting strategies; for
-	// engine-evaluated counting programs it is the counting relation's
-	// cardinality).
-	CountingNodes int
-	// AnswerTuples counts distinct answer-predicate tuples.
-	AnswerTuples int
-	// ArenaValues is the number of term values resident in the
-	// evaluation's columnar arenas when it completes: derived relations
-	// for engine strategies, input/answer relations for QSQ, and the
-	// node and tuple arenas for the counting runtime.
-	ArenaValues int64
-	// Duration is the wall-clock time of the evaluation, including
-	// rewriting.
-	Duration time.Duration
+// data is the database the evaluators read: d's facts, or none for a nil
+// d.
+func (d *Database) data() *database.Database {
+	if d == nil {
+		return nil
+	}
+	return d.db
 }
+
+// Stats reports the work an evaluation performed, in the one counter type
+// every strategy fills: Iterations (fixpoint rounds; QSQ passes),
+// Inferences (rule instantiations including rederivations — the classic
+// deductive-database cost metric; the counting runtime's moves),
+// DerivedFacts, Probes, CountingNodes (the counting set, or the magic set
+// of Magic and QSQ), AnswerTuples, ArenaValues (term values resident in
+// the evaluation's arenas) and Duration (wall-clock, including
+// rewriting). Fields that do not apply to a strategy are zero.
+type Stats = engine.Stats
 
 // AttemptInfo records one failed strategy attempt of the Auto fallback
 // chain: graceful degradation ran this strategy, it failed with a
@@ -310,23 +302,14 @@ type AttemptInfo struct {
 	Stats Stats
 }
 
-// RuleProfile is one rule's share of an evaluation's work, collected
-// only when a Tracer is attached (see WithTracer); Result.RuleProfile is
-// nil otherwise. For rewriting strategies the rules are those of the
+// RuleProfile is one rule's share of an evaluation's work: its runs (one
+// per delta occurrence per fixpoint iteration under semi-naive
+// evaluation), its share of Inferences and DerivedFacts, and the
+// wall-clock time spent joining its body. It is collected only when
+// WithTracer or WithRuleProfile asks for it; Result.RuleProfile is nil
+// otherwise. For rewriting strategies the rules are those of the
 // rewritten program.
-type RuleProfile struct {
-	// Rule is the rule's source text.
-	Rule string
-	// Runs counts evaluations of the rule's join (one per delta
-	// occurrence per fixpoint iteration under semi-naive evaluation).
-	Runs int
-	// Inferences and DerivedFacts are the rule's share of the Stats
-	// counters of the same names.
-	Inferences   int64
-	DerivedFacts int64
-	// Duration is the wall-clock time spent joining the rule's body.
-	Duration time.Duration
-}
+type RuleProfile = engine.RuleStat
 
 // Result is the outcome of Eval.
 type Result struct {
@@ -366,8 +349,9 @@ type Result struct {
 	// from the program's plan cache rather than being compiled here.
 	PlanCacheHit bool
 	// RuleProfile holds per-rule work profiles when the evaluation ran
-	// with WithTracer (engine-evaluated strategies only; nil otherwise),
-	// in component order — the data behind EXPLAIN ANALYZE output.
+	// with WithTracer or WithRuleProfile (engine-evaluated strategies
+	// only; nil otherwise), in component order — the data behind EXPLAIN
+	// ANALYZE output and the query server's slow-query log.
 	RuleProfile []RuleProfile
 }
 

@@ -345,36 +345,48 @@ func TestMagicSupStats(t *testing.T) {
 	}
 }
 
+// TestWithTraceStreamsEvents: the tracer's "component" spans name each
+// stratum's predicates and its "iteration" spans carry the round's delta
+// and the running total of derived facts.
 func TestWithTraceStreamsEvents(t *testing.T) {
 	p := MustParseProgram(sgSrc)
 	db := NewDatabase(p)
 	if err := db.LoadFacts("up(a,b). flat(b,f). down(f,g)."); err != nil {
 		t.Fatal(err)
 	}
-	var components, iterations int
-	var lastTotal int64
-	_, err := Eval(p, db, "?- sg(a,Y).", Magic, WithTrace(func(e TraceEvent) {
-		switch e.Kind {
-		case "component":
-			components++
-			if len(e.Preds) == 0 {
-				t.Error("component event without predicates")
-			}
-		case "iteration":
-			iterations++
-			if e.TotalFacts < lastTotal {
-				t.Error("TotalFacts decreased")
-			}
-			lastTotal = e.TotalFacts
-		default:
-			t.Errorf("unknown event kind %q", e.Kind)
-		}
-	}))
-	if err != nil {
+	tr := NewTracer()
+	if _, err := Eval(p, db, "?- sg(a,Y).", Magic, WithTracer(tr)); err != nil {
 		t.Fatal(err)
+	}
+	var components, iterations int
+	var lastTotal, lastDelta int64 = 0, -1
+	for _, e := range tr.Events() {
+		switch {
+		case strings.HasPrefix(e.Name, "component "):
+			components++
+			if strings.TrimPrefix(e.Name, "component ") == "" {
+				t.Error("component span without predicates")
+			}
+		case e.Name == "iteration":
+			iterations++
+			for _, a := range e.Args {
+				switch a.Key {
+				case "total":
+					if a.Val < lastTotal {
+						t.Error("total decreased")
+					}
+					lastTotal = a.Val
+				case "delta":
+					lastDelta = a.Val
+				}
+			}
+		}
 	}
 	if components < 2 || iterations < 2 {
 		t.Errorf("components=%d iterations=%d: trace too sparse", components, iterations)
+	}
+	if lastDelta != 0 {
+		t.Errorf("final iteration delta = %d, want 0", lastDelta)
 	}
 }
 
@@ -523,4 +535,17 @@ func randomFacts(seed, nodes, arcs int, cyclic, withW bool) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestIntrospectionNilDatabase: the introspection entry points take a nil
+// database to mean the program's own facts, as PlannerChoices and Plan do.
+func TestIntrospectionNilDatabase(t *testing.T) {
+	p := MustParseProgram(sgSrc + "up(a,b). flat(b,f). down(f,g).\n")
+	if _, err := CountingSet(p, nil, "?- sg(a,Y)."); err != nil {
+		t.Errorf("CountingSet: %v", err)
+	}
+	exps, err := Explain(p, nil, "?- sg(a,Y).")
+	if err != nil || len(exps) != 1 || strings.Join(exps[0].Answer, ",") != "a,g" {
+		t.Errorf("Explain = %v, %v; want the one answer a,g", exps, err)
+	}
 }

@@ -41,7 +41,7 @@ func Prepare(p *Program, query string, strategy Strategy, opts ...Option) (*Prep
 	for _, o := range opts {
 		o(&cfg)
 	}
-	psp := cfg.tracer.Begin("eval", "parse")
+	psp := cfg.exec.Tracer.Begin("eval", "parse")
 	q, err := parser.ParseQuery(p.bank, query)
 	psp.End()
 	if err != nil {
@@ -85,7 +85,7 @@ func (pq *PreparedQuery) EvalContext(ctx context.Context, db *Database, extra ..
 	for _, o := range extra {
 		o(&cfg)
 	}
-	esp := cfg.tracer.Begin("eval", "eval")
+	esp := cfg.exec.Tracer.Begin("eval", "eval")
 	defer esp.End()
 	return evalCore(ctx, pq.p, db, pq.q, pq.strategy, cfg)
 }
