@@ -1,9 +1,12 @@
 package lincount
 
-// TestPublicAPI pins package lincount's exported surface: every exported
-// constant, variable, function, type and method, rendered as gofmt'd Go
-// without doc comments or bodies, is compared with testdata/api.golden. Growing or
-// changing the API shows up as a reviewable golden diff. Regenerate with
+// TestPublicAPI pins the exported surface of package lincount and of
+// internal/server (the query server lincountd and the benchmark
+// configure): every exported constant, variable, function, type and
+// method, rendered as gofmt'd Go without doc comments or bodies, is
+// compared with testdata/api.golden and testdata/server_api.golden.
+// Growing or changing either API — a new Config knob included — shows
+// up as a reviewable golden diff. Regenerate with
 //
 //	go test -run TestPublicAPI -update .
 
@@ -22,38 +25,42 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden with the current API")
+var update = flag.Bool("update", false, "rewrite the API goldens in testdata with the current APIs")
 
 func TestPublicAPI(t *testing.T) {
-	got, err := renderAPI(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const golden = "testdata/api.golden"
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+	for _, c := range []struct{ dir, pkg, golden string }{
+		{".", "lincount", "testdata/api.golden"},
+		{"internal/server", "server", "testdata/server_api.golden"},
+	} {
+		got, err := renderAPI(c.dir, c.pkg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		wl, gl := lineSet(string(want)), lineSet(string(got))
-		var diff strings.Builder
-		for _, l := range strings.Split(string(want), "\n") {
-			if !gl[l] {
-				diff.WriteString("- " + l + "\n")
+		if *update {
+			if err := os.WriteFile(c.golden, got, 0o644); err != nil {
+				t.Fatal(err)
 			}
+			continue
 		}
-		for _, l := range strings.Split(string(got), "\n") {
-			if !wl[l] {
-				diff.WriteString("+ " + l + "\n")
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			wl, gl := lineSet(string(want)), lineSet(string(got))
+			var diff strings.Builder
+			for _, l := range strings.Split(string(want), "\n") {
+				if !gl[l] {
+					diff.WriteString("- " + l + "\n")
+				}
 			}
+			for _, l := range strings.Split(string(got), "\n") {
+				if !wl[l] {
+					diff.WriteString("+ " + l + "\n")
+				}
+			}
+			t.Errorf("%s API differs from %s (regenerate with -update if intended):\n%s", c.pkg, c.golden, diff.String())
 		}
-		t.Errorf("public API differs from %s (regenerate with -update if intended):\n%s", golden, diff.String())
 	}
 }
 
@@ -65,8 +72,8 @@ func lineSet(s string) map[string]bool {
 	return m
 }
 
-// renderAPI renders the exported declarations of the package in dir.
-func renderAPI(dir string) ([]byte, error) {
+// renderAPI renders the exported declarations of package name in dir.
+func renderAPI(dir, name string) ([]byte, error) {
 	fset := token.NewFileSet()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -83,12 +90,12 @@ func renderAPI(dir string) ([]byte, error) {
 		}
 		files = append(files, f)
 	}
-	pkg, err := doc.NewFromFiles(fset, files, "lincount")
+	pkg, err := doc.NewFromFiles(fset, files, name)
 	if err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer
-	out.WriteString("package lincount\n\n")
+	out.WriteString("package " + name + "\n\n")
 	emit := func(decl ast.Decl) {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:

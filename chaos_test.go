@@ -473,11 +473,15 @@ func TestChaosServerMVCC(t *testing.T) {
 		seed  int64
 		spec  string // write-path schedule, armed on the server injector
 		evals string // read-path schedule, applied to every evaluation
+		// unmaintained serves a program with negation: no
+		// materialisation, so every batch takes Database.Apply.
+		unmaintained bool
 	}{
-		{"write-err", 11, "server.write=err~0.15", ""},
-		{"publish-err", 12, "server.publish=err~0.10", ""},
-		{"write-latency", 13, "server.write=delay~0.5:200us,server.publish=delay~0.3:100us", ""},
-		{"mixed-storm", 14, "server.write=err~0.08,server.publish=err~0.05", "engine.iter=delay~0.2:100us,counting.step=delay~0.1:50us"},
+		{"write-err", 11, "server.write=err~0.15", "", false},
+		{"publish-err", 12, "server.publish=err~0.10", "", false},
+		{"write-latency", 13, "server.write=delay~0.5:200us,server.publish=delay~0.3:100us", "", false},
+		{"mixed-storm", 14, "server.write=err~0.08,server.publish=err~0.05", "engine.iter=delay~0.2:100us,counting.step=delay~0.1:50us", false},
+		{"negation-unmaintained", 15, "server.write=err~0.10,server.publish=err~0.05", "", true},
 	}
 	// Goroutine hygiene: everything the schedules spawn — writers,
 	// readers, the servers' own workers — must be gone once the group
@@ -489,17 +493,19 @@ func TestChaosServerMVCC(t *testing.T) {
 			sched := sched
 			t.Run(sched.name, func(t *testing.T) {
 				t.Parallel()
-				p := lincount.MustParseProgram("p(X,Y) :- f(X,Y).")
+				src := "p(X,Y) :- f(X,Y)."
+				if sched.unmaintained {
+					src = "p(X,Y) :- f(X,Y), not g(X)."
+				}
+				p := lincount.MustParseProgram(src)
 				inj, err := faultinject.ParseSpec(sched.seed, sched.spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg := server.Config{
-					Program:      p,
-					DB:           lincount.NewDatabase(p),
-					Inject:       inj,
-					WriteRetries: 2,
-					RetryBackoff: 100 * time.Microsecond,
+					Program: p,
+					DB:      lincount.NewDatabase(p),
+					Inject:  inj,
 				}
 				if sched.evals != "" {
 					cfg.EvalOptions = []lincount.Option{
@@ -509,6 +515,9 @@ func TestChaosServerMVCC(t *testing.T) {
 				s, err := server.New(cfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if maintained := s.Snapshot().Mat != nil; maintained == sched.unmaintained {
+					t.Fatalf("server maintained = %v, want %v", maintained, !sched.unmaintained)
 				}
 				ctx := context.Background()
 
@@ -684,7 +693,7 @@ func TestChaosServerMVCC(t *testing.T) {
 					if err := snap.Mat.Verify(ctx); err != nil {
 						t.Fatalf("final maintenance verify: %v", err)
 					}
-				} else {
+				} else if !sched.unmaintained {
 					t.Error("server lost its materialisation during the chaos run")
 				}
 
@@ -747,8 +756,6 @@ func TestChaosCrashRecovery(t *testing.T) {
 				DataDir:           dataDir,
 				CheckpointBytes:   -1, // explicit checkpoints only: keeps the
 				CheckpointRecords: -1, // damage variants' segment layout stable
-				WriteRetries:      2,
-				RetryBackoff:      100 * time.Microsecond,
 			}
 			if sched.spec != "" {
 				inj, err := faultinject.ParseSpec(sched.seed, sched.spec)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime/debug"
 	"sort"
 	"sync/atomic"
@@ -37,15 +36,11 @@ type evalConfig struct {
 	faultSpec   string
 
 	// Compilation state threaded by the facade once per evaluation: the
-	// normalized query text (the plan-cache key's query component), the
-	// shared adornment/analysis every candidate strategy compiles
-	// against, and the fingerprint of the plan-relevant options above —
-	// computed from the caller-supplied values before any per-attempt
-	// budget adjustment, so Auto fallback attempts share cache entries
-	// with explicit evaluations of the same options.
+	// normalized query text (the plan-cache key's query component) and
+	// the shared adornment/analysis every candidate strategy compiles
+	// against.
 	queryText string
 	shared    *plan.Shared
-	optsFP    uint64
 }
 
 // WithoutPlanCache makes this evaluation bypass the program's plan
@@ -82,8 +77,7 @@ func WithTracer(t *Tracer) Option {
 // the engine strategies without recording a trace: runs, inferences,
 // derived tuples and wall-clock time per rule. Cheaper than WithTracer
 // (clock reads per rule run, no event buffer) — the query server's
-// slow-query log uses it to attribute a slow request's time. Like the
-// other observers it does not participate in the plan-cache key.
+// slow-query log uses it to attribute a slow request's time.
 func WithRuleProfile() Option {
 	return func(c *evalConfig) { c.exec.Profile = true }
 }
@@ -93,8 +87,7 @@ func WithRuleProfile() Option {
 // observer — the query server's active-query registry — can report
 // facts-so-far for an in-flight evaluation. Engine strategies only; the
 // counting runtime and QSQ report their work in Stats when done. The
-// counter is not reset: pass a fresh one per evaluation. Excluded from
-// the plan-cache key like every observer.
+// counter is not reset: pass a fresh one per evaluation.
 func WithFactProgress(c *atomic.Int64) Option {
 	return func(cc *evalConfig) { cc.exec.Progress = c }
 }
@@ -235,7 +228,6 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 	}
 	dbi := db.data()
 	cfg.queryText = ast.FormatQuery(p.bank, q)
-	cfg.optsFP = cfg.fingerprint()
 	cfg.shared = p.sharedFor(cfg.queryText, q, cfg.noCache)
 	stats := p.statsFunc(dbi)
 	// The planner's cardinality estimates pre-size the engine's head
@@ -334,21 +326,6 @@ func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalC
 	return choices, probed, nil
 }
 
-// fingerprint hashes the options that are part of a plan's cache key.
-// Compiled plans do not actually depend on budgets — they are pure
-// functions of (program, query, strategy) — but keying on the options
-// keeps an entry's observable behavior identical across hits and makes
-// option changes an explicit cache miss, which is cheap insurance and
-// easy to reason about. Observers (tracer, profile, stats sink) and
-// cache-control flags are deliberately excluded.
-func (c *evalConfig) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%s",
-		c.exec.MaxIterations, c.exec.MaxFacts, c.exec.MaxCountingTuples, c.maxDuration,
-		c.faultSeed, c.faultSpec)
-	return h.Sum64()
-}
-
 // sharedFor returns the shared compilation state for a query, reusing
 // the cached one so every strategy (and every Auto fallback attempt)
 // adorns and analyzes at most once per query text.
@@ -383,7 +360,7 @@ func (p *Program) statsFunc(dbi *database.Database) plan.StatsFunc {
 // on a hit). Compile failures are returned without being cached.
 func (p *Program) planFor(s Strategy, cfg evalConfig) (cq *plan.CompiledQuery, hit bool, compileTime time.Duration, err error) {
 	useCache := !cfg.noCache && p.plans != nil
-	key := plan.Key{Query: cfg.queryText, Strategy: s, Opts: cfg.optsFP}
+	key := plan.Key{Query: cfg.queryText, Strategy: s}
 	if useCache {
 		if cq, ok := p.plans.Get(key); ok {
 			obsv.MPlanCacheHits.Add(1)

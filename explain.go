@@ -95,7 +95,6 @@ func (p *Program) compileFor(q ast.Query, db *Database, strategy Strategy) (*pla
 	dbi := db.data()
 	cfg := evalConfig{}
 	cfg.queryText = ast.FormatQuery(p.bank, q)
-	cfg.optsFP = cfg.fingerprint()
 	cfg.shared = p.sharedFor(cfg.queryText, q, false)
 	if strategy == Auto {
 		choices, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))

@@ -1,16 +1,16 @@
 // Package graph implements the directed-multigraph machinery of the paper's
-// §2 and §4: depth-first arc classification into tree, forward, cross and
-// back arcs (ahead = tree ∪ forward ∪ cross), reachability, strongly
-// connected components, and the single/multiple/recurring node taxonomy.
+// §2: depth-first arc classification into tree, forward, cross and back
+// arcs (ahead = tree ∪ forward ∪ cross), reachability, strongly connected
+// components, and the single/multiple/recurring node taxonomy.
 //
-// The counting runtime partitions the left-part graph of a program with
-// ClassifyDFS: the ahead arcs form an acyclic graph that drives the counting
-// set, while back arcs become cycle links.
+// It is the reference implementation the paper-reproduction suite checks
+// Example 2 against (experiment E2). The counting runtime does not call it:
+// it classifies the arcs of the left-part graph itself while it explores
+// them (internal/counting).
 package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Digraph is a directed multigraph over dense integer nodes. Parallel arcs
@@ -176,28 +176,6 @@ func (g *Digraph) ClassifyDFS(source int) *Classification {
 	return c
 }
 
-// AheadArcs returns the ids of arcs classified ahead (tree/forward/cross).
-func (c *Classification) AheadArcs() []int {
-	var out []int
-	for id, cl := range c.Class {
-		if cl.Ahead() {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// BackArcs returns the ids of arcs classified back.
-func (c *Classification) BackArcs() []int {
-	var out []int
-	for id, cl := range c.Class {
-		if cl == Back {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // ReachableFrom returns the set of nodes reachable from source.
 func (g *Digraph) ReachableFrom(source int) []bool {
 	seen := make([]bool, g.n)
@@ -215,12 +193,6 @@ func (g *Digraph) ReachableFrom(source int) []bool {
 		}
 	}
 	return seen
-}
-
-// IsAcyclicFrom reports whether the subgraph reachable from source contains
-// no cycle (equivalently: the classification has no back arcs).
-func (g *Digraph) IsAcyclicFrom(source int) bool {
-	return len(g.ClassifyDFS(source).BackArcs()) == 0
 }
 
 // SCC returns the strongly connected components of the whole graph in
@@ -302,83 +274,6 @@ func (g *Digraph) SCC() [][]int {
 		}
 	}
 	return comps
-}
-
-// ElementaryCycles enumerates the graph's elementary cycles (§2: cycles
-// containing each node at most once), each as the node sequence in cycle
-// order starting from its smallest node. Enumeration stops after maxCycles
-// results (0 means no bound); the count can be exponential in dense graphs.
-func (g *Digraph) ElementaryCycles(maxCycles int) [][]int {
-	var out [][]int
-	seen := map[string]bool{} // parallel arcs repeat a node sequence
-	onPath := make([]bool, g.n)
-	var path []int
-
-	emit := func() bool {
-		key := fmt.Sprint(path)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		out = append(out, append([]int(nil), path...))
-		return maxCycles == 0 || len(out) < maxCycles
-	}
-
-	var dfs func(start, v int) bool // returns false to abort (bound hit)
-	dfs = func(start, v int) bool {
-		path = append(path, v)
-		onPath[v] = true
-		defer func() {
-			path = path[:len(path)-1]
-			onPath[v] = false
-		}()
-		for _, id := range g.adj[v] {
-			w := int(g.to[id])
-			if w < start {
-				continue // canonical form: cycles start at their minimum node
-			}
-			if w == start {
-				if !emit() {
-					return false
-				}
-				continue
-			}
-			if !onPath[w] {
-				if !dfs(start, w) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for s := 0; s < g.n; s++ {
-		if !dfs(s, s) {
-			break
-		}
-	}
-	return out
-}
-
-// CycleLengthsThrough returns the sorted distinct lengths of elementary
-// cycles containing node v — the quantity the paper's §4 intuition
-// associates with nodes that receive a back arc. The same maxCycles bound
-// as ElementaryCycles applies.
-func (g *Digraph) CycleLengthsThrough(v, maxCycles int) []int {
-	seen := map[int]bool{}
-	for _, c := range g.ElementaryCycles(maxCycles) {
-		for _, n := range c {
-			if n == v {
-				seen[len(c)] = true
-				break
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Multiplicity is the paper's §2 taxonomy of nodes with respect to a source:

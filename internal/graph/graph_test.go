@@ -32,12 +32,6 @@ func TestExample2Classification(t *testing.T) {
 			t.Errorf("arc %s classified %v, want %v", arc, got, want[arc])
 		}
 	}
-	if got := len(c.BackArcs()); got != 1 {
-		t.Errorf("back arcs = %d, want 1", got)
-	}
-	if got := len(c.AheadArcs()); got != 5 {
-		t.Errorf("ahead arcs = %d, want 5", got)
-	}
 }
 
 // TestExample2Multiplicity checks the paper's node taxonomy: a and d are
@@ -103,7 +97,7 @@ func TestChainAllSingle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddArc(i, i+1)
 	}
-	if !g.IsAcyclicFrom(0) {
+	if hasBackArc(g.ClassifyDFS(0)) {
 		t.Error("chain reported cyclic")
 	}
 	for v, m := range g.NodeMultiplicity(0) {
@@ -173,131 +167,15 @@ func TestReachableFrom(t *testing.T) {
 	}
 }
 
-// TestExample2ElementaryCycle: the arcs (b,c) and (c,b) form the unique
-// elementary cycle of Example 2.
-func TestExample2ElementaryCycle(t *testing.T) {
-	g, names, _ := buildExample2()
-	cycles := g.ElementaryCycles(0)
-	if len(cycles) != 1 {
-		t.Fatalf("cycles = %v", cycles)
-	}
-	c := cycles[0]
-	if len(c) != 2 {
-		t.Fatalf("cycle length = %d", len(c))
-	}
-	has := map[int]bool{c[0]: true, c[1]: true}
-	if !has[names["b"]] || !has[names["c"]] {
-		t.Errorf("cycle = %v, want {b,c}", c)
-	}
-	if got := g.CycleLengthsThrough(names["b"], 0); len(got) != 1 || got[0] != 2 {
-		t.Errorf("lengths through b = %v", got)
-	}
-	if got := g.CycleLengthsThrough(names["a"], 0); len(got) != 0 {
-		t.Errorf("lengths through a = %v", got)
-	}
-}
-
-func TestElementaryCyclesSelfLoopAndBound(t *testing.T) {
-	g := New(3)
-	g.AddArc(0, 0)
-	g.AddArc(1, 2)
-	g.AddArc(2, 1)
-	cycles := g.ElementaryCycles(0)
-	if len(cycles) != 2 {
-		t.Fatalf("cycles = %v", cycles)
-	}
-	if len(cycles[0]) != 1 || cycles[0][0] != 0 {
-		t.Errorf("self loop not found: %v", cycles)
-	}
-	if got := g.ElementaryCycles(1); len(got) != 1 {
-		t.Errorf("bound not respected: %v", got)
-	}
-}
-
-func TestElementaryCyclesOverlapping(t *testing.T) {
-	// Two cycles sharing node 0: 0→1→0 and 0→2→0.
-	g := New(3)
-	g.AddArc(0, 1)
-	g.AddArc(1, 0)
-	g.AddArc(0, 2)
-	g.AddArc(2, 0)
-	if got := g.ElementaryCycles(0); len(got) != 2 {
-		t.Errorf("cycles = %v", got)
-	}
-	if got := g.CycleLengthsThrough(0, 0); len(got) != 1 || got[0] != 2 {
-		t.Errorf("lengths = %v", got)
-	}
-	// Add a long cycle 0→1→2→0 as well.
-	g.AddArc(1, 2)
-	if got := g.CycleLengthsThrough(0, 0); len(got) != 2 || got[1] != 3 {
-		t.Errorf("lengths = %v", got)
-	}
-}
-
-// Property: every returned cycle is a genuine elementary cycle (distinct
-// nodes, consecutive arcs exist, closing arc exists), and a graph has
-// cycles iff some classification finds a back arc.
-func TestElementaryCyclesAreValid(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(7)
-		g := randomGraph(r, n, r.Intn(2*n))
-		hasArc := func(a, b int) bool {
-			for _, id := range g.ArcsFrom(a) {
-				if _, to := g.Arc(int(id)); to == b {
-					return true
-				}
-			}
-			return false
+// hasBackArc reports whether a classification found a cycle: the
+// reachable subgraph is acyclic iff no arc is classified back.
+func hasBackArc(c *Classification) bool {
+	for _, cl := range c.Class {
+		if cl == Back {
+			return true
 		}
-		cycles := g.ElementaryCycles(500)
-		for _, c := range cycles {
-			nodes := map[int]bool{}
-			for _, v := range c {
-				if nodes[v] {
-					return false // not elementary
-				}
-				nodes[v] = true
-			}
-			for i := range c {
-				if !hasArc(c[i], c[(i+1)%len(c)]) {
-					return false
-				}
-			}
-		}
-		// Consistency with back-arc detection.
-		anyBack := false
-		for v := 0; v < n; v++ {
-			if len(g.ClassifyDFS(v).BackArcs()) > 0 {
-				anyBack = true
-				break
-			}
-		}
-		return anyBack == (len(cycles) > 0)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestElementaryCyclesParallelArcsDedup(t *testing.T) {
-	g := New(2)
-	g.AddArc(0, 1)
-	g.AddArc(0, 1)
-	g.AddArc(1, 0)
-	if got := g.ElementaryCycles(0); len(got) != 1 {
-		t.Errorf("parallel arcs duplicated cycles: %v", got)
-	}
-}
-
-func TestElementaryCyclesAcyclic(t *testing.T) {
-	g := New(4)
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(0, 2)
-	if got := g.ElementaryCycles(0); len(got) != 0 {
-		t.Errorf("acyclic graph has cycles: %v", got)
-	}
+	return false
 }
 
 func randomGraph(r *rand.Rand, n, arcs int) *Digraph {
@@ -317,13 +195,15 @@ func TestAheadSubgraphAcyclic(t *testing.T) {
 		src := r.Intn(n)
 		c := g.ClassifyDFS(src)
 		sub := New(n)
-		for _, id := range c.AheadArcs() {
-			from, to := g.Arc(id)
-			sub.AddArc(from, to)
+		for id, cl := range c.Class {
+			if cl.Ahead() {
+				from, to := g.Arc(id)
+				sub.AddArc(from, to)
+			}
 		}
 		// Check from every node: no back arcs anywhere in the subgraph.
 		for v := 0; v < n; v++ {
-			if !sub.IsAcyclicFrom(v) {
+			if hasBackArc(sub.ClassifyDFS(v)) {
 				return false
 			}
 		}
@@ -368,7 +248,7 @@ func TestAcyclicIffNoRecurring(t *testing.T) {
 				anyRecurring = true
 			}
 		}
-		return g.IsAcyclicFrom(src) == !anyRecurring
+		return hasBackArc(g.ClassifyDFS(src)) == anyRecurring
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -8,135 +8,61 @@ import (
 	"lincount/internal/database"
 	"lincount/internal/engine"
 	"lincount/internal/limits"
-	"lincount/internal/parser"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
 )
 
-// Op is one ordered write operation: fact text to assert or retract. It
-// mirrors the WAL's per-epoch record stream, so recovery replay and live
-// maintenance share one input format.
-type Op struct {
-	Retract bool
-	Text    string
-}
+// Op is one ordered write operation: fact text to assert or retract.
+type Op = database.Op
 
-// OpError attributes a batch failure to one operation, so the caller can
-// excise the offending request and retry the rest.
-type OpError struct {
-	Index int
-	Err   error
-}
-
-func (e *OpError) Error() string {
-	return fmt.Sprintf("incremental: op %d: %v", e.Index, e.Err)
-}
-
-func (e *OpError) Unwrap() error { return e.Err }
-
-// ApplyResult reports what one maintenance batch did.
+// ApplyResult reports the work one batch performed: a maintenance batch
+// here, or a base-fact batch of lincount's Database.Apply, which fills
+// only the first three fields.
 type ApplyResult struct {
-	// RetractedPerOp[i] is the number of base facts op i actually removed,
-	// matching what a sequential RetractText would have reported.
+	// RetractedPerOp holds, for each retract op, how many of its facts
+	// were present (under sequential semantics) when it executed; assert
+	// ops report 0.
 	RetractedPerOp []int
-	// NetInserted/NetDeleted are the net base-fact changes after
-	// cancelling retract-then-reassert pairs within the batch.
+	// NetInserted and NetDeleted count the base facts that changed after
+	// cancelling retract/re-assert pairs within the batch.
 	NetInserted, NetDeleted int
-	// DerivedAdded/DerivedRemoved count derived-relation rows that
-	// appeared/disappeared.
+	// DerivedAdded and DerivedRemoved count derived tuples that appeared
+	// and disappeared.
 	DerivedAdded, DerivedRemoved int
-	// Overdeleted and Rederived count the DRed traffic in recursive
-	// components.
+	// Overdeleted and Rederived count the deletion pass's traffic in
+	// recursive components: tuples provisionally deleted by the
+	// overcounting sweep, and those rederived because alternative
+	// derivations survive.
 	Overdeleted, Rederived int
-}
-
-// parsedOp is one op resolved to ground (pred, tuple) pairs.
-type parsedOp struct {
-	retract bool
-	preds   []symtab.Sym
-	tuples  []database.Tuple
-}
-
-// predSim tracks net membership for every tuple a batch touches, keyed by
-// dense scratch-relation row ids.
-type predSim struct {
-	touched  *database.Relation
-	present0 []bool
-	cur      []bool
 }
 
 // Apply folds the ordered op batch into fork (a Fork of this
 // materialisation's database, not yet written to) and returns the next
 // epoch's materialisation. The receiver is never mutated; on error the
-// fork may hold partial base writes and must be discarded. A returned
-// *OpError identifies the op to excise; an *InternalError or resource
-// limit means the caller should fall back to full re-evaluation.
+// fork may hold partial base writes and must be discarded. The batch's
+// net effect is database.Simulate's, held to the program's arities too;
+// a returned *database.OpError identifies the op to excise, and an
+// *InternalError or resource limit means the caller should fall back to
+// full re-evaluation.
 func (m *Materialization) Apply(ctx context.Context, fork *database.Database, ops []Op) (*Materialization, *ApplyResult, error) {
 	if fork.Bank() != m.bank {
 		return nil, nil, fmt.Errorf("incremental: fork uses a different term bank")
 	}
 	check := limits.NewChecker(ctx, "incremental")
-	parsed, err := m.parseOps(fork, ops)
+	b, err := fork.Simulate(ops, func(pred symtab.Sym, args []term.Value) error {
+		if want, ok := m.arity[pred]; ok && want != len(args) {
+			return fmt.Errorf("predicate %s used with arity %d and %d",
+				m.bank.Symbols().String(pred), want, len(args))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Net-delta simulation: replay the ordered ops against a membership
-	// model seeded from the pre-state, recording per-op retract effects.
-	sim := make(map[symtab.Sym]*predSim)
-	res := &ApplyResult{RetractedPerOp: make([]int, len(ops))}
-	var touchedOrder []symtab.Sym
-	for i, po := range parsed {
-		for j, pred := range po.preds {
-			t := po.tuples[j]
-			ps, ok := sim[pred]
-			if !ok {
-				ps = &predSim{touched: database.NewRelation(len(t))}
-				sim[pred] = ps
-				touchedOrder = append(touchedOrder, pred)
-			}
-			id, added := ps.touched.InsertRow(t)
-			if added {
-				p0 := false
-				if rel := fork.Relation(pred); rel != nil {
-					p0 = rel.Contains(t)
-				}
-				ps.present0 = append(ps.present0, p0)
-				ps.cur = append(ps.cur, p0)
-			}
-			if po.retract {
-				if ps.cur[id] {
-					ps.cur[id] = false
-					res.RetractedPerOp[i]++
-				}
-			} else {
-				ps.cur[id] = true
-			}
-		}
-	}
-	netIns := make(map[symtab.Sym]*database.Relation)
-	netDel := make(map[symtab.Sym]*database.Relation)
-	var insOrder, delOrder []symtab.Sym
-	for _, pred := range touchedOrder {
-		ps := sim[pred]
-		for id := database.RowID(0); int(id) < ps.touched.Len(); id++ {
-			t := database.Tuple(ps.touched.Row(id))
-			switch {
-			case !ps.present0[id] && ps.cur[id]:
-				if netIns[pred] == nil {
-					netIns[pred] = database.NewRelation(len(t))
-					insOrder = append(insOrder, pred)
-				}
-				netIns[pred].Insert(t)
-				res.NetInserted++
-			case ps.present0[id] && !ps.cur[id]:
-				if netDel[pred] == nil {
-					netDel[pred] = database.NewRelation(len(t))
-					delOrder = append(delOrder, pred)
-				}
-				netDel[pred].Insert(t)
-				res.NetDeleted++
-			}
+	res := &ApplyResult{RetractedPerOp: b.RetractedPerOp, NetInserted: b.Inserted, NetDeleted: b.Deleted}
+	for pred, n := range b.Created {
+		if _, err := fork.Ensure(pred, n); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -149,21 +75,21 @@ func (m *Materialization) Apply(ctx context.Context, fork *database.Database, op
 		m:        m2,
 		fork:     fork,
 		check:    check,
-		netIns:   netIns,
-		netDel:   netDel,
-		insOrder: insOrder,
-		delOrder: delOrder,
+		netIns:   b.Ins,
+		netDel:   b.Del,
+		insOrder: b.InsOrder,
+		delOrder: b.DelOrder,
 		rowState: make(map[symtab.Sym][]int32),
 		deleted:  make(map[symtab.Sym]*database.Relation),
 		joiners:  make(map[int]*engine.Joiner),
 		res:      res,
 	}
-	if len(netDel) > 0 {
+	if b.Deleted > 0 {
 		if err := a.deletePhase(); err != nil {
 			return nil, nil, err
 		}
 	}
-	if len(netIns) > 0 {
+	if b.Inserted > 0 {
 		if err := a.insertPhase(); err != nil {
 			return nil, nil, err
 		}
@@ -198,39 +124,6 @@ func (m *Materialization) fork(db *database.Database) *Materialization {
 		m2.counts[p] = append(make([]int64, 0, len(c)+len(c)/64+64), c...)
 	}
 	return m2
-}
-
-// parseOps resolves each op's fact text and validates arities against the
-// program, the pre-state relations and earlier ops in the batch.
-func (m *Materialization) parseOps(fork *database.Database, ops []Op) ([]parsedOp, error) {
-	out := make([]parsedOp, len(ops))
-	batchArity := make(map[symtab.Sym]int)
-	for i, op := range ops {
-		po := parsedOp{retract: op.Retract}
-		err := parser.ParseFacts(m.bank, op.Text, func(pred symtab.Sym, args []term.Value) error {
-			want, ok := m.arity[pred]
-			if !ok {
-				if rel := fork.Relation(pred); rel != nil {
-					want, ok = rel.Arity(), true
-				} else if n, seen := batchArity[pred]; seen {
-					want, ok = n, true
-				}
-			}
-			if ok && want != len(args) {
-				return fmt.Errorf("predicate %s used with arity %d and %d",
-					m.bank.Symbols().String(pred), want, len(args))
-			}
-			batchArity[pred] = len(args)
-			po.preds = append(po.preds, pred)
-			po.tuples = append(po.tuples, database.Tuple(args).Clone())
-			return nil
-		})
-		if err != nil {
-			return nil, &OpError{Index: i, Err: err}
-		}
-		out[i] = po
-	}
-	return out, nil
 }
 
 // applier carries one batch's maintenance state.

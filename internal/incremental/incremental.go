@@ -17,9 +17,9 @@
 // Apply folds an ordered batch of +fact/-fact operations — the same record
 // stream the server's WAL frames per epoch — into a new Materialization:
 //
-//   - The batch is first net-simulated per tuple, yielding the net
-//     insert/delete sets and the per-op retract counts (matching what
-//     sequential RetractText calls would have reported).
+//   - The batch's net insert/delete sets and per-op retract counts come
+//     from database.Simulate, the one batch semantics every write path
+//     shares (equal to applying the ops one at a time).
 //   - Deletions run component-by-component in stratification order. In a
 //     non-recursive component the lost derivations are counted exactly
 //     once (delta at the last deleted-atom position, later occurrences

@@ -294,9 +294,9 @@ func TestOpErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, _, err := m.Apply(context.Background(), f.db.Fork(), tc.ops)
-		var oe *OpError
+		var oe *database.OpError
 		if !errors.As(err, &oe) {
-			t.Fatalf("%s: err = %v, want *OpError", tc.name, err)
+			t.Fatalf("%s: err = %v, want *database.OpError", tc.name, err)
 		}
 		if oe.Index != tc.idx {
 			t.Fatalf("%s: OpError.Index = %d, want %d", tc.name, oe.Index, tc.idx)

@@ -8,13 +8,12 @@ import (
 // Key identifies a cached plan. Query is the normalized query text —
 // rewrites embed the query's constants (the magic seed fact, the
 // counting seed), so plans are keyed by the full goal, not just its
-// adornment pattern. Opts is a fingerprint of the evaluation options
-// that are baked into a plan's execution behavior, so evaluations with
-// different budgets never share an entry spuriously.
+// adornment pattern. A plan is a pure function of (program, query,
+// strategy): budgets, observers and fault schedules reach it at
+// execution time (ExecOptions), so one entry serves every set of them.
 type Key struct {
 	Query    string
 	Strategy Strategy
-	Opts     uint64
 }
 
 // Cache is a mutex-guarded LRU of compiled plans plus the per-query

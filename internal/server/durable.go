@@ -162,14 +162,10 @@ func recoverData(c *Config, base *lincount.Database) (*wal.Writer, RecoveryInfo,
 		if rec.Seq != chainSeq+1 {
 			return fmt.Errorf("server: recovery found an epoch gap (record %d after %d): acknowledged writes are missing", rec.Seq, chainSeq)
 		}
-		// Replay the epoch's op frame through the same sequential
-		// application path the live write path uses (and maintenance
-		// mirrors), so recovered and live state cannot drift.
-		ops := make([]lincount.WriteOp, len(rec.Ops))
-		for i, op := range rec.Ops {
-			ops[i] = lincount.WriteOp{Retract: op.Retract, Text: op.Text}
-		}
-		if _, err := applySequential(base, ops); err != nil {
+		// Replay the epoch's op frame through Database.Apply, the batch
+		// semantics the live write path applied it with, so recovered and
+		// live state cannot drift.
+		if _, err := base.Apply(rec.Ops); err != nil {
 			return fmt.Errorf("server: replaying epoch %d: %w", rec.Seq, err)
 		}
 		chainSeq = rec.Seq
@@ -221,23 +217,13 @@ func (s *Server) Recovery() RecoveryInfo { return s.recovered }
 // Durable reports whether the server writes a WAL.
 func (s *Server) Durable() bool { return s.walW.Load() != nil }
 
-// walAppend logs one batch's operations as the record for epoch seq.
-// Returns nil immediately when the server is not durable.
-func (s *Server) walAppend(seq uint64, batch []writeReq, failed []error) error {
+// walAppend logs one batch's ops (batchOps' framing, the slice the
+// apply consumed) as the record for epoch seq. Returns nil immediately
+// when the server is not durable.
+func (s *Server) walAppend(seq uint64, ops []wal.Op) error {
 	w := s.walW.Load()
 	if w == nil {
 		return nil
-	}
-	// The record frames exactly the op stream maintenance consumed (see
-	// batchOps): live maintenance and recovery replay share one input.
-	var ops []wal.Op
-	for i, wr := range batch {
-		if failed[i] != nil {
-			continue
-		}
-		for _, op := range reqWriteOps(wr.req) {
-			ops = append(ops, wal.Op{Retract: op.Retract, Text: op.Text})
-		}
 	}
 	return w.Append(wal.Record{Seq: seq, Ops: ops})
 }

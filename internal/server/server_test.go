@@ -123,9 +123,7 @@ func TestServerSnapshotIsolation(t *testing.T) {
 	inj.Fail(faultinject.SiteServerApply, 0.10)
 	inj.Fail(faultinject.SiteServerPublish, 0.05)
 	s := newTestServer(t, Config{
-		Inject:       inj,
-		WriteRetries: 2,
-		RetryBackoff: 100 * time.Microsecond,
+		Inject: inj,
 	})
 	ctx := context.Background()
 
@@ -255,7 +253,7 @@ func sameAnswers(a, b [][]string) bool {
 func TestServerWriteRetry(t *testing.T) {
 	inj := faultinject.New(7)
 	inj.FailAt(faultinject.SiteServerApply, 1)
-	s := newTestServer(t, Config{Inject: inj, RetryBackoff: 100 * time.Microsecond})
+	s := newTestServer(t, Config{Inject: inj})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -273,7 +271,7 @@ func TestServerWriteRetry(t *testing.T) {
 func TestServerWriteRetryExhausted(t *testing.T) {
 	inj := faultinject.New(7)
 	inj.Fail(faultinject.SiteServerApply, 1.0)
-	s := newTestServer(t, Config{Inject: inj, WriteRetries: 2, RetryBackoff: 100 * time.Microsecond})
+	s := newTestServer(t, Config{Inject: inj})
 	defer s.Close()
 
 	_, err := s.Write(context.Background(), WriteRequest{Assert: "f(a,b)."})
@@ -440,10 +438,10 @@ func TestServerDrainDeadlineForcesCancel(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// TestServerPreparedCacheSurvivesEpochs: the same PreparedQuery entry
-// serves every epoch — plans are pure functions of program and query, so
-// writes must not invalidate them, and answers must still track the
-// snapshot the request was admitted against.
+// TestServerPreparedCacheSurvivesEpochs: the program's plan cache
+// serves every epoch — plans are pure functions of program, query and
+// strategy, so writes must not invalidate them, and answers must still
+// track the snapshot the request was admitted against.
 func TestServerPreparedCacheSurvivesEpochs(t *testing.T) {
 	s := newTestServer(t, Config{})
 	defer s.Close()
@@ -463,12 +461,9 @@ func TestServerPreparedCacheSurvivesEpochs(t *testing.T) {
 		if len(res.Answers) != i+1 {
 			t.Fatalf("epoch %d: %d answers, want %d", res.Epoch, len(res.Answers), i+1)
 		}
-	}
-	s.prepMu.Lock()
-	n := len(s.prepared)
-	s.prepMu.Unlock()
-	if n != 1 {
-		t.Fatalf("prepared cache has %d entries after 10 epochs of one query, want 1", n)
+		if i > 0 && !res.PlanCacheHit {
+			t.Fatalf("epoch %d: plan cache miss for a query already compiled", res.Epoch)
+		}
 	}
 }
 
@@ -547,5 +542,41 @@ func TestServerMaintenanceUnavailable(t *testing.T) {
 	}
 	if len(res.Answers) != 1 || res.Strategy == "materialized" {
 		t.Fatalf("answers = %v via %q, want 1 row via evaluation", res.Answers, res.Strategy)
+	}
+}
+
+// TestServerBatchIsSequential: a batch means on both server modes what
+// sequential application means. Retract p(a), then assert p(a,b), with p
+// absent and no program predicate: retracting from an absent relation is
+// a no-op and fixes no arity, so both requests publish in one epoch and p
+// exists at arity 2, on a maintained server and an unmaintained one
+// alike.
+func TestServerBatchIsSequential(t *testing.T) {
+	for _, src := range []string{
+		"tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).",
+		"r(X) :- e(X,Y), not f(X).",
+	} {
+		s := newTestServer(t, Config{Program: lincount.MustParseProgram(src)})
+		maintained := s.Snapshot().Mat != nil
+		// One batch, as the writer coalesces it: applyBatch directly, the
+		// writer goroutine idle.
+		batch := []writeReq{
+			{req: WriteRequest{Retract: "p(a)."}, done: make(chan writeResult, 1)},
+			{req: WriteRequest{Assert: "p(a,b)."}, done: make(chan writeResult, 1)},
+		}
+		s.applyBatch(batch)
+		for i, wr := range batch {
+			if res := <-wr.done; res.err != nil || res.epoch != 1 || res.retracted != 0 {
+				t.Errorf("maintained=%v: request %d = %+v, want epoch 1, nothing retracted", maintained, i, res)
+			}
+		}
+		res, err := s.Query(context.Background(), QueryRequest{Query: "?- p(X,Y).", Strategy: "semi-naive"})
+		if err != nil {
+			t.Fatalf("maintained=%v: %v", maintained, err)
+		}
+		if fmt.Sprint(res.Answers) != "[[a b]]" || res.Epoch != 1 {
+			t.Errorf("maintained=%v: p = %v at epoch %d, want [[a b]] at 1", maintained, res.Answers, res.Epoch)
+		}
+		s.Close()
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"lincount/internal/database"
 	"lincount/internal/faultinject"
 	"lincount/internal/obsv"
 )
@@ -126,12 +127,7 @@ func (o Options) withDefaults() Options {
 
 // Op is one logged operation: fact text to assert or retract, exactly
 // as the write request carried it.
-type Op struct {
-	// Retract selects retraction; false means assertion.
-	Retract bool
-	// Text is the fact text ("up(a,b). flat(b,c).").
-	Text string
-}
+type Op = database.Op
 
 // Record is one logged batch: the epoch it published plus its
 // operations in application order.

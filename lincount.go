@@ -183,6 +183,26 @@ func NewDatabase(p *Program) *Database {
 // LoadFacts parses fact text ("up(a,b). flat(b,c).") into the database.
 func (d *Database) LoadFacts(src string) error { return d.db.LoadText(src) }
 
+// Apply applies one ordered batch of write ops to the database, with
+// exactly the effect of applying them one at a time — asserts through
+// LoadFacts, retracts through RetractFacts — and the same per-op
+// retract counts in ApplyInfo.RetractedPerOp. The batch is atomic: the
+// first op sequential application would fail rejects the whole batch
+// with a *WriteError carrying its index, and the database is left
+// untouched. A fact retracted and re-asserted within one batch keeps its
+// place (no net change) where sequential application would move it to
+// the end of its relation.
+func (d *Database) Apply(ops []WriteOp) (*ApplyInfo, error) {
+	b, err := d.db.Simulate(ops, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.db.Commit(b); err != nil {
+		return nil, err
+	}
+	return &ApplyInfo{RetractedPerOp: b.RetractedPerOp, NetInserted: b.Inserted, NetDeleted: b.Deleted}, nil
+}
+
 // Fork returns a copy-on-write fork of the database: the fork shares
 // every relation with d until a write first touches it, so d is never
 // mutated through the fork and may keep serving concurrent readers.

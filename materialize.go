@@ -2,8 +2,8 @@ package lincount
 
 import (
 	"context"
-	"errors"
 
+	"lincount/internal/database"
 	"lincount/internal/incremental"
 	"lincount/internal/parser"
 )
@@ -18,45 +18,17 @@ var ErrNotIncremental = incremental.ErrNotIncremental
 // LoadFacts format. The ordering within a batch is significant — a
 // retract followed by a re-assert of the same fact in one batch leaves
 // the fact present, exactly as if the ops were applied sequentially.
-type WriteOp struct {
-	Retract bool
-	Text    string
-}
+type WriteOp = database.Op
 
 // WriteError reports that an op of an Apply batch was rejected (syntax
-// error, non-fact clause, or arity mismatch with an existing relation).
-// The whole batch is rejected; nothing was applied.
-type WriteError struct {
-	// Index is the position of the offending op in the batch.
-	Index int
-	// Err is the underlying parse or validation error.
-	Err error
-}
+// error, non-fact clause, or arity mismatch): Index is the op's position
+// in the batch, Err the parse or validation error, and Error() is Err's
+// text. The whole batch is rejected; nothing was applied.
+type WriteError = database.OpError
 
-func (e *WriteError) Error() string { return e.Err.Error() }
-func (e *WriteError) Unwrap() error { return e.Err }
-
-// ApplyInfo reports the work one Apply performed.
-type ApplyInfo struct {
-	// RetractedPerOp holds, for each retract op, how many of its facts
-	// were present (under sequential semantics) when it executed; assert
-	// ops report 0.
-	RetractedPerOp []int
-	// NetInserted and NetDeleted count the base facts that changed after
-	// cancelling retract/re-assert pairs within the batch.
-	NetInserted int
-	NetDeleted  int
-	// DerivedAdded and DerivedRemoved count derived tuples that appeared
-	// and disappeared.
-	DerivedAdded   int
-	DerivedRemoved int
-	// Overdeleted and Rederived count the deletion pass's traffic in
-	// recursive components: tuples provisionally deleted by the
-	// overcounting sweep, and those rederived because alternative
-	// derivations survive.
-	Overdeleted int
-	Rederived   int
-}
+// ApplyInfo reports the work one Apply performed; Database.Apply fills
+// RetractedPerOp, NetInserted and NetDeleted.
+type ApplyInfo = incremental.ApplyResult
 
 // Materialization is a fully materialised evaluation of a Program over
 // one Database epoch, maintained incrementally: Apply produces the next
@@ -91,31 +63,17 @@ func (p *Program) Materialize(ctx context.Context, db *Database) (*Materializati
 // Apply runs one ordered batch of write ops through incremental
 // maintenance and returns the next epoch's Materialization, whose
 // Database is a fork of this epoch's with the batch applied. The
-// receiver is not modified. A rejected op fails the whole batch with a
-// *WriteError and applies nothing.
+// receiver is not modified. The batch means what it means to
+// Database.Apply; in addition, every fact must agree with the arity the
+// program uses its predicate with. A rejected op fails the whole batch
+// with a *WriteError and applies nothing.
 func (m *Materialization) Apply(ctx context.Context, ops []WriteOp) (*Materialization, *ApplyInfo, error) {
 	fork := m.base.Fork()
-	iops := make([]incremental.Op, len(ops))
-	for i, op := range ops {
-		iops[i] = incremental.Op{Retract: op.Retract, Text: op.Text}
-	}
-	m2, ar, err := m.mat.Apply(ctx, fork.db, iops)
+	m2, info, err := m.mat.Apply(ctx, fork.db, ops)
 	if err != nil {
-		var oe *incremental.OpError
-		if errors.As(err, &oe) {
-			return nil, nil, &WriteError{Index: oe.Index, Err: oe.Err}
-		}
 		return nil, nil, err
 	}
-	return &Materialization{owner: m.owner, base: fork, mat: m2}, &ApplyInfo{
-		RetractedPerOp: ar.RetractedPerOp,
-		NetInserted:    ar.NetInserted,
-		NetDeleted:     ar.NetDeleted,
-		DerivedAdded:   ar.DerivedAdded,
-		DerivedRemoved: ar.DerivedRemoved,
-		Overdeleted:    ar.Overdeleted,
-		Rederived:      ar.Rederived,
-	}, nil
+	return &Materialization{owner: m.owner, base: fork, mat: m2}, info, nil
 }
 
 // Database returns the base-fact epoch this materialisation covers.

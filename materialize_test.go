@@ -188,6 +188,37 @@ func TestMaterializeWriteError(t *testing.T) {
 	}
 }
 
+// TestDatabaseApply: the public batch apply reports sequential retract
+// counts and net changes, and a rejected op — the same *WriteError as
+// Materialization.Apply — leaves the database untouched.
+func TestDatabaseApply(t *testing.T) {
+	p := lincount.MustParseProgram("p(X) :- e(X).")
+	db := lincount.NewDatabase(p)
+	if err := db.LoadFacts("e(a). e(b)."); err != nil {
+		t.Fatal(err)
+	}
+	info, err := db.Apply([]lincount.WriteOp{
+		{Retract: true, Text: "e(a). e(z)."},
+		{Text: "e(c). e(a)."},
+		{Retract: true, Text: "e(b). e(b)."},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(info.RetractedPerOp, []int{1, 0, 1}) || info.NetInserted != 1 || info.NetDeleted != 1 {
+		t.Fatalf("ApplyInfo = %+v, want RetractedPerOp [1 0 1], one net insert, one net delete", info)
+	}
+	before := db.Text()
+	_, err = db.Apply([]lincount.WriteOp{{Text: "e(d)."}, {Text: "e(d,e)."}})
+	var we *lincount.WriteError
+	if !errors.As(err, &we) || we.Index != 1 {
+		t.Fatalf("Apply = %v, want *WriteError at op 1", err)
+	}
+	if db.Text() != before || before != "e(a).\ne(c).\n" {
+		t.Fatalf("database after a rejected batch:\n%s\nwant\ne(a).\ne(c).", db.Text())
+	}
+}
+
 func TestMaterializeWrongDatabase(t *testing.T) {
 	p := lincount.MustParseProgram("p(X) :- e(X).")
 	other := lincount.MustParseProgram("p(X) :- e(X).")

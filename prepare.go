@@ -50,7 +50,6 @@ func Prepare(p *Program, query string, strategy Strategy, opts ...Option) (*Prep
 	pq := &PreparedQuery{p: p, q: q, strategy: strategy, opts: opts}
 	if strategy != Auto {
 		cfg.queryText = ast.FormatQuery(p.bank, q)
-		cfg.optsFP = cfg.fingerprint()
 		cfg.shared = p.sharedFor(cfg.queryText, q, cfg.noCache)
 		if _, _, _, err := p.planFor(strategy, cfg); err != nil {
 			return nil, err

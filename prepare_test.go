@@ -1,12 +1,14 @@
 package lincount_test
 
 // Prepared-query and plan-cache behavior: hits after the first
-// compilation, invalidation by re-parse and by option changes, the
-// cache-bypass option, and concurrent use of one PreparedQuery (the
+// compilation, invalidation by re-parse, one entry for every budget,
+// the cache-bypass option, and concurrent use of one PreparedQuery (the
 // latter matters under -race, which make check runs).
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,34 +118,35 @@ func TestPlanCacheInvalidatedByReparse(t *testing.T) {
 	}
 }
 
-func TestPlanCacheMissesOnOptionChange(t *testing.T) {
+// TestPlanCacheServesEveryBudget: plans are pure functions of
+// (program, query, strategy), so an evaluation under a different budget
+// is served by the plan already cached — and the budget, applied at
+// execution, still trips.
+func TestPlanCacheServesEveryBudget(t *testing.T) {
 	p, db := sgSetup(t)
 	if _, err := lincount.Eval(p, db, sgQuery(), lincount.SemiNaive); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := lincount.Eval(p, db, sgQuery(), lincount.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.PlanCacheHit {
-		t.Fatalf("identical options missed the cache")
-	}
-	changed, err := lincount.Eval(p, db, sgQuery(), lincount.SemiNaive,
+	other, err := lincount.Eval(p, db, sgQuery(), lincount.SemiNaive,
 		lincount.WithMaxIterations(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changed.PlanCacheHit {
-		t.Errorf("changed options (WithMaxIterations) reused the old entry, want a miss")
+	if !other.PlanCacheHit {
+		t.Errorf("a second budget (WithMaxIterations) missed the cached plan")
 	}
-	// And the changed-options entry caches independently.
-	again, err := lincount.Eval(p, db, sgQuery(), lincount.SemiNaive,
-		lincount.WithMaxIterations(10_000))
-	if err != nil {
+	tracer := lincount.NewTracer()
+	_, err = lincount.Eval(p, db, sgQuery(), lincount.SemiNaive,
+		lincount.WithMaxDerivedFacts(1), lincount.WithTracer(tracer))
+	if !errors.Is(err, lincount.ErrResourceLimit) {
+		t.Fatalf("WithMaxDerivedFacts(1) on a cached plan = %v, want a resource-limit trip", err)
+	}
+	var trace strings.Builder
+	if err := tracer.WriteText(&trace); err != nil {
 		t.Fatal(err)
 	}
-	if !again.PlanCacheHit {
-		t.Errorf("repeated changed-options evaluation missed the cache")
+	if !strings.Contains(trace.String(), "cache_hit=1") {
+		t.Errorf("the tripped evaluation compiled afresh; want the cached plan:\n%s", trace.String())
 	}
 }
 
