@@ -1,8 +1,9 @@
 # lincount — development targets. Everything is stdlib-only; plain
 # `go build ./...` works without this file.
 #
-# `make check` is the pre-commit gate: vet plus the full test suite under
-# the race detector, plus the seeded chaos suite. An evaluation runs on one
+# `make check` is the pre-commit gate: gofmt (no file may need
+# formatting; `make fmt` fixes them), vet, the full test suite under the
+# race detector, plus the seeded chaos suite. An evaluation runs on one
 # goroutine; what -race guards is what concurrent requests share: the
 # query server's lock-free readers against its single writer, the plan
 # cache, the planner's cached verdict slot and Relation's index-build
@@ -15,6 +16,7 @@ GO ?= go
 all: build vet test
 
 check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) chaos

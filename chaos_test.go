@@ -281,9 +281,9 @@ under(c2,u). down(u,v).
 `
 
 // TestDegradedFallbackOnBudget is the acceptance scenario: a query whose
-// counting run trips its strategy-specific budget under Auto must return
-// correct answers via the fallback chain, with the attempt recorded and
-// the shared fact budget honored across attempts.
+// counting run fails under Auto (an injected fault at its first counting
+// node) must return correct answers via the fallback chain, with the
+// attempt recorded and the shared fact budget honored across attempts.
 func TestDegradedFallbackOnBudget(t *testing.T) {
 	p := lincount.MustParseProgram(mutualProgram)
 	db := lincount.NewDatabase(p)
@@ -304,7 +304,7 @@ func TestDegradedFallbackOnBudget(t *testing.T) {
 
 	const sharedFacts = 10_000
 	res, err := lincount.Eval(p, db, q, lincount.Auto,
-		lincount.WithMaxCountingTuples(1), // strategy-specific: trips immediately
+		lincount.WithFaultInjection(1, "counting.node=err@1"),
 		lincount.WithMaxDerivedFacts(sharedFacts))
 	if err != nil {
 		t.Fatalf("Auto must degrade, not fail: %v", err)
@@ -322,8 +322,8 @@ func TestDegradedFallbackOnBudget(t *testing.T) {
 	if first.Strategy != lincount.CountingRuntime {
 		t.Errorf("Degraded[0].Strategy = %v, want counting-runtime", first.Strategy)
 	}
-	if !strings.Contains(first.Err, "limit") {
-		t.Errorf("Degraded[0].Err = %q, want a resource-limit message", first.Err)
+	if !strings.Contains(first.Err, "injected fault") {
+		t.Errorf("Degraded[0].Err = %q, want the injected fault", first.Err)
 	}
 	if join(res.Answers) != join(want.Answers) {
 		t.Errorf("degraded answers %v, want %v", res.Answers, want.Answers)
@@ -342,8 +342,8 @@ func TestDegradedFallbackOnBudget(t *testing.T) {
 func TestDegradedSharedBudgetExhaustion(t *testing.T) {
 	p := lincount.MustParseProgram(mutualProgram)
 	db := lincount.NewDatabase(p)
-	// No strategy-specific budget: the counting runtime consumes the
-	// shared budget itself, so its trip leaves no headroom.
+	// The counting runtime consumes the shared budget itself, so its trip
+	// leaves no headroom.
 	_, err := lincount.Eval(p, db, "?- p(a,Y).", lincount.Auto,
 		lincount.WithMaxDerivedFacts(1))
 	if err == nil {
@@ -389,7 +389,7 @@ func TestDegradedExplicitStrategyFailsFast(t *testing.T) {
 	p := lincount.MustParseProgram(mutualProgram)
 	db := lincount.NewDatabase(p)
 	_, err := lincount.Eval(p, db, "?- p(a,Y).", lincount.CountingRuntime,
-		lincount.WithMaxCountingTuples(1))
+		lincount.WithMaxDerivedFacts(1))
 	if err == nil {
 		t.Fatal("explicit counting-runtime must fail on its budget, not degrade")
 	}

@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -107,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *logFormat != "json" && *logFormat != "text" {
 		return fail(fmt.Errorf("-log-format: unknown format %q (want json or text)", *logFormat))
 	}
-	level, err := obsv.ParseLevel(*logLevel)
+	level, err := parseLevel(*logLevel)
 	if err != nil {
 		return fail(fmt.Errorf("-log-level: %w", err))
 	}
@@ -264,4 +265,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "lincountd: drained cleanly")
 	return 0
+}
+
+// parseLevel reads a -log-level name.
+func parseLevel(s string) (slog.Level, error) {
+	switch s {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
+	}
+	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }

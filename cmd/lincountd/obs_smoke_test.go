@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -245,5 +246,20 @@ func TestObsServerSmoke(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("run did not exit after signal; stderr:\n%s", errOut.String())
+	}
+}
+
+func TestParseLevel(t *testing.T) {
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, "error": slog.LevelError,
+	} {
+		got, err := parseLevel(in)
+		if err != nil || got != want {
+			t.Errorf("parseLevel(%q) = (%v, %v), want %v", in, got, err, want)
+		}
+	}
+	if _, err := parseLevel("loud"); err == nil {
+		t.Error("parseLevel accepted an unknown level")
 	}
 }

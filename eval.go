@@ -105,18 +105,6 @@ func WithMaxDerivedFacts(n int) Option {
 	return func(c *evalConfig) { c.exec.MaxFacts = n }
 }
 
-// WithMaxCountingTuples bounds the counting runtime's tuple arena
-// (counting nodes + answer tuples, which carry the method's path
-// arguments) independently of the shared WithMaxDerivedFacts budget. It
-// is a strategy-specific budget: when a CountingRuntime evaluation under
-// Auto trips it, the facade falls back to the next strategy in the chain
-// instead of failing, charging the tuples consumed against the shared
-// budget. Zero means the counting runtime uses the shared budget (or its
-// own default).
-func WithMaxCountingTuples(n int) Option {
-	return func(c *evalConfig) { c.exec.MaxCountingTuples = n }
-}
-
 // WithFaultInjection arms deterministic fault injection for this
 // evaluation: spec is a comma-separated schedule of clauses
 // "site=kind@N" (fire on the Nth hit) or "site=kind~P" (fire with

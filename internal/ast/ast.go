@@ -203,11 +203,6 @@ func Atom(pred symtab.Sym, args ...Term) Literal {
 	return Literal{Pred: pred, Args: args}
 }
 
-// NegAtom builds a negated literal.
-func NegAtom(pred symtab.Sym, args ...Term) Literal {
-	return Literal{Pred: pred, Args: args, Negated: true}
-}
-
 // Arity returns the number of arguments.
 func (l Literal) Arity() int { return len(l.Args) }
 
@@ -333,17 +328,6 @@ func (p *Program) Predicates() []symtab.Sym {
 	sort.Slice(out, func(i, j int) bool {
 		return syms.String(out[i]) < syms.String(out[j])
 	})
-	return out
-}
-
-// RulesFor returns the rules whose head predicate is pred, in program order.
-func (p *Program) RulesFor(pred symtab.Sym) []Rule {
-	var out []Rule
-	for _, r := range p.Rules {
-		if r.Head.Pred == pred {
-			out = append(out, r)
-		}
-	}
 	return out
 }
 

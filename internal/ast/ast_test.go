@@ -169,9 +169,6 @@ func TestProgramHelpers(t *testing.T) {
 	if len(preds) != 2 || preds[0] != pp || preds[1] != q {
 		t.Errorf("Predicates = %v (want sorted p,q)", preds)
 	}
-	if got := len(p.RulesFor(pp)); got != 2 {
-		t.Errorf("RulesFor(p) = %d", got)
-	}
 	clone := p.Clone()
 	clone.Rules[0].Head.Pred = sym(b, "z")
 	if p.Rules[0].Head.Pred != q {
@@ -190,7 +187,7 @@ func TestFormatRuleShapes(t *testing.T) {
 		{Rule{Head: Atom(p)}, "p."},
 		{Rule{Head: Atom(p, C(term.Int(1)))}, "p(1)."},
 		{Rule{Head: Atom(p, x), Body: []Literal{Atom(q, x)}}, "p(X) :- q(X)."},
-		{Rule{Head: Atom(p, x), Body: []Literal{NegAtom(q, x)}}, "p(X) :- not q(X)."},
+		{Rule{Head: Atom(p, x), Body: []Literal{{Pred: q, Args: []Term{x}, Negated: true}}}, "p(X) :- not q(X)."},
 		{Rule{Head: Atom(p, x), Body: []Literal{
 			Atom(sym(b, BuiltinNeq), x, C(term.Int(0))),
 		}}, "p(X) :- X != 0."},

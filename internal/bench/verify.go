@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"lincount"
-	"lincount/internal/graph"
 )
 
 // The E-series experiments re-run the paper's worked examples and verify
@@ -77,35 +76,162 @@ down(a,a). down(b,d). down(c,e).
 	return t
 }
 
-// E2ArcClassification re-runs Example 2's DFS arc classification.
+// E2ArcClassification re-runs Example 2's DFS arc classification on the
+// counting runtime: the six arcs are the left part (up) of the
+// same-generation program, and the runtime's counting set records how its
+// depth-first exploration classified each one.
 func E2ArcClassification() Table {
 	t := Table{
 		ID:    "E2",
 		Title: "Example 2 — DFS arc classification",
 		Note:  "arcs (a,b),(b,c),(a,d) tree; (a,c) forward; (d,b) cross; (c,b) back.",
 	}
-	g := graph.New(4)
-	names := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
 	arcs := []string{"ab", "ac", "db", "cb", "bc", "ad"}
+	var facts strings.Builder
 	for _, a := range arcs {
-		g.AddArc(names[string(a[0])], names[string(a[1])])
+		fmt.Fprintf(&facts, "up(%c,%c).\n", a[0], a[1])
 	}
-	c := g.ClassifyDFS(names["a"])
-	want := map[string]graph.ArcClass{
-		"ab": graph.Tree, "bc": graph.Tree, "ad": graph.Tree,
-		"ac": graph.Forward, "db": graph.Cross, "cb": graph.Back,
+	cs, err := countingSetOf(sgExample, facts.String(), "?- sg(a,Y).")
+	if err != nil {
+		t.Rows = append(t.Rows, Row{Workload: "counting set", Err: err.Error()})
+		return t
 	}
-	for id, arc := range arcs {
+	want := map[string]string{
+		"ab": "tree", "bc": "tree", "ad": "tree",
+		"ac": "forward", "db": "cross", "cb": "back",
+	}
+	for _, arc := range arcs {
 		t.Rows = append(t.Rows, checkRow(
 			fmt.Sprintf("arc (%c,%c)", arc[0], arc[1]),
-			c.Class[id].String(), want[arc].String()))
+			cs.class(arc[:1], arc[1:]), want[arc]))
 	}
-	m := g.NodeMultiplicity(names["a"])
-	t.Rows = append(t.Rows, checkRow("node a", m[names["a"]].String(), "single"))
-	t.Rows = append(t.Rows, checkRow("node d", m[names["d"]].String(), "single"))
-	t.Rows = append(t.Rows, checkRow("node b", m[names["b"]].String(), "recurring"))
-	t.Rows = append(t.Rows, checkRow("node c", m[names["c"]].String(), "recurring"))
+	for _, n := range []struct{ node, want string }{
+		{"a", "single"}, {"d", "single"}, {"b", "recurring"}, {"c", "recurring"},
+	} {
+		t.Rows = append(t.Rows, checkRow("node "+n.node, cs.multiplicity(n.node), n.want))
+	}
 	return t
+}
+
+// countingSet is what E2 reads of a counting set as lincount.CountingSet
+// prints it, for a single-predicate program without shared variables:
+// nodes by bound value.
+type countingSet struct {
+	num   map[string]int      // o-number (depth-first discovery order)
+	ahead map[string][]string // ahead predecessors in entry order; the source's is "nil"
+	back  map[string][]string // back-arc predecessors (the cycle links)
+}
+
+func countingSetOf(src, facts, query string) (*countingSet, error) {
+	p, err := lincount.ParseProgram(src)
+	if err != nil {
+		return nil, err
+	}
+	db := lincount.NewDatabase(p)
+	if err := db.LoadFacts(facts); err != nil {
+		return nil, err
+	}
+	dump, err := lincount.CountingSet(p, db, query)
+	if err != nil {
+		return nil, err
+	}
+	cs := &countingSet{num: map[string]int{}, ahead: map[string][]string{}, back: map[string][]string{}}
+	value := map[string]string{"nil": "nil"} // o-id → bound value
+	for _, line := range strings.Split(dump, "\n") {
+		if id, rest, ok := strings.Cut(line, " : ("); ok {
+			// o2 : (b, {o1,o4})
+			v, ents, _ := strings.Cut(rest, ", {")
+			value[id] = v
+			cs.num[v] = len(cs.num) + 1
+			cs.ahead[v] = strings.Split(strings.TrimSuffix(ents, "})"), ",")
+		} else if rest, ok := strings.CutPrefix(line, "cycle("); ok {
+			// cycle(b) = {o3}, listed after every node
+			v, ents, _ := strings.Cut(rest, ") = {")
+			for _, id := range strings.Split(strings.TrimSuffix(ents, "}"), ",") {
+				cs.back[v] = append(cs.back[v], value[id])
+			}
+		}
+	}
+	// An ahead entry may name a node discovered later (a cross arc).
+	for _, ids := range cs.ahead {
+		for i, id := range ids {
+			ids[i] = value[id]
+		}
+	}
+	return cs, nil
+}
+
+// class reads the arc (from,to) off to's entries: its first ahead entry is
+// its tree arc, any other is a forward arc from an earlier-discovered node
+// or a cross arc from a later one, and a cycle link is a back arc.
+func (cs *countingSet) class(from, to string) string {
+	for i, p := range cs.ahead[to] {
+		switch {
+		case p != from:
+		case i == 0:
+			return "tree"
+		case cs.num[from] < cs.num[to]:
+			return "forward"
+		default:
+			return "cross"
+		}
+	}
+	for _, p := range cs.back[to] {
+		if p == from {
+			return "back"
+		}
+	}
+	return "unreached"
+}
+
+// multiplicity is the paper's §2 node taxonomy: a node reachable from a
+// back arc's target has infinitely many paths from the source (recurring);
+// any other node has as many as its ahead predecessors together.
+func (cs *countingSet) multiplicity(v string) string {
+	if _, ok := cs.num[v]; !ok {
+		return "not-reached"
+	}
+	succ := map[string][]string{}
+	var work []string
+	for w, ps := range cs.ahead {
+		for _, p := range ps {
+			succ[p] = append(succ[p], w)
+		}
+	}
+	for w, ps := range cs.back {
+		work = append(work, w)
+		for _, p := range ps {
+			succ[p] = append(succ[p], w)
+		}
+	}
+	recurring := map[string]bool{}
+	for len(work) > 0 {
+		w := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !recurring[w] {
+			recurring[w] = true
+			work = append(work, succ[w]...)
+		}
+	}
+	if recurring[v] {
+		return "recurring"
+	}
+	var paths func(v string) int
+	paths = func(v string) int {
+		n := 0
+		for _, p := range cs.ahead[v] {
+			if p == "nil" {
+				n++
+			} else {
+				n += paths(p)
+			}
+		}
+		return n
+	}
+	if paths(v) == 1 {
+		return "single"
+	}
+	return "multiple"
 }
 
 // E3MultiRule re-runs Example 3: with two recursive rules only the answer

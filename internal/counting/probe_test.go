@@ -25,8 +25,8 @@ func probeOf(t *testing.T, src, goal, facts string) LeftGraphProbe {
 }
 
 // TestProbeShapes: what the probe reports on a layered graph, on acyclic
-// graphs where two path shapes meet in a node (a shortcut; two rules; two
-// shared values), and on a cycle.
+// graphs where two path shapes meet in a node (a shortcut; a cross arc;
+// two rules; two shared values), on a cycle and on a self-loop.
 func TestProbeShapes(t *testing.T) {
 	twoRules := `
 sg(X,Y) :- flat(X,Y).
@@ -55,6 +55,10 @@ sg(X,Y) :- up(X,X1,W), sg(X1,Y1), down(Y1,Y,W).
 			"up(a,b,w1). up(a,b,w2).", LeftGraphProbe{Acyclic: true, Layered: true, Nodes: 2, Arcs: 1}},
 		{"cycle", sgProgram, "up(a,b). up(b,c). up(c,a). up(c,b).",
 			LeftGraphProbe{Nodes: 3, Arcs: 4, BackArcs: 2}},
+		{"self-loop", sgProgram, "up(a,b). up(b,b).",
+			LeftGraphProbe{Nodes: 2, Arcs: 2, BackArcs: 1}},
+		{"cross arc", sgProgram, "up(a,b). up(a,c). up(c,b).",
+			LeftGraphProbe{Acyclic: true, Nodes: 3, Arcs: 3}},
 	} {
 		if got := probeOf(t, c.src, "?- sg(a,Y).", c.facts); got != c.want {
 			t.Errorf("%s: probe %+v, want %+v", c.name, got, c.want)

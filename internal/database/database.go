@@ -300,17 +300,6 @@ func (r *Relation) ProbeRange(mask uint64, vals []term.Value, lo, hi RowID) RowI
 // inserted after the call are not yielded).
 func (r *Relation) Scan() RowIter { return RowIter{cur: 0, hi: RowID(r.rows)} }
 
-// ScanRange iterates rows in [lo, hi) in insertion order.
-func (r *Relation) ScanRange(lo, hi RowID) RowIter {
-	if hi > RowID(r.rows) {
-		hi = RowID(r.rows)
-	}
-	if lo >= hi {
-		return emptyIter()
-	}
-	return RowIter{cur: lo, hi: hi}
-}
-
 // ProbeIDs collects Probe's result into a fresh slice; a convenience for
 // tests and non-hot callers.
 func (r *Relation) ProbeIDs(mask uint64, vals []term.Value) []RowID {
@@ -615,17 +604,6 @@ func (db *Database) Assert(pred symtab.Sym, t Tuple) (bool, error) {
 		return false, err
 	}
 	return r.Insert(t), nil
-}
-
-// AssertStrings is a convenience for tests and examples: every argument is
-// interned as a symbol constant.
-func (db *Database) AssertStrings(pred string, args ...string) error {
-	t := make(Tuple, len(args))
-	for i, a := range args {
-		t[i] = term.Symbol(db.bank.Symbols().Intern(a))
-	}
-	_, err := db.Assert(db.bank.Symbols().Intern(pred), t)
-	return err
 }
 
 // Predicates returns the database's predicate symbols sorted by name.

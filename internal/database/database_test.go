@@ -234,14 +234,12 @@ func TestDatabaseEnsureArityMismatch(t *testing.T) {
 
 func TestAssertStringsAndFormat(t *testing.T) {
 	db := newDB()
-	if err := db.AssertStrings("up", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AssertStrings("up", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AssertStrings("flat", "c", "d"); err != nil {
-		t.Fatal(err)
+	syms := db.Bank().Symbols()
+	for _, f := range [][3]string{{"up", "a", "b"}, {"up", "b", "c"}, {"flat", "c", "d"}} {
+		tup := Tuple{term.Symbol(syms.Intern(f[1])), term.Symbol(syms.Intern(f[2]))}
+		if _, err := db.Assert(syms.Intern(f[0]), tup); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := db.Format()
 	want := "flat(c,d).\nup(a,b).\nup(b,c).\n"

@@ -10,18 +10,13 @@ import (
 
 	"lincount/internal/ast"
 	"lincount/internal/symtab"
-	"lincount/internal/term"
 )
 
 // DepGraph is the predicate dependency graph of a program: an edge p → q
-// for every rule with head p and body literal q. Edges remember whether any
-// occurrence is negated.
+// for every rule with head p and body literal q.
 type DepGraph struct {
-	bank *term.Bank
 	// adj[p] lists the distinct body predicates of p's rules.
 	adj map[symtab.Sym][]symtab.Sym
-	// negEdge[p→q] is true if q occurs negated in some rule for p.
-	negEdge map[[2]symtab.Sym]bool
 	// derived is the set of head predicates.
 	derived map[symtab.Sym]bool
 }
@@ -30,9 +25,7 @@ type DepGraph struct {
 // graph nodes.
 func NewDepGraph(p *ast.Program) *DepGraph {
 	g := &DepGraph{
-		bank:    p.Bank,
 		adj:     make(map[symtab.Sym][]symtab.Sym),
-		negEdge: make(map[[2]symtab.Sym]bool),
 		derived: make(map[symtab.Sym]bool),
 	}
 	syms := p.Bank.Symbols()
@@ -51,44 +44,9 @@ func NewDepGraph(p *ast.Program) *DepGraph {
 				seen[e] = true
 				g.adj[r.Head.Pred] = append(g.adj[r.Head.Pred], l.Pred)
 			}
-			if l.Negated {
-				g.negEdge[e] = true
-			}
 		}
 	}
 	return g
-}
-
-// IsDerived reports whether pred is the head of some rule.
-func (g *DepGraph) IsDerived(pred symtab.Sym) bool { return g.derived[pred] }
-
-// DependsOn reports whether p (transitively) depends on q.
-func (g *DepGraph) DependsOn(p, q symtab.Sym) bool {
-	seen := map[symtab.Sym]bool{}
-	var walk func(symtab.Sym) bool
-	walk = func(x symtab.Sym) bool {
-		if seen[x] {
-			return false
-		}
-		seen[x] = true
-		for _, y := range g.adj[x] {
-			if y == q || walk(y) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(p)
-}
-
-// MutuallyRecursive reports whether p and q are in the same recursive
-// clique (p depends on q and q depends on p). A predicate is recursive
-// with itself iff it depends on itself.
-func (g *DepGraph) MutuallyRecursive(p, q symtab.Sym) bool {
-	if p == q {
-		return g.DependsOn(p, p)
-	}
-	return g.DependsOn(p, q) && g.DependsOn(q, p)
 }
 
 // Component groups the mutually recursive predicates of one SCC together
@@ -172,12 +130,6 @@ func Stratify(p *ast.Program) ([]Component, error) {
 	}
 
 	// Build Component values and check stratification.
-	compOf := make(map[symtab.Sym]int)
-	for i, c := range comps {
-		for _, p := range c {
-			compOf[p] = i
-		}
-	}
 	out := make([]Component, 0, len(comps))
 	for _, c := range comps {
 		sort.Slice(c, func(i, j int) bool {
@@ -206,25 +158,6 @@ func Stratify(p *ast.Program) ([]Component, error) {
 			}
 		}
 		out = append(out, comp)
-	}
-	// Sanity: negEdge entries across components are fine by construction;
-	// internal ones were rejected above.
-	_ = compOf
-	return out, nil
-}
-
-// RecursiveCliques returns, for each recursive component, its predicate
-// set. Convenience for the rewriters.
-func RecursiveCliques(p *ast.Program) ([][]symtab.Sym, error) {
-	comps, err := Stratify(p)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]symtab.Sym
-	for _, c := range comps {
-		if c.Recursive {
-			out = append(out, c.Preds)
-		}
 	}
 	return out, nil
 }

@@ -368,21 +368,28 @@ sg(X,Y) :- flat(X,Y).
 sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).
 top(X) :- sg(X,X).
 `)
-	g := NewDepGraph(p)
-	sg := f.bank.Symbols().Intern("sg")
-	top := f.bank.Symbols().Intern("top")
-	up := f.bank.Symbols().Intern("up")
-	if !g.MutuallyRecursive(sg, sg) {
+	comps, err := Stratify(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, rec := map[string]int{}, map[string]bool{}
+	for i, c := range comps {
+		for _, pr := range c.Preds {
+			pos[f.bank.Symbols().String(pr)] = i
+			rec[f.bank.Symbols().String(pr)] = c.Recursive
+		}
+	}
+	if !rec["sg"] {
 		t.Error("sg not self-recursive")
 	}
-	if g.MutuallyRecursive(top, sg) {
+	if pos["top"] == pos["sg"] || rec["top"] {
 		t.Error("top and sg reported mutually recursive")
 	}
-	if !g.DependsOn(top, sg) || !g.DependsOn(sg, up) || g.DependsOn(sg, top) {
-		t.Error("DependsOn wrong")
+	if pos["sg"] > pos["top"] {
+		t.Error("top ordered before sg, which it depends on")
 	}
-	if !g.IsDerived(sg) || g.IsDerived(up) {
-		t.Error("IsDerived wrong")
+	if _, ok := pos["up"]; ok {
+		t.Error("base predicate up has a component")
 	}
 }
 

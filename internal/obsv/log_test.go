@@ -1,72 +1,54 @@
 package obsv
 
-// The structured logger's contract: nil and suppressed loggers cost
-// nothing and emit nothing, JSON output is one parseable object per
-// line, text output is scannable logfmt, and the request-log ring
-// retains newest-first with a monotonic total.
+// The structured logger's contract: suppressed lines cost nothing and
+// emit nothing, JSON output is one parseable object per line opening
+// with ts, level and msg, text output is logfmt, and the request-log
+// ring retains newest-first with a monotonic total.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = (%v, %v), want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
-	}
-}
-
-func TestNilLoggerIsNoOp(t *testing.T) {
-	var l *Logger
-	l.Debug("a")
-	l.Info("b", FStr("k", "v"))
-	l.Warn("c", FInt("n", 1))
-	l.Error("d", FErr("error", errors.New("x")))
-	l.SetLevel(LevelDebug)
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports Enabled")
-	}
-}
-
+// TestLoggerJSON pins the JSON line contract: one object per line that
+// opens with ts (UTC, milliseconds), a lower-case level and msg, then the
+// attributes, durations as fractional seconds.
 func TestLoggerJSON(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, "json", LevelInfo)
-	l.Debug("dropped", FStr("k", "v"))
+	l := NewLogger(&buf, "json", slog.LevelInfo)
+	l.LogAttrs(context.Background(), slog.LevelDebug, "dropped", slog.String("k", "v"))
 	if buf.Len() != 0 {
 		t.Fatalf("suppressed level emitted %q", buf.String())
 	}
-	l.Info("query done",
-		FStr("request_id", "abc-1"),
-		FInt("rows", -3),
-		FUint("epoch", 7),
-		FBool("ok", true),
-		FDur("elapsed", 1500*time.Millisecond),
-		FFloat("cost", 2.5),
-		FErr("error", errors.New(`bad "quote"`)),
+	l.LogAttrs(context.Background(), slog.LevelInfo, `query "done"`,
+		slog.String("request_id", "abc-1"),
+		slog.Int("rows", -3),
+		slog.Uint64("epoch", 7),
+		slog.Bool("ok", true),
+		slog.Duration("elapsed", 1500*time.Millisecond),
+		slog.Float64("cost", 2.5),
+		slog.Any("error", errors.New(`bad "quote"`)),
 	)
 	line := buf.String()
 	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
 		t.Fatalf("not exactly one line: %q", line)
 	}
+	head := regexp.MustCompile(`^\{"ts":"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z","level":"info","msg":"query \\"done\\"",`)
+	if !head.MatchString(line) {
+		t.Fatalf("line does not open with ts, level, msg: %q", line)
+	}
 	var m map[string]any
 	if err := json.Unmarshal([]byte(line), &m); err != nil {
 		t.Fatalf("output is not JSON: %v\n%q", err, line)
-	}
-	if m["level"] != "info" || m["msg"] != "query done" {
-		t.Fatalf("level/msg = %v/%v", m["level"], m["msg"])
 	}
 	if m["request_id"] != "abc-1" || m["rows"] != float64(-3) || m["epoch"] != float64(7) {
 		t.Fatalf("fields = %v", m)
@@ -77,15 +59,12 @@ func TestLoggerJSON(t *testing.T) {
 	if m["error"] != `bad "quote"` {
 		t.Fatalf("error field = %v", m["error"])
 	}
-	if _, err := time.Parse("2006-01-02T15:04:05.000Z", m["ts"].(string)); err != nil {
-		t.Fatalf("timestamp %v: %v", m["ts"], err)
-	}
 }
 
 func TestLoggerJSONEscapesControlChars(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, "json", LevelInfo)
-	l.Info("weird\tmsg\n", FStr("k", "a\x00b"))
+	l := NewLogger(&buf, "json", slog.LevelInfo)
+	l.LogAttrs(context.Background(), slog.LevelInfo, "weird\tmsg\n", slog.String("k", "a\x00b"))
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("not JSON: %v\n%q", err, buf.String())
@@ -95,53 +74,54 @@ func TestLoggerJSONEscapesControlChars(t *testing.T) {
 	}
 }
 
+// TestLoggerText: the text format is slog's logfmt under the same keys.
 func TestLoggerText(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, "text", LevelWarn)
-	l.Info("dropped")
-	l.Warn("slow query", FStr("query", "?- sg(a,X)."), FInt("n", 2))
+	l := NewLogger(&buf, "text", slog.LevelWarn)
+	l.LogAttrs(context.Background(), slog.LevelInfo, "dropped")
+	l.LogAttrs(context.Background(), slog.LevelWarn, "slow query",
+		slog.String("query", "?- sg(a,X)."), slog.Int("n", 2), slog.Duration("d", 250*time.Millisecond))
 	line := buf.String()
 	if strings.Contains(line, "dropped") {
 		t.Fatalf("suppressed level leaked: %q", line)
 	}
-	for _, want := range []string{"warn", "slow query", `query="?- sg(a,X)."`, "n=2"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("text line %q missing %q", line, want)
-		}
+	if !strings.HasPrefix(line, "ts=") {
+		t.Fatalf("text line %q does not open with ts=", line)
+	}
+	if want := ` level=warn msg="slow query" query="?- sg(a,X)." n=2 d=0.25` + "\n"; !strings.HasSuffix(line, want) {
+		t.Fatalf("text line %q does not end with %q", line, want)
 	}
 }
 
+// TestLoggerSetLevel: the level is a slog.Leveler, so a *slog.LevelVar
+// moves it while the logger is live.
 func TestLoggerSetLevel(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, "json", LevelError)
-	if l.Enabled(LevelInfo) {
+	var level slog.LevelVar
+	level.Set(slog.LevelError)
+	l := NewLogger(&buf, "json", &level)
+	if l.Enabled(context.Background(), slog.LevelInfo) {
 		t.Fatal("info enabled at error level")
 	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Fatal("debug not enabled after SetLevel")
-	}
-	l.Debug("now visible")
-	if !strings.Contains(buf.String(), "now visible") {
-		t.Fatalf("debug line missing after SetLevel: %q", buf.String())
+	level.Set(slog.LevelDebug)
+	l.LogAttrs(context.Background(), slog.LevelDebug, "now visible")
+	if !strings.Contains(buf.String(), `"level":"debug","msg":"now visible"`) {
+		t.Fatalf("debug line missing after Set: %q", buf.String())
 	}
 }
 
+// TestSuppressedLogZeroAlloc: a LogAttrs call below the logger's level
+// allocates nothing, attributes included.
 func TestSuppressedLogZeroAlloc(t *testing.T) {
-	l := NewLogger(nopWriter{}, "json", LevelError)
-	var nl *Logger
+	l := NewLogger(io.Discard, "json", slog.LevelError)
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.Debug("suppressed", FStr("k", "v"), FInt("n", 1))
-		nl.Info("nil", FUint("u", 2))
+		l.LogAttrs(context.Background(), slog.LevelDebug, "suppressed",
+			slog.String("k", "v"), slog.Int("n", 1), slog.Duration("d", time.Second))
 	})
 	if allocs != 0 {
 		t.Fatalf("suppressed logging allocates %.1f allocs/op, want 0", allocs)
 	}
 }
-
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestRequestLogRing(t *testing.T) {
 	var nl *RequestLog

@@ -1,20 +1,18 @@
 package obsv
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// The metrics registry: counters, gauges and histograms backed by the
-// stdlib expvar package (every metric of the default registry is also
-// visible under /debug/vars), rendered in the Prometheus text exposition
-// format by WritePrometheus. No third-party client library — the text
-// format is a few lines of fmt.
+// The metrics registry: counters, gauges and histograms rendered in the
+// Prometheus text exposition format by WritePrometheus. No third-party
+// client library — the text format is a few lines of fmt.
 
 // metric is what every instrument renders for the exposition endpoint.
 type metric interface {
@@ -30,31 +28,23 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
 	names   map[string]bool
-	// publish mirrors scalar metrics into the process-global expvar
-	// namespace (only the default registry does, since expvar.Publish
-	// panics on duplicate names).
-	publish bool
 }
 
-// NewRegistry returns an empty registry that does not publish to expvar.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{names: map[string]bool{}} }
 
 // Default is the process-wide registry the evaluation facade records
 // into and the /metrics endpoint serves.
-var Default = &Registry{names: map[string]bool{}, publish: true}
+var Default = NewRegistry()
 
-func (r *Registry) add(m metric, v expvar.Var) {
+func (r *Registry) add(m metric) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.names[m.name()] {
-		r.mu.Unlock()
 		panic("obsv: duplicate metric " + m.name())
 	}
 	r.names[m.name()] = true
 	r.metrics = append(r.metrics, m)
-	r.mu.Unlock()
-	if r.publish && v != nil {
-		expvar.Publish(m.name(), v)
-	}
 }
 
 // WritePrometheus renders every registered metric in the Prometheus text
@@ -73,13 +63,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	n, h string
-	v    expvar.Int
+	v    atomic.Int64
 }
 
 // NewCounter registers a counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{n: name, h: help}
-	r.add(c, &c.v)
+	r.add(c)
 	return c
 }
 
@@ -87,68 +77,73 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Value() }
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 func (c *Counter) name() string { return c.n }
 func (c *Counter) help() string { return c.h }
 func (c *Counter) kind() string { return "counter" }
 func (c *Counter) expose(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", c.n, c.v.Value())
+	fmt.Fprintf(w, "%s %d\n", c.n, c.v.Load())
 }
 
 // Gauge is a settable integer metric.
 type Gauge struct {
 	n, h string
-	v    expvar.Int
+	v    atomic.Int64
 }
 
 // NewGauge registers a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{n: name, h: help}
-	r.add(g, &g.v)
+	r.add(g)
 	return g
 }
 
 // Set records the gauge's current value.
-func (g *Gauge) Set(v int64) { g.v.Set(v) }
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by d (either sign), for gauges tracking a
 // resident count via deltas.
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Value() }
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) name() string { return g.n }
 func (g *Gauge) help() string { return g.h }
 func (g *Gauge) kind() string { return "gauge" }
 func (g *Gauge) expose(w io.Writer) {
-	fmt.Fprintf(w, "%s %d\n", g.n, g.v.Value())
+	fmt.Fprintf(w, "%s %d\n", g.n, g.v.Load())
 }
 
 // LabeledCounter is a family of counters keyed by one label (e.g. the
-// evaluation strategy). Backed by expvar.Map so the default registry's
-// families also appear under /debug/vars.
+// evaluation strategy). A label value's counter is created on its first
+// Add; after that an Add is a lock-free map load and an atomic add.
 type LabeledCounter struct {
 	n, h, label string
-	m           expvar.Map
+	m           sync.Map // label value → *atomic.Int64
 }
 
 // NewLabeledCounter registers a counter family with one label dimension.
 func (r *Registry) NewLabeledCounter(name, help, label string) *LabeledCounter {
 	c := &LabeledCounter{n: name, h: help, label: label}
-	c.m.Init()
-	r.add(c, &c.m)
+	r.add(c)
 	return c
 }
 
 // Add increments the counter for the given label value.
-func (c *LabeledCounter) Add(labelValue string, d int64) { c.m.Add(labelValue, d) }
+func (c *LabeledCounter) Add(labelValue string, d int64) {
+	v, ok := c.m.Load(labelValue)
+	if !ok {
+		v, _ = c.m.LoadOrStore(labelValue, new(atomic.Int64))
+	}
+	v.(*atomic.Int64).Add(d)
+}
 
 // Value returns the count for one label value.
 func (c *LabeledCounter) Value(labelValue string) int64 {
-	if v, ok := c.m.Get(labelValue).(*expvar.Int); ok {
-		return v.Value()
+	if v, ok := c.m.Load(labelValue); ok {
+		return v.(*atomic.Int64).Load()
 	}
 	return 0
 }
@@ -162,10 +157,9 @@ func (c *LabeledCounter) expose(w io.Writer) {
 		v int64
 	}
 	var rows []kv
-	c.m.Do(func(e expvar.KeyValue) {
-		if v, ok := e.Value.(*expvar.Int); ok {
-			rows = append(rows, kv{e.Key, v.Value()})
-		}
+	c.m.Range(func(k, v any) bool {
+		rows = append(rows, kv{k.(string), v.(*atomic.Int64).Load()})
+		return true
 	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].k < rows[j].k })
 	for _, r := range rows {
@@ -188,7 +182,7 @@ type Histogram struct {
 // upper bounds.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
 	h := &Histogram{n: name, h: help, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-	r.add(h, expvar.Func(h.snapshot))
+	r.add(h)
 	return h
 }
 
@@ -210,13 +204,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.samples
-}
-
-// snapshot is the expvar view of the histogram.
-func (h *Histogram) snapshot() any {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return map[string]any{"count": h.samples, "sum": h.sum}
 }
 
 func (h *Histogram) name() string { return h.n }
@@ -263,7 +250,7 @@ type histSeries struct {
 func (r *Registry) NewLabeledHistogram(name, help string, labels [2]string, bounds []float64) *LabeledHistogram {
 	h := &LabeledHistogram{n: name, h: help, labels: labels, bounds: bounds,
 		series: make(map[[2]string]*histSeries)}
-	r.add(h, expvar.Func(h.snapshot))
+	r.add(h)
 	return h
 }
 
@@ -293,17 +280,6 @@ func (h *LabeledHistogram) Count(v1, v2 string) uint64 {
 		return s.samples
 	}
 	return 0
-}
-
-// snapshot is the expvar view: per-series count and sum.
-func (h *LabeledHistogram) snapshot() any {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := map[string]any{}
-	for k, s := range h.series {
-		out[k[0]+","+k[1]] = map[string]any{"count": s.samples, "sum": s.sum}
-	}
-	return out
 }
 
 func (h *LabeledHistogram) name() string { return h.n }

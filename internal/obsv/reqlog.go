@@ -1,14 +1,49 @@
 package obsv
 
-// RequestLog is a bounded ring of completed-request diagnostic records —
-// the query server's slow-query log. Records are plain data (JSON-ready
-// field types only) so the obsv layer stays free of engine imports; the
-// server fills them from its own result types.
+// The query server's two logs: structured event lines through log/slog
+// (NewLogger), and RequestLog, a bounded ring of completed-request
+// diagnostic records — the slow-query log. Records are plain data
+// (JSON-ready field types only) so the obsv layer stays free of engine
+// imports; the server fills them from its own result types.
 
 import (
+	"io"
+	"log/slog"
+	"strings"
 	"sync"
 	"time"
 )
+
+// NewLogger returns a logger that writes one line per event to w, as a
+// JSON object ("json", and anything unrecognised) or as logfmt ("text"),
+// dropping events below level. Every line starts with ts (UTC, to the
+// millisecond), a lower-case level and msg; durations render as
+// fractional seconds.
+func NewLogger(w io.Writer, format string, level slog.Leveler) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: replaceLogAttr}
+	if format == "text" {
+		return slog.New(slog.NewTextHandler(w, opts))
+	}
+	return slog.New(slog.NewJSONHandler(w, opts))
+}
+
+// logTimeFormat is RFC 3339 with millisecond precision, always UTC.
+const logTimeFormat = "2006-01-02T15:04:05.000Z"
+
+func replaceLogAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 {
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.String("ts", a.Value.Time().UTC().Format(logTimeFormat))
+		case slog.LevelKey:
+			return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+		}
+	}
+	if a.Value.Kind() == slog.KindDuration {
+		return slog.Float64(a.Key, a.Value.Duration().Seconds())
+	}
+	return a
+}
 
 // PlannerRank is one entry of the planner ranking captured in a
 // RequestRecord: a candidate strategy, its cost estimate, and the

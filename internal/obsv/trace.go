@@ -28,7 +28,6 @@ import (
 // Event phases, following the trace-event format's "ph" field.
 const (
 	PhaseSpan    = 'X' // complete event: Start + Dur
-	PhaseInstant = 'i' // point event
 	PhaseCounter = 'C' // counter sample
 )
 
@@ -112,17 +111,6 @@ func (s Span) End(args ...Arg) {
 	s.t.record(Event{
 		Name: s.name, Cat: s.cat, Phase: PhaseSpan,
 		Start: s.start, Dur: now - s.start, Args: args,
-	})
-}
-
-// Instant records a point event.
-func (t *Tracer) Instant(cat, name string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.record(Event{
-		Name: name, Cat: cat, Phase: PhaseInstant,
-		Start: time.Since(t.epoch), Args: args,
 	})
 }
 

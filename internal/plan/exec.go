@@ -19,11 +19,8 @@ type ExecOptions struct {
 	// MaxIterations bounds fixpoint iterations (QSQ: global passes).
 	MaxIterations int
 	// MaxFacts bounds derived tuples (QSQ: answer tuples; the counting
-	// runtime: nodes plus tuples, unless MaxCountingTuples is set).
+	// runtime: nodes plus tuples).
 	MaxFacts int
-	// MaxCountingTuples bounds the counting runtime's nodes plus tuples in
-	// place of MaxFacts.
-	MaxCountingTuples int
 	// Inject, when non-nil, arms the evaluators' fault-injection sites.
 	Inject *faultinject.Injector
 	// Tracer, when non-nil, records the evaluators' spans and an
@@ -45,14 +42,10 @@ type ExecOptions struct {
 	Probed *counting.Runtime
 }
 
-// RuntimeOptions are the counting runtime's options under o: its own
-// tuple budget, or the shared fact budget when it has none.
+// RuntimeOptions are the counting runtime's options under o: the shared
+// fact budget bounds its nodes plus tuples.
 func (o ExecOptions) RuntimeOptions() counting.RuntimeOptions {
-	maxTuples := o.MaxCountingTuples
-	if maxTuples == 0 {
-		maxTuples = o.MaxFacts
-	}
-	return counting.RuntimeOptions{MaxTuples: maxTuples, Inject: o.Inject, Tracer: o.Tracer}
+	return counting.RuntimeOptions{MaxTuples: o.MaxFacts, Inject: o.Inject, Tracer: o.Tracer}
 }
 
 // Result is the outcome of one execution.

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -336,10 +337,10 @@ func (s *Server) doCheckpoint() (*CheckpointResult, error) {
 	s.cleanupData(rep.epoch, snapName, rep.segment)
 	obsv.MWALCheckpoints.Add(1)
 	obsv.MWALCheckpointSeconds.Observe(time.Since(start).Seconds())
-	s.cfg.Log.Info("checkpoint",
-		obsv.FUint("epoch", rep.epoch),
-		obsv.FStr("snapshot", snapName),
-		obsv.FDur("duration", time.Since(start)))
+	s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelInfo, "checkpoint",
+		slog.Uint64("epoch", rep.epoch),
+		slog.String("snapshot", snapName),
+		slog.Duration("duration", time.Since(start)))
 	return &CheckpointResult{Epoch: rep.epoch, Snapshot: snapName}, nil
 }
 

@@ -7,6 +7,7 @@ package server
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"time"
 
 	"lincount"
@@ -143,7 +144,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.state = stateDraining
 	s.stateMu.Unlock()
 	obsv.MServerDrains.Add(1)
-	s.cfg.Log.Info("drain started", obsv.FInt("active_queries", int64(s.reg.active())))
+	s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "drain started", slog.Int("active_queries", s.reg.active()))
 
 	done := make(chan struct{})
 	go func() {
@@ -186,7 +187,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.state = stateClosed
 	s.stateMu.Unlock()
 	s.baseCancel(nil) // release the context subtree either way
-	s.cfg.Log.Info("drain complete", obsv.FBool("forced", forced))
+	s.cfg.Log.LogAttrs(ctx, slog.LevelInfo, "drain complete", slog.Bool("forced", forced))
 	if forced {
 		obsv.MServerDrainCanceled.Add(1)
 		return errors.New("server: drain deadline expired; in-flight requests were canceled")

@@ -6,6 +6,7 @@ package server
 
 import (
 	"context"
+	"log/slog"
 	"time"
 
 	"lincount"
@@ -249,15 +250,15 @@ func (s *Server) recordSlow(slot *qslot, reqID string, req QueryRequest, snap *S
 	}
 	s.slow.Add(rec)
 	obsv.MServerSlowQueries.Add(1)
-	s.cfg.Log.Warn("slow query",
-		obsv.FUint("id", rec.ID),
-		obsv.FStr("request_id", reqID),
-		obsv.FStr("query", req.Query),
-		obsv.FStr("strategy", strategy),
-		obsv.FStr("outcome", rec.Outcome),
-		obsv.FDur("duration", dur),
-		obsv.FDur("queue_wait", queueWait),
-		obsv.FUint("epoch", snap.Epoch))
+	s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelWarn, "slow query",
+		slog.Uint64("id", rec.ID),
+		slog.String("request_id", reqID),
+		slog.String("query", req.Query),
+		slog.String("strategy", strategy),
+		slog.String("outcome", rec.Outcome),
+		slog.Duration("duration", dur),
+		slog.Duration("queue_wait", queueWait),
+		slog.Uint64("epoch", snap.Epoch))
 }
 
 // ActiveQueries returns the in-flight queries, oldest first — the data
@@ -272,7 +273,7 @@ func (s *Server) KillQuery(key string) (uint64, bool) {
 	id, ok := s.reg.kill(key)
 	if ok {
 		obsv.MServerQueriesKilled.Add(1)
-		s.cfg.Log.Info("query killed", obsv.FUint("id", id), obsv.FStr("key", key))
+		s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelInfo, "query killed", slog.Uint64("id", id), slog.String("key", key))
 	}
 	return id, ok
 }

@@ -8,6 +8,8 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"runtime"
 	"strconv"
 	"strings"
@@ -257,13 +259,13 @@ func TestServerSlowLog(t *testing.T) {
 }
 
 // TestRequestObservabilityZeroAlloc pins the off-path cost of the new
-// machinery: registry begin/setRunning/end, a disabled (nil) logger, a
-// suppressed (below-level) logger, and the slow-threshold comparison
-// must all add zero allocations per request.
+// machinery: registry begin/setRunning/end, the logger a nil Config.Log
+// leaves, a suppressed (below-level) logger, and the slow-threshold
+// comparison must all add zero allocations per request.
 func TestRequestObservabilityZeroAlloc(t *testing.T) {
 	r := newRegistry(4)
-	var nilLog *obsv.Logger
-	offLog := obsv.NewLogger(discard{}, "json", obsv.LevelError)
+	nilLog := (&Config{}).withDefaults().Log
+	offLog := obsv.NewLogger(io.Discard, "json", slog.LevelError)
 	slowThreshold := 250 * time.Millisecond
 	cancel := func() {}
 	deadline := time.Now().Add(time.Second)
@@ -273,8 +275,8 @@ func TestRequestObservabilityZeroAlloc(t *testing.T) {
 		slot := r.begin("req", "?- p(X).", cancel, deadline)
 		r.setRunning(slot, "materialized", 1)
 		slot.Facts().Add(1)
-		nilLog.Info("ignored", obsv.FStr("k", "v"))
-		offLog.Debug("suppressed", obsv.FInt("n", 1))
+		nilLog.LogAttrs(context.Background(), slog.LevelInfo, "ignored", slog.String("k", "v"))
+		offLog.LogAttrs(context.Background(), slog.LevelDebug, "suppressed", slog.Int("n", 1))
 		if slowThreshold > 0 && time.Since(start) >= slowThreshold {
 			t.Fatal("unexpectedly slow")
 		}
@@ -285,15 +287,23 @@ func TestRequestObservabilityZeroAlloc(t *testing.T) {
 	}
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
+// TestNilLoggerIsNoOp: a nil Config.Log becomes a logger no level enables.
+func TestNilLoggerIsNoOp(t *testing.T) {
+	l := (&Config{}).withDefaults().Log
+	for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if l.Enabled(context.Background(), lv) {
+			t.Errorf("level %v enabled", lv)
+		}
+	}
+	l.LogAttrs(context.Background(), slog.LevelError, "dropped", slog.Any("error", errors.New("x")))
+	l.With("k", "v").WithGroup("g").Error("dropped")
+}
 
 // BenchmarkRequestObservabilityOff is the perf-guard form of the
 // zero-alloc test: run with -benchmem to see 0 B/op, 0 allocs/op.
 func BenchmarkRequestObservabilityOff(b *testing.B) {
 	r := newRegistry(4)
-	var nilLog *obsv.Logger
+	nilLog := (&Config{}).withDefaults().Log
 	cancel := func() {}
 	deadline := time.Now().Add(time.Hour)
 	b.ReportAllocs()
@@ -302,7 +312,7 @@ func BenchmarkRequestObservabilityOff(b *testing.B) {
 		slot := r.begin("req", "?- p(X).", cancel, deadline)
 		r.setRunning(slot, "materialized", 1)
 		slot.Facts().Add(1)
-		nilLog.Info("ignored", obsv.FStr("k", "v"))
+		nilLog.LogAttrs(context.Background(), slog.LevelInfo, "ignored", slog.String("k", "v"))
 		r.end(slot)
 	}
 }

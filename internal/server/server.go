@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,9 +110,9 @@ type Config struct {
 	// under the threshold pay one time comparison.
 	SlowQuery time.Duration
 	// Log receives the server's structured log lines (request outcomes,
-	// writer-path events, recovery, drain). Nil disables logging — every
-	// method of a nil *obsv.Logger is a no-op.
-	Log *obsv.Logger
+	// writer-path events, recovery, drain). Nil disables logging: the
+	// server logs to a handler that is never enabled.
+	Log *slog.Logger
 }
 
 func (c *Config) withDefaults() Config {
@@ -139,8 +140,20 @@ func (c *Config) withDefaults() Config {
 	if out.CheckpointRecords == 0 {
 		out.CheckpointRecords = 4096
 	}
+	if out.Log == nil {
+		out.Log = slog.New(offHandler{})
+	}
 	return out
 }
+
+// offHandler is the handler behind a nil Config.Log: never enabled, so a
+// LogAttrs call returns before it builds a record.
+type offHandler struct{}
+
+func (offHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (offHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h offHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h offHandler) WithGroup(string) slog.Handler           { return h }
 
 // Snapshot is one published epoch: an immutable database plus its
 // sequence number. Readers evaluate against the snapshot they loaded at
@@ -326,16 +339,16 @@ func New(cfg Config) (*Server, error) {
 	if c.DataDir != "" {
 		w, info, err := recoverData(&c, c.DB)
 		if err != nil {
-			c.Log.Error("recovery failed", obsv.FStr("dir", c.DataDir), obsv.FErr("error", err))
+			c.Log.LogAttrs(baseCtx, slog.LevelError, "recovery failed", slog.String("dir", c.DataDir), slog.Any("error", err))
 			return nil, err
 		}
-		c.Log.Info("recovered data dir",
-			obsv.FStr("dir", c.DataDir),
-			obsv.FUint("epoch", info.Epoch),
-			obsv.FUint("checkpoint_seq", info.CheckpointSeq),
-			obsv.FInt("segments", int64(info.Segments)),
-			obsv.FInt("records_replayed", int64(info.Records)),
-			obsv.FInt("truncated_bytes", info.TruncatedBytes))
+		c.Log.LogAttrs(baseCtx, slog.LevelInfo, "recovered data dir",
+			slog.String("dir", c.DataDir),
+			slog.Uint64("epoch", info.Epoch),
+			slog.Uint64("checkpoint_seq", info.CheckpointSeq),
+			slog.Int("segments", info.Segments),
+			slog.Int("records_replayed", info.Records),
+			slog.Int64("truncated_bytes", info.TruncatedBytes))
 		s.walW.Store(w)
 		s.recovered = info
 		s.lastCkptSeq.Store(info.CheckpointSeq)
@@ -357,12 +370,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.snap.Store(&Snapshot{Epoch: epoch, DB: c.DB, Mat: mat})
 	obsv.MServerEpoch.Set(int64(epoch))
-	c.Log.Info("server started",
-		obsv.FUint("epoch", epoch),
-		obsv.FBool("materialized", mat != nil),
-		obsv.FBool("durable", c.DataDir != ""),
-		obsv.FInt("max_concurrent", int64(c.MaxConcurrent)),
-		obsv.FDur("slow_query", c.SlowQuery))
+	c.Log.LogAttrs(baseCtx, slog.LevelInfo, "server started",
+		slog.Uint64("epoch", epoch),
+		slog.Bool("materialized", mat != nil),
+		slog.Bool("durable", c.DataDir != ""),
+		slog.Int("max_concurrent", c.MaxConcurrent),
+		slog.Duration("slow_query", c.SlowQuery))
 	go s.writer()
 	if c.DataDir != "" {
 		go s.checkpointer()

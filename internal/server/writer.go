@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime/debug"
 	"time"
 
@@ -191,18 +192,18 @@ func (s *Server) applyBatch(batch []writeReq) {
 		if err != nil && retryableWrite(err) && attempt < writeRetries {
 			attempt++
 			obsv.MServerWriteRetries.Add(1)
-			s.cfg.Log.Warn("write batch retry",
-				obsv.FUint("epoch", cur.Epoch+1),
-				obsv.FInt("attempt", int64(attempt)),
-				obsv.FErr("error", err))
+			s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelWarn, "write batch retry",
+				slog.Uint64("epoch", cur.Epoch+1),
+				slog.Int("attempt", attempt),
+				slog.Any("error", err))
 			time.Sleep(retryBackoff << (attempt - 1))
 			continue
 		}
 		if err != nil {
-			s.cfg.Log.Error("write batch failed",
-				obsv.FUint("epoch", cur.Epoch+1),
-				obsv.FInt("attempts", int64(attempt+1)),
-				obsv.FErr("error", err))
+			s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelError, "write batch failed",
+				slog.Uint64("epoch", cur.Epoch+1),
+				slog.Int("attempts", attempt+1),
+				slog.Any("error", err))
 			for i := range batch {
 				if failed[i] == nil {
 					failed[i] = err
@@ -226,11 +227,11 @@ func (s *Server) applyBatch(batch []writeReq) {
 				wr.done <- writeResult{epoch: next.Epoch, retracted: retracted[i]}
 			}
 		}
-		s.cfg.Log.Debug("batch applied",
-			obsv.FUint("epoch", next.Epoch),
-			obsv.FInt("requests", int64(len(batch))),
-			obsv.FInt("live", int64(live)),
-			obsv.FBool("maintained", next.Mat != nil))
+		s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelDebug, "batch applied",
+			slog.Uint64("epoch", next.Epoch),
+			slog.Int("requests", len(batch)),
+			slog.Int("live", live),
+			slog.Bool("maintained", next.Mat != nil))
 		return
 	}
 }
@@ -338,9 +339,9 @@ func (s *Server) applyOps(cur *Snapshot, ops []lincount.WriteOp) (*lincount.Data
 		}
 		s.maintFallbacks.Add(1)
 		obsv.MServerMaintFallbacks.Add(1)
-		s.cfg.Log.Warn("maintenance fallback",
-			obsv.FUint("epoch", cur.Epoch+1),
-			obsv.FErr("error", err))
+		s.cfg.Log.LogAttrs(s.baseCtx, slog.LevelWarn, "maintenance fallback",
+			slog.Uint64("epoch", cur.Epoch+1),
+			slog.Any("error", err))
 	}
 	fork := cur.DB.Fork()
 	info, err := fork.Apply(ops)

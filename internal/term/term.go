@@ -248,19 +248,6 @@ func (b *Bank) ListElems(v Value) (elems []Value, ok bool) {
 	return elems, true
 }
 
-// ListLen returns the length of a proper list, or -1 if v is not one.
-func (b *Bank) ListLen(v Value) int {
-	n := 0
-	for b.IsCons(v) {
-		n++
-		v = b.Deref(v).Args[1]
-	}
-	if !b.IsNil(v) {
-		return -1
-	}
-	return n
-}
-
 // Format renders v as Datalog source text.
 func (b *Bank) Format(v Value) string {
 	var sb strings.Builder

@@ -104,10 +104,7 @@ func TestListHelpers(t *testing.T) {
 			t.Errorf("elem %d = %v want %v", i, got[i], elems[i])
 		}
 	}
-	if b.ListLen(l) != 3 {
-		t.Errorf("ListLen = %d", b.ListLen(l))
-	}
-	if !b.IsNil(b.Nil()) || b.ListLen(b.Nil()) != 0 {
+	if !b.IsNil(b.Nil()) {
 		t.Error("Nil not recognized")
 	}
 	if b.List() != b.Nil() {
@@ -117,9 +114,6 @@ func TestListHelpers(t *testing.T) {
 	improper := b.Cons(Int(1), Int(2))
 	if _, ok := b.ListElems(improper); ok {
 		t.Error("ListElems accepted an improper list")
-	}
-	if b.ListLen(improper) != -1 {
-		t.Error("ListLen accepted an improper list")
 	}
 }
 
