@@ -192,13 +192,14 @@ experiments:
 	$(GO) run ./cmd/lincount-bench | tee bench_tables.txt
 
 # Short fuzzing passes over the parser, the streaming fact loader (held
-# to the parser differentially), the snapshot reader, and the WAL
-# replayer.
+# to the parser differentially), the snapshot reader, the WAL replayer,
+# and incremental maintenance (held to a from-scratch fixpoint).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
 	$(GO) test -fuzz=FuzzLoadFacts -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=30s ./internal/wal
+	$(GO) test -fuzz=FuzzApply -fuzztime=30s ./internal/incremental
 
 examples:
 	@for d in examples/*/; do \

@@ -725,31 +725,3 @@ func measureJoin(name, src, facts, query string, reps int) Row {
 	row.Probes = res.Stats.Probes
 	return row
 }
-
-// RunAll executes the full experiment suite with the default parameters
-// recorded in EXPERIMENTS.md.
-func RunAll() []Table {
-	return []Table{
-		E1SameGeneration(),
-		E2ArcClassification(),
-		E3MultiRule(),
-		E4SharedVariables(),
-		E5Cyclic(),
-		E6MixedLinear(),
-		P1MagicVsCounting([]int{2, 4, 8, 16}, 16),
-		P2CountingSetSize([]int{16, 32, 64, 128}),
-		P3CyclicData([]int{32, 64, 128}, 8),
-		P4Reduction(256),
-		P5MultiRule(64, []int{1, 2, 4, 8}),
-		P6PointerAblation([]int{1000, 2000, 4000}),
-		P7PhaseWork([]int{64, 256, 1024}),
-		P8TreeData([]int{6, 8, 10}),
-		P9Grid([]int{4, 8, 16}, 16),
-		P10Selectivity(32, []int{0, 4, 16, 64}),
-		P11IntegerEncoding([]int{1, 2, 4, 8, 16}),
-		P12QSQ([]int{16, 32, 64}),
-		P14PreparedVsCold(200),
-		P16UpdateLatency([]int{20, 28}, 9),
-		P17BatchedJoin([]int{16, 24}, 5),
-	}
-}

@@ -134,7 +134,7 @@ func TestReduceOnClassicRewrite(t *testing.T) {
 p(X,Y) :- flat(X,Y).
 p(X,Y) :- up(X,X1), p(X1,Y).
 `, "?- p(a,Y).", "")
-	rw, err := RewriteClassic(f.adorned(t))
+	rw, err := rewriteClassic(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ p(X,Y) :- up(X,X1), p(X1,Y).
 sg(X,Y) :- flat(X,Y).
 sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).
 `, "?- sg(a,Y).", "")
-	rw2, err := RewriteClassic(f2.adorned(t))
+	rw2, err := rewriteClassic(f2.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,16 +164,3 @@ func RunWithProvenanceContext(ctx context.Context, an *Analysis, db *database.Da
 	}
 	return rt, res, nil
 }
-
-// ExplainAll formats a witness for every answer.
-func ExplainAll(rt *Runtime, res *RunResult) ([]string, error) {
-	out := make([]string, 0, len(res.Answers))
-	for _, a := range res.Answers {
-		d, err := rt.Explain(a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d.Format(rt.bank))
-	}
-	return out, nil
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"lincount/internal/adorn"
 	"lincount/internal/ast"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
@@ -82,22 +81,13 @@ func entryTerm(bank *term.Bank, r *RecRule) ast.Term {
 	return ast.Mk(bank, e, ruleIDConst(bank, r.ID), ast.MkList(bank, args, ast.NilTerm(bank)))
 }
 
-// RewriteExtended applies Algorithm 1 (the extended counting rewriting with
-// path arguments) to an adorned query. The resulting program is safe on
-// databases whose left-part graph is acyclic; on cyclic data its evaluation
-// diverges, which the engine budget turns into an error — use the Runtime
-// (Algorithm 2) for cyclic data.
-func RewriteExtended(a *adorn.Adorned) (*Rewritten, error) {
-	an, err := Analyze(a)
-	if err != nil {
-		return nil, err
-	}
-	return RewriteFromAnalysis(an)
-}
-
-// RewriteFromAnalysis is RewriteExtended starting from an existing
-// Analysis, so a compilation pipeline that already analyzed the adorned
-// program for strategy selection does not analyze it again per rewrite.
+// RewriteFromAnalysis applies Algorithm 1 (the extended counting
+// rewriting with path arguments) to an analyzed adorned query; a
+// compilation pipeline analyzes once for strategy selection and every
+// rewrite starts from that Analysis. The resulting program is safe on
+// databases whose left-part graph is acyclic; on cyclic data its
+// evaluation diverges, which the engine budget turns into an error — use
+// the Runtime (Algorithm 2) for cyclic data.
 func RewriteFromAnalysis(an *Analysis) (*Rewritten, error) {
 	return rewriteFromAnalysis(an)
 }
@@ -238,21 +228,12 @@ func rewriteFromAnalysis(an *Analysis) (*Rewritten, error) {
 	return out, nil
 }
 
-// RewriteClassic applies the classical counting method (integer distance
-// index, as in the paper's Example 1). It is only applicable when the goal
-// clique has exactly one recursive rule, the left and right part share no
-// variables, and no bound head variable occurs in the right part; cyclic
-// data additionally makes the rewritten program unsafe at evaluation time.
-func RewriteClassic(a *adorn.Adorned) (*Rewritten, error) {
-	an, err := Analyze(a)
-	if err != nil {
-		return nil, err
-	}
-	return RewriteClassicFromAnalysis(an)
-}
-
-// RewriteClassicFromAnalysis is RewriteClassic starting from an existing
-// Analysis (the compilation pipeline's shared one).
+// RewriteClassicFromAnalysis applies the classical counting method
+// (integer distance index, as in the paper's Example 1) to an analyzed
+// adorned query. It is only applicable when the goal clique has exactly
+// one recursive rule, the left and right part share no variables, and no
+// bound head variable occurs in the right part; cyclic data additionally
+// makes the rewritten program unsafe at evaluation time.
 func RewriteClassicFromAnalysis(an *Analysis) (*Rewritten, error) {
 	a := an.Adorned
 	if len(an.Clique) != 1 {

@@ -52,9 +52,27 @@ func (f *rwFixture) adorned(t *testing.T) *adorn.Adorned {
 	return a
 }
 
+// rewriteExtended and rewriteClassic rewrite an adorned query the way the
+// compilation pipeline does: Analyze, then the rewrite from the analysis.
+func rewriteExtended(a *adorn.Adorned) (*Rewritten, error) {
+	an, err := Analyze(a)
+	if err != nil {
+		return nil, err
+	}
+	return RewriteFromAnalysis(an)
+}
+
+func rewriteClassic(a *adorn.Adorned) (*Rewritten, error) {
+	an, err := Analyze(a)
+	if err != nil {
+		return nil, err
+	}
+	return RewriteClassicFromAnalysis(an)
+}
+
 func (f *rwFixture) extended(t *testing.T) *Rewritten {
 	t.Helper()
-	rw, err := RewriteExtended(f.adorned(t))
+	rw, err := rewriteExtended(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +399,7 @@ func TestClassicExample1(t *testing.T) {
 sg(X,Y) :- flat(X,Y).
 sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).
 `, "?- sg(a,Y).", "")
-	rw, err := RewriteClassic(f.adorned(t))
+	rw, err := rewriteClassic(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +421,7 @@ sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).
 `, "?- sg(a,Y).", `
 up(a,b). up(b,c). flat(c,c2). down(c2,d1). down(d1,d2).
 `)
-	rw, err := RewriteClassic(f.adorned(t))
+	rw, err := rewriteClassic(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +437,7 @@ sg(X,Y) :- flat(X,Y).
 sg(X,Y) :- up1(X,X1), sg(X1,Y1), down1(Y1,Y).
 sg(X,Y) :- up2(X,X1), sg(X1,Y1), down2(Y1,Y).
 `, "?- sg(a,Y).", "")
-	if _, err := RewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
+	if _, err := rewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
 		t.Errorf("err = %v, want ErrNotApplicable", err)
 	}
 }
@@ -429,7 +447,7 @@ func TestClassicRejectsSharedVariables(t *testing.T) {
 p(X,Y) :- flat(X,Y).
 p(X,Y) :- up(X,X1,W), p(X1,Y1), down(Y1,Y,W).
 `, "?- p(a,Y).", "")
-	if _, err := RewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
+	if _, err := rewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
 		t.Errorf("err = %v, want ErrNotApplicable", err)
 	}
 }
@@ -439,7 +457,7 @@ func TestClassicRejectsBoundHeadVarInRight(t *testing.T) {
 p(X,Y) :- flat(X,Y).
 p(X,Y) :- up(X,X1), p(X1,Y1), down(Y1,Y,X).
 `, "?- p(a,Y).", "")
-	if _, err := RewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
+	if _, err := rewriteClassic(f.adorned(t)); !errors.Is(err, ErrNotApplicable) {
 		t.Errorf("err = %v, want ErrNotApplicable", err)
 	}
 }

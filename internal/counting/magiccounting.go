@@ -99,15 +99,11 @@ func (rt *Runtime) layered() bool {
 	return true
 }
 
-// ProbeLeftGraph explores the left-part graph of the analyzed query over
-// db and classifies it. maxNodes bounds the exploration (0 = default).
-func ProbeLeftGraph(an *Analysis, db *database.Database, maxNodes int) (LeftGraphProbe, error) {
-	return ProbeLeftGraphContext(context.Background(), an, db, RuntimeOptions{MaxTuples: maxNodes})
-}
-
-// ProbeLeftGraphContext is ProbeLeftGraph under a context, which the
+// ProbeLeftGraphContext explores the left-part graph of the analyzed
+// query over db and classifies it, under a context, which the
 // exploration polls cooperatively, and under the runtime's options: the
-// node budget, the fault injector and the tracer.
+// node budget (MaxTuples, 0 = default), the fault injector and the
+// tracer.
 func ProbeLeftGraphContext(ctx context.Context, an *Analysis, db *database.Database, opts RuntimeOptions) (LeftGraphProbe, error) {
 	rt, err := NewRuntimeContext(ctx, an, db, opts)
 	if err != nil {

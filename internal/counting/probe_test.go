@@ -17,7 +17,7 @@ func probeOf(t *testing.T, src, goal, facts string) LeftGraphProbe {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := ProbeLeftGraph(an, f.db, 0)
+	probe, err := ProbeLeftGraphContext(context.Background(), an, f.db, RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

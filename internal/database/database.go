@@ -146,7 +146,7 @@ func (r *Relation) Insert(t Tuple) bool {
 // InsertRow is Insert returning the tuple's RowID: the fresh id when the
 // tuple is new, the existing row's id otherwise. The id is what lets
 // callers keep per-row side tables (the incremental maintenance engine's
-// derivation counts) parallel to the relation.
+// dead flags) parallel to the relation.
 func (r *Relation) InsertRow(t Tuple) (RowID, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("database: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))

@@ -642,9 +642,9 @@ func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
 }
 
 // SortTuplesFormatted orders tuples by their rendered text (integers still
-// compare numerically within a column). Slower than SortTuples but gives
-// the alphabetical order humans expect from query output. Every value is
-// formatted once, before the sort.
+// compare numerically within a column): the alphabetical order humans
+// expect from query output. Every value is formatted once, before the
+// sort.
 func SortTuplesFormatted(bank *term.Bank, ts []database.Tuple) {
 	if len(ts) < 2 {
 		return
@@ -689,17 +689,4 @@ func (a formattedKey) less(b formattedKey) bool {
 		}
 	}
 	return false
-}
-
-// SortTuples orders tuples deterministically (column-major term.Compare).
-func SortTuples(ts []database.Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := range a {
-			if c := term.Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

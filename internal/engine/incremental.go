@@ -3,13 +3,11 @@ package engine
 // Incremental-maintenance primitives: an exported, resumable view of the
 // rule executor for the internal/incremental package. A Joiner compiles a
 // program's rules once per maintenance run and then runs individual rule
-// variants under caller-controlled delta windows, row-state filters and
-// the windowed exact-once counting read discipline — the three knobs the
-// counting-based delta algorithm (insertion resume, exact decrement,
-// overdelete, backward rederivation, rederive fixpoint) needs beyond what
-// EvalContext's fixpoint loop exposes. All three are per-operator
-// visibility filters resolved by ruleExec.begin (pipeline.go); there is
-// no second evaluation path.
+// variants under caller-controlled delta windows and an optional dead-row
+// filter — the two knobs DRed maintenance (overdelete, rederive, insertion
+// resume) needs beyond what EvalContext's fixpoint loop exposes. Both are
+// per-operator visibility filters resolved by ruleExec.begin
+// (pipeline.go); there is no second evaluation path.
 
 import (
 	"lincount/internal/ast"
@@ -22,8 +20,7 @@ import (
 // Delta is a window of rows acting as the delta occurrence for a predicate:
 // rows [Lo, Hi) of Rel. Rel may be a scratch relation distinct from the
 // predicate's stored relation (deletion passes feed copies of the deleted
-// tuples this way), in which case windowed reads of non-delta occurrences
-// still target Rel with the window bounds.
+// tuples this way).
 type Delta struct {
 	Rel    *database.Relation
 	Lo, Hi database.RowID
@@ -31,24 +28,11 @@ type Delta struct {
 
 // JoinConfig selects the read discipline for one Joiner.Run call.
 type JoinConfig struct {
-	// Windowed arms the exact-once counting discipline: a non-delta
-	// occurrence of a predicate present in the delta map reads rows
-	// [0, Hi) of the delta's Rel when it precedes the delta occurrence in
-	// the source body, and [0, Lo) when it follows it. Every derivation
-	// with at least one delta atom is then enumerated exactly once, at its
-	// last newest-atom body position.
-	Windowed bool
-	// RowState holds per-row lifecycle states (-1 deleted, 0 original,
-	// g ≥ 1 rederived in round g); FilterPrefix/FilterSuffix arm filtering
-	// of occurrences before/after the delta occurrence to rows with
-	// 0 ≤ state ≤ bound. Rows past a slice end and preds missing from the
-	// map are treated as live originals. The delta occurrence itself is
-	// never filtered.
-	RowState     map[symtab.Sym][]int32
-	FilterPrefix bool
-	FilterSuffix bool
-	PrefixBound  int32
-	SuffixBound  int32
+	// Dead, when non-nil, hides dead rows: a non-delta occurrence of a
+	// predicate skips row id when Dead[pred][id] is set. Rows past a
+	// slice end and predicates missing from the map are live. The delta
+	// occurrence itself is never filtered.
+	Dead map[symtab.Sym][]bool
 }
 
 // Joiner evaluates compiled rule variants of one program against a base
@@ -104,22 +88,15 @@ func (j *Joiner) VariantPred(i, occ int) symtab.Sym {
 	return cr.src.Body[cr.recBodyIdx[occ]].Pred
 }
 
-// VariantBodyIdx returns the source body position of variant occ's delta
-// occurrence.
-func (j *Joiner) VariantBodyIdx(i, occ int) int { return j.rules[i].recBodyIdx[occ] }
-
-// Src returns the source rule of compiled rule i.
-func (j *Joiner) Src(i int) ast.Rule { return j.rules[i].src }
-
 // Run evaluates variant occ of rule i (occ outside the rule's variants
 // selects the default order with no delta substitution) under cfg, calling
 // out with the head tuple of every body solution. The tuple is reused
 // across solutions; out must copy it to retain it. Duplicate derivations
-// are NOT deduplicated — each distinct body instantiation produces one
-// call — which is exactly what derivation counting needs; nor are they
-// counted as Inferences. Solutions are delivered up to a batch late: out
-// must not change a row the same run can still see through its windows
-// and row-state bounds, and must not call Run.
+// are NOT deduplicated — each body instantiation produces one call — nor
+// are they counted as Inferences. Solutions are delivered up to a batch
+// late: out may append to or revive rows of a relation the run reads (the
+// run then sees the revived rows or not, depending on timing), but must
+// hide none of them and must not call Run.
 func (j *Joiner) Run(i, occ int, delta map[symtab.Sym]Delta, cfg JoinConfig, out func(database.Tuple) error) error {
 	re := j.ev.execFor(j.rules[i], occ)
 	re.begin(delta, cfg)

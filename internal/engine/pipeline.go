@@ -12,18 +12,17 @@ package engine
 // and hands each to the run's sink callback.
 //
 // What a run may read is fixed by begin before the first frame moves:
-// every relation operator gets a RowID window [lo, hi) — the delta window,
-// a counting window of the incremental engine's exact-once discipline, or
-// the relation's length at that instant — and optionally a row-state
-// filter (JoinConfig.RowState). Rows appended during the run lie past
-// every window, which is what makes the cached index handles sound and
+// every relation operator gets a RowID window [lo, hi) — the delta window
+// or the relation's length at that instant — and optionally a dead-row
+// filter (JoinConfig.Dead), consulted as rows are read. Rows appended
+// during the run lie past every window, which is what makes the cached index handles sound and
 // lets a sink insert into a relation the run is reading. Each operator
 // preserves its input order and expands matches in ascending RowID order,
 // so the sink sees body instantiations in the nested-loop order of the
 // body ordering (see docs/INTERNALS.md § Batched execution pipeline).
 //
 // Solutions reach the sink up to a batch late. A sink must therefore not
-// change anything the same run still reads inside its windows and filters
+// hide anything the same run still reads inside its windows and filters
 // (docs/INTERNALS.md § Incremental maintenance lists why each caller's
 // sink qualifies), and must not re-enter the ruleExec it is called from.
 
@@ -55,16 +54,15 @@ const (
 )
 
 // execLevel is the runtime state of one pipeline operator: the per-run
-// source resolution (relation, RowID window, row-state filter, index
+// source resolution (relation, RowID window, dead-row filter, index
 // handle) and the reusable batch buffers.
 type execLevel struct {
 	// Resolved by begin() each run.
 	rel    *database.Relation
 	lo, hi database.RowID
-	// st, when non-nil, filters the rows this operator reads to those
-	// with 0 <= st[id] <= stBound; rows past the slice end are live.
-	st      []int32
-	stBound int32
+	// dead, when non-nil, hides the rows this operator reads whose flag
+	// is set; rows past the slice end are live.
+	dead []bool
 	// Index handle cache, revalidated by relation identity.
 	ixRel *database.Relation
 	ix    database.Index
@@ -88,14 +86,10 @@ type execLevel struct {
 	matches []database.RowMatch
 }
 
-// hidden reports whether the row-state filter hides row id from this
+// hidden reports whether the dead-row filter hides row id from this
 // operator; with no filter armed it is one failed length compare.
 func (lv *execLevel) hidden(id database.RowID) bool {
-	if int(id) >= len(lv.st) {
-		return false
-	}
-	s := lv.st[id]
-	return s < 0 || s > lv.stBound
+	return int(id) < len(lv.dead) && lv.dead[id]
 }
 
 // slot returns the output frame after the operator's last buffered one.
@@ -210,13 +204,8 @@ func (ev *evaluator) execFor(cr *compiledRule, deltaOcc int) *ruleExec {
 }
 
 // begin resolves what every operator may read in one run. The delta
-// occurrence gets its window. Under cfg.Windowed a non-delta occurrence
-// of a predicate in the delta map reads the delta's Rel over [0, Hi) when
-// it precedes the delta occurrence in source-body order and [0, Lo) when
-// it follows it; every other occurrence reads its relation up to the
-// length it has now. Under cfg.RowState a non-delta occurrence on an
-// armed side of the delta occurrence is filtered by its predicate's state
-// slice (with no delta occurrence every literal is on the suffix side).
+// occurrence gets its window; every other occurrence reads its relation up
+// to the length it has now, hiding the rows cfg.Dead marks dead.
 func (re *ruleExec) begin(delta map[symtab.Sym]Delta, cfg JoinConfig) {
 	ev := re.ev
 	re.empty = false
@@ -230,20 +219,16 @@ func (re *ruleExec) begin(delta map[symtab.Sym]Delta, cfg JoinConfig) {
 			if isDelta && re.callerRows {
 				continue // runRows is the source
 			}
-			prefix := cl.bodyIdx < re.deltaBodyIdx
-			d, inDelta := delta[cl.pred]
-			switch {
-			case isDelta:
+			lv.dead = nil
+			if isDelta {
+				d := delta[cl.pred]
 				lv.rel, lv.lo, lv.hi = d.Rel, d.Lo, d.Hi
-			case cfg.Windowed && inDelta && prefix:
-				lv.rel, lv.lo, lv.hi = d.Rel, 0, d.Hi
-			case cfg.Windowed && inDelta:
-				lv.rel, lv.lo, lv.hi = d.Rel, 0, d.Lo
-			default:
+			} else {
 				lv.rel, lv.lo, lv.hi = ev.readRel(cl.pred), 0, 0
 				if lv.rel != nil {
 					lv.hi = database.RowID(lv.rel.Len())
 				}
+				lv.dead = cfg.Dead[cl.pred]
 			}
 			if lv.rel == nil || lv.rel.Arity() != len(cl.args) {
 				re.empty = true
@@ -254,15 +239,6 @@ func (re *ruleExec) begin(delta map[symtab.Sym]Delta, cfg JoinConfig) {
 			}
 			if lv.hi <= lv.lo {
 				re.empty = true
-				continue
-			}
-			lv.st = nil
-			switch {
-			case isDelta: // never filtered
-			case prefix && cfg.FilterPrefix:
-				lv.st, lv.stBound = cfg.RowState[cl.pred], cfg.PrefixBound
-			case !prefix && cfg.FilterSuffix:
-				lv.st, lv.stBound = cfg.RowState[cl.pred], cfg.SuffixBound
 			}
 		case litNegated:
 			lv.rel = ev.readRel(cl.pred)

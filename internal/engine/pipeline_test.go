@@ -126,7 +126,7 @@ down(a,a). down(b,d). down(c,e).`,
 				t.Fatal(err)
 			}
 			for i := 0; i < j.Rules(); i++ {
-				r := j.Src(i)
+				r := j.rules[i].src
 				want := bruteForce(f.bank, r, nil, func(b int) bruteSource { return fullSource(read(r.Body[b].Pred)) }, read)
 				model := map[string]bool{}
 				for _, row := range tc.want[syms.String(j.HeadPred(i))] {

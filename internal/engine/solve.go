@@ -23,14 +23,11 @@ type Matcher struct {
 	// Solves and Probes count work for the benchmark harness.
 	Solves int64
 	Probes int64
-	// RowState, when non-nil, filters every relation occurrence a
-	// subsequently prepared solve reads: rows whose state is negative or
-	// exceeds RowStateBound are skipped (missing preds and rows past a
-	// slice end count as live originals, state 0). The incremental
-	// maintainer's backward rederivation pass uses this to count
-	// derivations over surviving rows only. Set before Prepare.
-	RowState      map[symtab.Sym][]int32
-	RowStateBound int32
+	// Dead, when non-nil, hides dead rows from every relation occurrence
+	// a subsequently prepared solve reads (JoinConfig.Dead). The
+	// incremental maintainer's rederivation check uses it to look for a
+	// derivation over live rows only. Set before Prepare.
+	Dead map[symtab.Sym][]bool
 }
 
 // NewMatcher returns a matcher reading from db and derived (either may be
@@ -115,9 +112,9 @@ func (m *Matcher) PrepareTerms(body []ast.Literal, given, want []ast.Term, tags 
 	ps := &PreparedSolve{
 		m:     m,
 		arity: len(givenArgs),
-		// The $given occurrence is the delta (never filtered); every real
-		// body literal follows it, so the suffix filter covers them all.
-		cfg: JoinConfig{RowState: m.RowState, FilterSuffix: m.RowState != nil, SuffixBound: m.RowStateBound},
+		// The $given occurrence is the delta (never filtered); the dead
+		// filter covers every real body literal.
+		cfg: JoinConfig{Dead: m.Dead},
 	}
 	ps.re = newRuleExec(&evaluator{bank: m.bank, db: m.db, derived: m.derived, check: m.check}, cr, 0)
 	ps.re.callerRows = true

@@ -2,7 +2,10 @@ package incremental
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"lincount/internal/ast"
 	"lincount/internal/database"
@@ -29,10 +32,9 @@ type ApplyResult struct {
 	// DerivedAdded and DerivedRemoved count derived tuples that appeared
 	// and disappeared.
 	DerivedAdded, DerivedRemoved int
-	// Overdeleted and Rederived count the deletion pass's traffic in
-	// recursive components: tuples provisionally deleted by the
-	// overcounting sweep, and those rederived because alternative
-	// derivations survive.
+	// Overdeleted and Rederived count the deletion pass's traffic:
+	// tuples provisionally deleted by the overdeletion sweep, and those
+	// rederived because alternative derivations survive.
 	Overdeleted, Rederived int
 }
 
@@ -79,7 +81,8 @@ func (m *Materialization) Apply(ctx context.Context, fork *database.Database, op
 		netDel:   b.Del,
 		insOrder: b.InsOrder,
 		delOrder: b.DelOrder,
-		rowState: make(map[symtab.Sym][]int32),
+		dead:     make(map[symtab.Sym][]bool),
+		owned:    make(map[symtab.Sym]bool),
 		deleted:  make(map[symtab.Sym]*database.Relation),
 		joiners:  make(map[int]*engine.Joiner),
 		res:      res,
@@ -98,32 +101,13 @@ func (m *Materialization) Apply(ctx context.Context, fork *database.Database, op
 }
 
 // fork returns the next epoch's materialisation sharing every immutable
-// piece with m; counts are copied (they mutate under maintenance) while
-// relations are replaced lazily (rebuild on compaction, clone on append).
+// piece with m; relations are replaced lazily (rebuild on compaction,
+// clone on append).
 func (m *Materialization) fork(db *database.Database) *Materialization {
-	m2 := &Materialization{
-		bank:       m.bank,
-		prog:       m.prog,
-		comps:      m.comps,
-		db:         db,
-		headPred:   m.headPred,
-		arity:      m.arity,
-		derived:    make(map[symtab.Sym]*database.Relation, len(m.derived)),
-		counts:     make(map[symtab.Sym][]int64, len(m.counts)),
-		factSeeds:  m.factSeeds,
-		factCounts: m.factCounts,
-		opts:       m.opts,
-		total:      m.total,
-	}
-	for p, rel := range m.derived {
-		m2.derived[p] = rel
-	}
-	for p, c := range m.counts {
-		// Room for the epoch's inserts: an exact copy is copied again by
-		// the first new row.
-		m2.counts[p] = append(make([]int64, 0, len(c)+len(c)/64+64), c...)
-	}
-	return m2
+	m2 := *m
+	m2.db = db
+	m2.derived = maps.Clone(m.derived)
+	return &m2
 }
 
 // applier carries one batch's maintenance state.
@@ -135,11 +119,14 @@ type applier struct {
 	netIns, netDel     map[symtab.Sym]*database.Relation
 	insOrder, delOrder []symtab.Sym
 
-	// rowState maps every row of every read relation to its deletion
-	// lifecycle (-1 dead, 0 original, g >= 1 rederived in round g); preds
-	// absent from the map are untouched. For head predicates the states
-	// index the derived relation, for EDB predicates the base relation.
-	rowState map[symtab.Sym][]int32
+	// dead flags the rows the deletion pass has deleted: for head
+	// predicates the rows of the derived relation, for EDB predicates
+	// those of the base relation. Rows past a slice end and predicates
+	// absent from the map are live. Compaction empties it.
+	dead map[symtab.Sym][]bool
+	// owned marks the derived relations this epoch may append to: those
+	// compaction rebuilt and those the insertion phase cloned.
+	owned map[symtab.Sym]bool
 	// deleted holds, per predicate, copies of the finally deleted tuples —
 	// the delta feeding downstream components' deletion passes.
 	deleted map[symtab.Sym]*database.Relation
@@ -150,22 +137,13 @@ type applier struct {
 	res *ApplyResult
 }
 
-func (a *applier) state(pred symtab.Sym, n int) []int32 {
-	st, ok := a.rowState[pred]
+func (a *applier) deadFor(pred symtab.Sym, n int) []bool {
+	dead, ok := a.dead[pred]
 	if !ok {
-		st = make([]int32, n)
-		a.rowState[pred] = st
+		dead = make([]bool, n)
+		a.dead[pred] = dead
 	}
-	return st
-}
-
-func (a *applier) deletedRel(pred symtab.Sym, arity int) *database.Relation {
-	d, ok := a.deleted[pred]
-	if !ok {
-		d = database.NewRelation(arity)
-		a.deleted[pred] = d
-	}
-	return d
+	return dead
 }
 
 func (a *applier) joiner(ci int) (*engine.Joiner, error) {
@@ -180,10 +158,10 @@ func (a *applier) joiner(ci int) (*engine.Joiner, error) {
 	return j, nil
 }
 
-// deletePhase runs the counting/DRed deletion pass component by component,
-// then compacts the derived relations and applies the base retractions.
-// Everything before compaction is logical: reads still see the pre-state
-// rows, filtered through rowState.
+// deletePhase runs DRed component by component, then compacts the
+// derived relations and applies the base retractions. Everything before
+// compaction is logical: reads still see the pre-state rows, filtered
+// through the dead flags.
 func (a *applier) deletePhase() error {
 	m := a.m
 	// Base deletions of pure-EDB predicates become dead base rows plus a
@@ -196,15 +174,14 @@ func (a *applier) deletePhase() error {
 		if base == nil {
 			continue
 		}
-		st := a.state(q, base.Len())
+		dead := a.deadFor(q, base.Len())
 		nd := a.netDel[q]
-		for id := database.RowID(0); int(id) < nd.Len(); id++ {
-			t := database.Tuple(nd.Row(id))
-			bid, ok := base.Find(t)
+		for id := 0; id < nd.Len(); id++ {
+			bid, ok := base.Find(nd.At(id))
 			if !ok {
 				return internalErrf("net-deleted %s tuple missing from base", m.bank.Symbols().String(q))
 			}
-			st[bid] = -1
+			dead[bid] = true
 		}
 		a.deleted[q] = nd
 	}
@@ -217,12 +194,7 @@ func (a *applier) deletePhase() error {
 		if err != nil {
 			return err
 		}
-		if comp.Recursive {
-			err = a.dredDelete(comp, j)
-		} else {
-			err = a.exactDelete(comp, j)
-		}
-		if err != nil {
+		if err := a.dred(comp, j); err != nil {
 			return err
 		}
 	}
@@ -252,114 +224,35 @@ func (a *applier) compAffected(comp engine.Component) bool {
 	return false
 }
 
-// exactDelete maintains a non-recursive component by exact count
-// decrements: every lost derivation (one with at least one deleted atom)
-// is counted exactly once — the delta sits at the last deleted-atom
-// position, earlier occurrences read the full old state (deleted atoms
-// allowed), later occurrences are restricted to survivors.
-func (a *applier) exactDelete(comp engine.Component, j *engine.Joiner) error {
-	m := a.m
-	for _, p := range comp.Preds {
-		rel := m.derived[p]
-		if rel == nil {
-			continue
-		}
-		nd := a.netDel[p]
-		if nd == nil {
-			continue
-		}
-		// Base-support loss: the tuple stays derived while rules still
-		// support it; only its external support unit goes away.
-		for id := database.RowID(0); int(id) < nd.Len(); id++ {
-			t := database.Tuple(nd.Row(id))
-			did, ok := rel.Find(t)
-			if !ok {
-				return internalErrf("base-deleted %s tuple missing from derived relation",
-					m.bank.Symbols().String(p))
-			}
-			m.counts[p][did]--
-		}
-	}
-	cfg := engine.JoinConfig{RowState: a.rowState, FilterSuffix: true, SuffixBound: 0}
-	for i := 0; i < j.Rules(); i++ {
-		p := j.HeadPred(i)
-		rel := m.derived[p]
-		dec := func(t database.Tuple) error {
-			did, ok := rel.Find(t)
-			if !ok {
-				return internalErrf("lost derivation of absent %s tuple", m.bank.Symbols().String(p))
-			}
-			m.counts[p][did]--
-			return nil
-		}
-		for occ := 0; occ < j.Variants(i); occ++ {
-			q := j.VariantPred(i, occ)
-			d := a.deleted[q]
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			delta := map[symtab.Sym]engine.Delta{q: {Rel: d, Lo: 0, Hi: database.RowID(d.Len())}}
-			if err := j.Run(i, occ, delta, cfg, dec); err != nil {
-				return err
-			}
-		}
-	}
-	// Collect the zero-count rows: logically dead, and a delta for
-	// downstream components.
-	for _, p := range comp.Preds {
-		rel := m.derived[p]
-		if rel == nil {
-			continue
-		}
-		st := a.state(p, rel.Len())
-		for id := range m.counts[p] {
-			c := m.counts[p][id]
-			if c < 0 {
-				return internalErrf("count of %s row %d went negative (%d)",
-					m.bank.Symbols().String(p), id, c)
-			}
-			if c == 0 && st[id] == 0 {
-				st[id] = -1
-				a.deletedRel(p, rel.Arity()).Insert(rel.At(id))
-				a.res.DerivedRemoved++
-			}
-		}
-	}
-	return nil
-}
+// errSupported ends a rederivation check at its first solution.
+var errSupported = errors.New("incremental: supported")
 
-// dredDelete maintains a recursive component with overcount/rederive:
-// overdelete every tuple with some derivation through a deleted atom
-// (propagating transitively within the component), then rebuild the
-// survivors' counts — Stage A counts each overdeleted tuple's derivations
-// over surviving rows only (a backward pass through the Matcher), Stage B
-// resumes a counting fixpoint seeded with the Stage-A reinsertions so
-// derivations through other reinserted tuples are counted exactly once.
-func (a *applier) dredDelete(comp engine.Component, j *engine.Joiner) error {
+// dred maintains one component by overdelete/rederive: every row with
+// some derivation through a deleted atom is marked dead, propagating
+// within the component; then each dead row that still has support — a
+// base row the batch keeps, a program fact, or a derivation over live
+// rows — is revived, and the propagation loop revives what the revived
+// rows support in turn. The rows still dead are the component's delta for
+// downstream components.
+func (a *applier) dred(comp engine.Component, j *engine.Joiner) error {
 	m := a.m
-	inC := make(map[symtab.Sym]bool, len(comp.Preds))
-	for _, p := range comp.Preds {
-		inC[p] = true
-	}
+	syms := m.bank.Symbols()
 	over := make(map[symtab.Sym]*database.Relation)
 	for _, p := range comp.Preds {
 		if rel := m.derived[p]; rel != nil {
 			over[p] = database.NewRelation(rel.Arity())
-			a.state(p, rel.Len())
+			a.deadFor(p, rel.Len())
 		}
 	}
 	mark := func(p symtab.Sym) func(database.Tuple) error {
-		rel := m.derived[p]
-		st := a.rowState[p]
-		o := over[p]
+		rel, dead, o := m.derived[p], a.dead[p], over[p]
 		return func(t database.Tuple) error {
 			id, ok := rel.Find(t)
 			if !ok {
-				return internalErrf("overdeleted %s tuple missing from derived relation",
-					m.bank.Symbols().String(p))
+				return internalErrf("overdeleted %s tuple missing from derived relation", syms.String(p))
 			}
-			if st[id] == 0 {
-				st[id] = -1
+			if !dead[id] {
+				dead[id] = true
 				o.Insert(t)
 				a.res.Overdeleted++
 			}
@@ -367,140 +260,50 @@ func (a *applier) dredDelete(comp engine.Component, j *engine.Joiner) error {
 		}
 	}
 
-	// Overdeletion seeds: base-support losses, then derivations through
-	// deltas of earlier components. Reads are unfiltered — DRed closes
-	// over the old state, and overcounting is corrected by rederivation.
+	// Overdeletion: base-support losses, then derivations through the
+	// deleted rows of earlier components, closed over the component by
+	// watermark rounds over the overdeleted rows. Reads are unfiltered —
+	// DRed overdeletes over the old state, and rederivation corrects the
+	// overestimate.
 	for _, p := range comp.Preds {
-		nd := a.netDel[p]
-		rel := m.derived[p]
+		nd, rel := a.netDel[p], m.derived[p]
 		if nd == nil || rel == nil {
 			continue
 		}
 		markP := mark(p)
-		for id := database.RowID(0); int(id) < nd.Len(); id++ {
-			if err := markP(database.Tuple(nd.Row(id))); err != nil {
-				return internalErrf("base-deleted %s tuple missing from derived relation",
-					m.bank.Symbols().String(p))
-			}
-		}
-	}
-	for i := 0; i < j.Rules(); i++ {
-		markP := mark(j.HeadPred(i))
-		for occ := 0; occ < j.Variants(i); occ++ {
-			q := j.VariantPred(i, occ)
-			if inC[q] {
-				continue
-			}
-			d := a.deleted[q]
-			if d == nil || d.Len() == 0 {
-				continue
-			}
-			delta := map[symtab.Sym]engine.Delta{q: {Rel: d, Lo: 0, Hi: database.RowID(d.Len())}}
-			if err := j.Run(i, occ, delta, engine.JoinConfig{}, markP); err != nil {
+		for id := 0; id < nd.Len(); id++ {
+			if err := markP(nd.At(id)); err != nil {
 				return err
 			}
 		}
 	}
-	// Propagate within the component by watermark rounds over the
-	// overdeletion relations.
-	loO := make(map[symtab.Sym]database.RowID, len(comp.Preds))
-	maxIter := m.opts.maxIter()
-	for iter := 0; ; iter++ {
-		if err := a.check.Check(); err != nil {
-			return err
-		}
-		if iter >= maxIter {
-			return &limits.ResourceLimitError{
-				Kind: limits.KindIterations, Limit: int64(maxIter), Used: int64(iter), Component: "incremental",
-			}
-		}
+	lo := make(map[symtab.Sym]database.RowID, len(over))
+	next := func() map[symtab.Sym]engine.Delta {
 		windows := make(map[symtab.Sym]engine.Delta)
-		for _, p := range comp.Preds {
-			o := over[p]
-			if o == nil {
-				continue
-			}
-			hi := database.RowID(o.Len())
-			if hi > loO[p] {
-				windows[p] = engine.Delta{Rel: o, Lo: loO[p], Hi: hi}
-			}
-			loO[p] = hi
-		}
-		if len(windows) == 0 {
-			break
-		}
-		for i := 0; i < j.Rules(); i++ {
-			markP := mark(j.HeadPred(i))
-			for occ := 0; occ < j.Variants(i); occ++ {
-				q := j.VariantPred(i, occ)
-				w, ok := windows[q]
-				if !ok {
-					continue
-				}
-				delta := map[symtab.Sym]engine.Delta{q: w}
-				if err := j.Run(i, occ, delta, engine.JoinConfig{}, markP); err != nil {
-					return err
-				}
+		for p, o := range over {
+			if hi := database.RowID(o.Len()); hi > lo[p] {
+				windows[p] = engine.Delta{Rel: o, Lo: lo[p], Hi: hi}
+				lo[p] = hi
 			}
 		}
+		return windows
 	}
-
-	if err := a.rederive(comp, j, over); err != nil {
+	seed := next()
+	for q, d := range a.deleted {
+		seed[q] = engine.Delta{Rel: d, Hi: database.RowID(d.Len())}
+	}
+	if err := a.rounds(j, seed, engine.JoinConfig{}, mark, next); err != nil {
 		return err
 	}
 
-	// The rows still dead after rederivation are this component's delta
-	// for downstream components.
-	for _, p := range comp.Preds {
-		o := over[p]
-		rel := m.derived[p]
-		if o == nil || rel == nil {
-			continue
-		}
-		st := a.rowState[p]
-		for id := database.RowID(0); int(id) < o.Len(); id++ {
-			t := database.Tuple(o.Row(id))
-			did, ok := rel.Find(t)
-			if !ok {
-				return internalErrf("overdeleted %s tuple vanished", m.bank.Symbols().String(p))
-			}
-			if st[did] == -1 {
-				a.deletedRel(p, rel.Arity()).Insert(t)
-				a.res.DerivedRemoved++
-			}
-		}
-	}
-	// Collapse surviving generations to "original alive": the generation
-	// numbers only order rounds within this component's rederivation, and
-	// downstream components' filters treat exactly state 0 as live.
-	for _, p := range comp.Preds {
-		st := a.rowState[p]
-		for i, s := range st {
-			if s >= 1 {
-				st[i] = 0
-			}
-		}
-	}
-	return nil
-}
-
-// rederive rebuilds the counts of the overdeleted tuples that still hold.
-func (a *applier) rederive(comp engine.Component, j *engine.Joiner, over map[symtab.Sym]*database.Relation) error {
-	m := a.m
-	syms := m.bank.Symbols()
-
-	// Stage A: for each overdeleted tuple, count base/program support plus
-	// rule derivations whose atoms are all survivors (rowState 0). Tuples
-	// with a positive count are reinserted as generation 1; setting the
-	// state immediately keeps later Stage-A counts blind to them, which is
-	// exactly the all-survivor semantics.
+	// Rederivation: one prepared solve per rule, whose binding row is the
+	// overdeleted tuple itself (the executor unifies it with the head),
+	// reading live rows only; the first solution is support enough. A
+	// revived row is live for the checks after it, which is sound: every
+	// live row is in the new model.
 	mt := engine.NewMatcher(m.bank, a.fork, m.derived)
 	mt.SetChecker(a.check)
-	mt.RowState = a.rowState
-	mt.RowStateBound = 0
-	// A rule's solve takes the tuple as its binding row: the executor
-	// unifies it with the head's arguments (a tuple the head does not
-	// match has no solutions) and counts the body's instantiations.
+	mt.Dead = a.dead
 	rulesFor := make(map[symtab.Sym][]*engine.PreparedSolve)
 	for _, r := range comp.Rules {
 		if r.IsFact() {
@@ -512,148 +315,205 @@ func (a *applier) rederive(comp engine.Component, j *engine.Joiner, over map[sym
 		}
 		rulesFor[r.Head.Pred] = append(rulesFor[r.Head.Pred], ps)
 	}
-	reins := make(map[symtab.Sym]*database.Relation)
+	supported := func(p symtab.Sym, t database.Tuple) (bool, error) {
+		if base := a.fork.Relation(p); base != nil && base.Contains(t) && (a.netDel[p] == nil || !a.netDel[p].Contains(t)) {
+			return true, nil
+		}
+		if fs := m.facts[p]; fs != nil && fs.Contains(t) {
+			return true, nil
+		}
+		for _, ps := range rulesFor[p] {
+			err := ps.Solve(t, func([]term.Value) error { return errSupported })
+			if errors.Is(err, errSupported) {
+				return true, nil
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		return false, nil
+	}
+	revived := make(map[symtab.Sym]engine.Delta)
 	for _, p := range comp.Preds {
 		o := over[p]
-		rel := m.derived[p]
-		if o == nil || rel == nil {
+		if o == nil {
 			continue
 		}
-		st := a.rowState[p]
-		base := a.fork.Relation(p)
-		nd := a.netDel[p]
-		for oid := database.RowID(0); int(oid) < o.Len(); oid++ {
+		rel, dead := m.derived[p], a.dead[p]
+		rev := database.NewRelation(rel.Arity())
+		for oid := 0; oid < o.Len(); oid++ {
 			if err := a.check.Tick(); err != nil {
 				return err
 			}
-			t := database.Tuple(o.Row(oid))
-			did, ok := rel.Find(t)
-			if !ok {
-				return internalErrf("overdeleted %s tuple vanished", syms.String(p))
+			t := o.At(oid)
+			ok, err := supported(p, t)
+			if err != nil {
+				return err
 			}
-			var c int64
-			if base != nil && base.Contains(t) && (nd == nil || !nd.Contains(t)) {
-				c++
-			}
-			if fs := m.factSeeds[p]; fs != nil {
-				if fid, ok := fs.Find(t); ok {
-					c += m.factCounts[p][fid]
-				}
-			}
-			for _, ps := range rulesFor[p] {
-				if err := ps.Solve(t, func([]term.Value) error { c++; return nil }); err != nil {
-					return err
-				}
-			}
-			if c > 0 {
-				st[did] = 1
-				m.counts[p][did] = c
-				if reins[p] == nil {
-					reins[p] = database.NewRelation(rel.Arity())
-				}
-				reins[p].Insert(t)
+			if ok {
+				id, _ := rel.Find(t)
+				dead[id] = false
+				rev.Insert(t)
 				a.res.Rederived++
-			} else {
-				m.counts[p][did] = 0
 			}
+		}
+		if rev.Len() > 0 {
+			revived[p] = engine.Delta{Rel: rev, Hi: database.RowID(rev.Len())}
 		}
 	}
+	if err := a.propagate(comp, j, revived); err != nil {
+		return err
+	}
 
-	// Stage B: counting fixpoint over the reinsertions. Round g counts
-	// derivations whose newest atom is generation g-1, once each: the
-	// delta occurrence reads the round's reinsertion scratch, earlier
-	// occurrences accept generations up to g-1, later ones up to g-2.
-	prev := reins
-	maxIter := m.opts.maxIter()
-	for gen := int32(2); len(prev) > 0; gen++ {
-		if err := a.check.Check(); err != nil {
-			return err
+	for _, p := range comp.Preds {
+		o := over[p]
+		if o == nil {
+			continue
 		}
-		if int(gen) > maxIter {
-			return &limits.ResourceLimitError{
-				Kind: limits.KindIterations, Limit: int64(maxIter), Used: int64(gen), Component: "incremental",
+		rel, dead := m.derived[p], a.dead[p]
+		for oid := 0; oid < o.Len(); oid++ {
+			t := o.At(oid)
+			if id, _ := rel.Find(t); dead[id] {
+				a.deletedRel(p, rel.Arity()).Insert(t)
+				a.res.DerivedRemoved++
 			}
 		}
-		next := make(map[symtab.Sym]*database.Relation)
-		cfg := engine.JoinConfig{
-			RowState:     a.rowState,
-			FilterPrefix: true, PrefixBound: gen - 1,
-			FilterSuffix: true, SuffixBound: gen - 2,
-		}
-		for i := 0; i < j.Rules(); i++ {
-			p := j.HeadPred(i)
-			rel := m.derived[p]
-			st := a.rowState[p]
-			recount := func(t database.Tuple) error {
-				did, ok := rel.Find(t)
-				if !ok {
-					return internalErrf("rederived %s tuple missing from derived relation", syms.String(p))
-				}
-				switch {
-				case st[did] == -1:
-					st[did] = gen
-					m.counts[p][did] = 1
-					if next[p] == nil {
-						next[p] = database.NewRelation(rel.Arity())
-					}
-					next[p].Insert(t)
-					a.res.Rederived++
-				case st[did] >= 1:
-					m.counts[p][did]++
-				default:
-					return internalErrf("rederivation reached surviving %s tuple", syms.String(p))
-				}
-				return nil
-			}
-			for occ := 0; occ < j.Variants(i); occ++ {
-				q := j.VariantPred(i, occ)
-				rp := prev[q]
-				if rp == nil || rp.Len() == 0 {
-					continue
-				}
-				delta := map[symtab.Sym]engine.Delta{q: {Rel: rp, Lo: 0, Hi: database.RowID(rp.Len())}}
-				if err := j.Run(i, occ, delta, cfg, recount); err != nil {
-					return err
-				}
-			}
-		}
-		prev = next
 	}
 	return nil
 }
 
-// compact finalises the deletion pass: every derived relation with dead
-// rows is rebuilt once (capacity-reusing, counts remapped), and the net
-// base retractions hit the fork in one batched rebuild per relation.
-func (a *applier) compact() error {
-	m := a.m
-	for pred, st := range a.rowState {
-		if !m.headPred[pred] {
-			continue
+func (a *applier) deletedRel(pred symtab.Sym, arity int) *database.Relation {
+	d, ok := a.deleted[pred]
+	if !ok {
+		d = database.NewRelation(arity)
+		a.deleted[pred] = d
+	}
+	return d
+}
+
+// rounds runs one component's semi-naive loop: round 0 runs every delta
+// variant whose predicate has a window in seed, each later round those
+// over the windows next returns, until it returns none. sink gives the
+// head sink of a predicate, once per round.
+func (a *applier) rounds(j *engine.Joiner, seed map[symtab.Sym]engine.Delta, cfg engine.JoinConfig,
+	sink func(symtab.Sym) func(database.Tuple) error, next func() map[symtab.Sym]engine.Delta) error {
+	maxIter := a.m.opts.maxIter()
+	for iter, delta := 0, seed; len(delta) > 0; iter, delta = iter+1, next() {
+		if err := a.check.Check(); err != nil {
+			return err
 		}
-		dead := false
-		for _, s := range st {
-			if s == -1 {
-				dead = true
-				break
+		if iter >= maxIter {
+			return &limits.ResourceLimitError{
+				Kind: limits.KindIterations, Limit: int64(maxIter), Used: int64(iter), Component: "incremental",
 			}
 		}
-		if !dead {
+		for i := 0; i < j.Rules(); i++ {
+			out := sink(j.HeadPred(i))
+			for occ := 0; occ < j.Variants(i); occ++ {
+				if d, ok := delta[j.VariantPred(i, occ)]; !ok || d.Lo >= d.Hi {
+					continue
+				}
+				if err := j.Run(i, occ, delta, cfg, out); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// propagate is the one propagation loop, shared by rederivation and
+// insertion: the component's semi-naive fixpoint from the seed windows,
+// reading live rows only. Its sink makes every derived head live: a dead
+// row is revived (the next round reads a copy of it), an absent row is
+// appended (the next round reads it as a window past the watermark), a
+// live row is left alone. Every sink call is idempotent, so a derivation
+// may be enumerated more than once.
+func (a *applier) propagate(comp engine.Component, j *engine.Joiner, seed map[symtab.Sym]engine.Delta) error {
+	m := a.m
+	lo := make(map[symtab.Sym]database.RowID, len(comp.Preds))
+	revived := make(map[symtab.Sym]*database.Relation, len(comp.Preds))
+	for _, p := range comp.Preds {
+		if rel := m.derived[p]; rel != nil {
+			lo[p] = database.RowID(rel.Len())
+			revived[p] = database.NewRelation(rel.Arity())
+		}
+	}
+	live := func(p symtab.Sym) func(database.Tuple) error {
+		rel, rev, dead, owned := m.derived[p], revived[p], a.dead[p], a.owned[p]
+		return func(t database.Tuple) error {
+			var id database.RowID
+			if owned {
+				var added bool
+				if id, added = rel.InsertRow(t); added {
+					return a.noteDerived()
+				}
+			} else {
+				var ok bool
+				if id, ok = rel.Find(t); !ok {
+					return internalErrf("derived a %s tuple outside the previous model while deleting",
+						m.bank.Symbols().String(p))
+				}
+			}
+			if int(id) < len(dead) && dead[id] {
+				dead[id] = false
+				rev.Insert(t)
+				a.res.Rederived++
+			}
+			return nil
+		}
+	}
+	return a.rounds(j, seed, engine.JoinConfig{Dead: a.dead}, live, func() map[symtab.Sym]engine.Delta {
+		delta := make(map[symtab.Sym]engine.Delta)
+		for p, rev := range revived {
+			rel := m.derived[p]
+			hi := database.RowID(rel.Len())
+			if hi > lo[p] {
+				delta[p] = engine.Delta{Rel: rel, Lo: lo[p], Hi: hi}
+			}
+			if rev.Len() > 0 {
+				// A predicate with revived and appended rows reads both
+				// from the copy.
+				for id := lo[p]; id < hi; id++ {
+					rev.Insert(database.Tuple(rel.Row(id)))
+				}
+				delta[p] = engine.Delta{Rel: rev, Hi: database.RowID(rev.Len())}
+				revived[p] = database.NewRelation(rel.Arity())
+			}
+			lo[p] = hi
+		}
+		return delta
+	})
+}
+
+// noteDerived accounts one appended derived row against the fact budget.
+func (a *applier) noteDerived() error {
+	m := a.m
+	m.total++
+	if m.total > m.opts.maxFacts() {
+		return &limits.ResourceLimitError{
+			Kind: limits.KindFacts, Limit: m.opts.maxFacts(), Used: m.total, Component: "incremental",
+		}
+	}
+	return nil
+}
+
+// compact finalises the deletion pass: every derived relation that still
+// holds dead rows is rebuilt once (capacity-reusing), and the net base
+// retractions hit the fork in one batched rebuild per relation.
+func (a *applier) compact() error {
+	m := a.m
+	for pred, dead := range a.dead {
+		if !m.headPred[pred] || !slices.Contains(dead, true) {
 			continue
 		}
 		old := m.derived[pred]
-		rebuilt := old.RebuildWithout(func(id database.RowID) bool { return st[id] == -1 })
-		// m is this epoch's fork and owns its counts: filter in place.
-		counts := m.counts[pred][:0]
-		for id, c := range m.counts[pred][:old.Len()] {
-			if st[id] != -1 {
-				counts = append(counts, c)
-			}
-		}
+		rebuilt := old.RebuildWithout(func(id database.RowID) bool { return dead[id] })
 		m.total -= int64(old.Len() - rebuilt.Len())
 		m.derived[pred] = rebuilt
-		m.counts[pred] = counts
+		a.owned[pred] = true
 	}
+	a.dead = nil
 	for _, q := range a.delOrder {
 		if _, err := a.fork.RetractBatch(q, a.netDel[q].Tuples()); err != nil {
 			return err
@@ -663,7 +523,7 @@ func (a *applier) compact() error {
 }
 
 // insertPhase applies the net base inserts to the fork and resumes the
-// counting fixpoint of every affected component from the new-row windows.
+// fixpoint of every affected component from the new-row windows.
 func (a *applier) insertPhase() error {
 	m := a.m
 	total0 := m.total
@@ -672,28 +532,17 @@ func (a *applier) insertPhase() error {
 	// Clone-for-append any derived relation that was not already rebuilt
 	// by compaction: the previous epoch's relations must stay immutable
 	// under concurrent readers.
-	owned := make(map[symtab.Sym]bool)
-	for pred, st := range a.rowState {
-		if !m.headPred[pred] {
-			continue
-		}
-		for _, s := range st {
-			if s == -1 {
-				owned[pred] = true
-				break
-			}
-		}
-	}
 	for pred, rel := range m.derived {
-		if !owned[pred] {
+		if !a.owned[pred] {
 			m.derived[pred] = rel.CloneForAppend()
+			a.owned[pred] = true
 		}
 	}
 
 	// Base inserts. New rows of pure-EDB predicates become external delta
 	// windows on the base relations; new rows of head predicates append to
-	// the derived relation (or just gain a unit of external support when
-	// already derived) behind a single watermark per predicate.
+	// the derived relation (unless already derived) behind a single
+	// watermark per predicate.
 	loD := make(map[symtab.Sym]database.RowID, len(m.derived))
 	for pred, rel := range m.derived {
 		loD[pred] = database.RowID(rel.Len())
@@ -706,18 +555,19 @@ func (a *applier) insertPhase() error {
 			return err
 		}
 		lo := database.RowID(rel.Len())
-		for id := database.RowID(0); int(id) < ins.Len(); id++ {
-			rel.Insert(database.Tuple(ins.Row(id)))
+		for id := 0; id < ins.Len(); id++ {
+			rel.Insert(ins.At(id))
 		}
 		if m.headPred[q] {
 			drel := m.derived[q]
 			if drel == nil {
 				return internalErrf("head predicate %s has no derived relation", m.bank.Symbols().String(q))
 			}
-			for id := database.RowID(0); int(id) < ins.Len(); id++ {
-				rid, added := drel.InsertRow(database.Tuple(ins.Row(id)))
-				if err := m.bump(q, rid, added, 1); err != nil {
-					return err
+			for id := 0; id < ins.Len(); id++ {
+				if drel.Insert(ins.At(id)) {
+					if err := a.noteDerived(); err != nil {
+						return err
+					}
 				}
 			}
 		} else {
@@ -725,15 +575,14 @@ func (a *applier) insertPhase() error {
 		}
 	}
 
-	// Component sweep: round 0 of each component consumes the external
-	// windows (new EDB rows, new rows of earlier components' heads, own
-	// base inserts); later rounds are the ordinary windowed counting
-	// fixpoint. Components none of whose body predicates changed are
-	// skipped entirely — the source of the small-delta speedup.
+	// Component sweep: round 0 of each component reads the new EDB rows,
+	// the new rows of earlier components' heads and its own base inserts.
+	// Components none of whose body predicates changed are skipped
+	// entirely — the source of the small-delta speedup.
 	syms := m.bank.Symbols()
 	doneHi := make(map[symtab.Sym]database.RowID)
 	for ci, comp := range m.comps {
-		ext := make(map[symtab.Sym]engine.Delta)
+		seed := make(map[symtab.Sym]engine.Delta)
 		for _, r := range comp.Rules {
 			for _, l := range r.Body {
 				if l.Negated || ast.IsBuiltinName(syms.String(l.Pred)) {
@@ -741,33 +590,24 @@ func (a *applier) insertPhase() error {
 				}
 				q := l.Pred
 				if w, ok := edbWin[q]; ok {
-					ext[q] = w
-				} else if m.headPred[q] {
-					if hi, ok := doneHi[q]; ok && hi > loD[q] {
-						ext[q] = engine.Delta{Rel: m.derived[q], Lo: loD[q], Hi: hi}
-					}
+					seed[q] = w
+				} else if hi, ok := doneHi[q]; ok && hi > loD[q] {
+					seed[q] = engine.Delta{Rel: m.derived[q], Lo: loD[q], Hi: hi}
 				}
 			}
 		}
-		lo := make(map[symtab.Sym]database.RowID, len(comp.Preds))
-		run := false
 		for _, p := range comp.Preds {
-			if rel := m.derived[p]; rel != nil {
-				lo[p] = loD[p]
-				if database.RowID(rel.Len()) > loD[p] {
-					run = true
-				}
+			if rel := m.derived[p]; rel != nil && database.RowID(rel.Len()) > loD[p] {
+				seed[p] = engine.Delta{Rel: rel, Lo: loD[p], Hi: database.RowID(rel.Len())}
 			}
 		}
-		if run || len(ext) > 0 {
+		if len(seed) > 0 {
 			joiner, err := a.joiner(ci)
 			if err != nil {
 				return err
 			}
-			if joiner.Rules() > 0 {
-				if err := m.countingRounds(joiner, comp, ext, lo, a.check); err != nil {
-					return err
-				}
+			if err := a.propagate(comp, joiner, seed); err != nil {
+				return err
 			}
 		}
 		for _, p := range comp.Preds {

@@ -7,8 +7,8 @@ import (
 	"lincount/internal/workload"
 )
 
-// BenchmarkMaterializeBuild is the layer bench for the counting build (New):
-// same-generation over a cylinder, every derivation counted once. Run by
+// BenchmarkMaterializeBuild is the layer bench for the build (New, the
+// engine's fixpoint): same-generation over a cylinder. Run by
 // `make benchcheck`; EXPERIMENTS.md P19 records the accepted numbers.
 func BenchmarkMaterializeBuild(b *testing.B) {
 	f := newFixture(b, `

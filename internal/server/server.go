@@ -363,11 +363,9 @@ func New(cfg Config) (*Server, error) {
 	// maintained incrementally by the writer from the same ordered op
 	// stream the WAL frames. Programs outside the maintainable fragment
 	// (ErrNotIncremental) — or any materialisation failure — downgrade
-	// to per-request evaluation rather than failing startup.
-	var mat *lincount.Materialization
-	if m, err := c.Program.Materialize(baseCtx, c.DB); err == nil {
-		mat = m
-	}
+	// to per-request evaluation rather than failing startup, with a log
+	// line that says why.
+	mat := s.materialize(c.DB, epoch)
 	s.snap.Store(&Snapshot{Epoch: epoch, DB: c.DB, Mat: mat})
 	obsv.MServerEpoch.Set(int64(epoch))
 	c.Log.LogAttrs(baseCtx, slog.LevelInfo, "server started",

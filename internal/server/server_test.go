@@ -6,9 +6,12 @@ package server
 // goroutine-leak assertion.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -18,6 +21,7 @@ import (
 
 	"lincount"
 	"lincount/internal/faultinject"
+	"lincount/internal/obsv"
 	"lincount/internal/workload"
 )
 
@@ -542,6 +546,36 @@ func TestServerMaintenanceUnavailable(t *testing.T) {
 	}
 	if len(res.Answers) != 1 || res.Strategy == "materialized" {
 		t.Fatalf("answers = %v via %q, want 1 row via evaluation", res.Answers, res.Strategy)
+	}
+}
+
+// TestServerLogsWhyNotMaterialized: a server that boots unmaterialised
+// says why — one info-level line carrying ErrNotIncremental's text —
+// instead of leaving /v1/stats to show materialized:false with no reason.
+func TestServerLogsWhyNotMaterialized(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, Config{
+		Program: lincount.MustParseProgram("p(X) :- f(X), not g(X)."),
+		Log:     obsv.NewLogger(&buf, "json", slog.LevelDebug),
+	})
+	s.Close()
+	var found bool
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] != "not materialized" {
+			continue
+		}
+		found = true
+		if rec["level"] != "info" || rec["epoch"] != float64(0) ||
+			!strings.Contains(fmt.Sprint(rec["error"]), lincount.ErrNotIncremental.Error()) {
+			t.Errorf("log line = %s, want level info, epoch 0 and the ErrNotIncremental text", line)
+		}
+	}
+	if !found {
+		t.Fatalf("no \"not materialized\" line in:\n%s", buf.String())
 	}
 }
 

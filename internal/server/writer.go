@@ -350,9 +350,26 @@ func (s *Server) applyOps(cur *Snapshot, ops []lincount.WriteOp) (*lincount.Data
 	}
 	var mat *lincount.Materialization
 	if cur.Mat != nil {
-		if m, err := s.cfg.Program.Materialize(s.baseCtx, fork); err == nil {
-			mat = m
-		}
+		mat = s.materialize(fork, cur.Epoch+1)
 	}
 	return fork, mat, info, nil
+}
+
+// materialize builds db's materialisation for epoch, or logs why it
+// cannot and returns nil, leaving the epoch to per-request evaluation: a
+// program outside the maintainable fragment at info level, any other
+// failure at warn level.
+func (s *Server) materialize(db *lincount.Database, epoch uint64) *lincount.Materialization {
+	m, err := s.cfg.Program.Materialize(s.baseCtx, db)
+	if err == nil {
+		return m
+	}
+	level := slog.LevelWarn
+	if errors.Is(err, lincount.ErrNotIncremental) {
+		level = slog.LevelInfo
+	}
+	s.cfg.Log.LogAttrs(s.baseCtx, level, "not materialized",
+		slog.Uint64("epoch", epoch),
+		slog.Any("error", err))
+	return nil
 }

@@ -1,6 +1,7 @@
 package lincount
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestProbeLeftGraph(t *testing.T) {
 	}
 
 	an, db := parse("up(a,b). up(b,c).")
-	probe, err := counting.ProbeLeftGraph(an, db.db, 0)
+	probe, err := counting.ProbeLeftGraphContext(context.Background(), an, db.db, counting.RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestProbeLeftGraph(t *testing.T) {
 	}
 
 	an, db = parse("up(a,b). up(b,a).")
-	probe, err = counting.ProbeLeftGraph(an, db.db, 0)
+	probe, err = counting.ProbeLeftGraphContext(context.Background(), an, db.db, counting.RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestProbeLeftGraph(t *testing.T) {
 
 	// A cycle not reachable from the binding must not trip the probe.
 	an, db = parse("up(a,b). up(z,w). up(w,z).")
-	probe, err = counting.ProbeLeftGraph(an, db.db, 0)
+	probe, err = counting.ProbeLeftGraphContext(context.Background(), an, db.db, counting.RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,12 @@ type WriteError = database.OpError
 type ApplyInfo = incremental.ApplyResult
 
 // Materialization is a fully materialised evaluation of a Program over
-// one Database epoch, maintained incrementally: Apply produces the next
-// epoch's Materialization from a batch of assert/retract ops without
-// re-running the fixpoint, using derivation counting (exact decrements
-// for non-recursive predicates, overdelete/rederive for recursive ones)
-// for deletions and watermark-resumed semi-naive rounds for insertions.
+// one Database epoch — the minimal model as a set of facts — maintained
+// incrementally: Apply produces the next epoch's Materialization from a
+// batch of assert/retract ops without re-running the fixpoint, using
+// DRed for deletions (overdelete every fact with a derivation through a
+// deleted one, then rederive those that keep live support) and
+// watermark-resumed semi-naive rounds for insertions.
 //
 // Like Database forks, materialisations form a linear single-writer
 // chain: Apply never mutates its receiver, so superseded epochs keep
@@ -99,9 +100,9 @@ func (m *Materialization) Answers(goal string) ([][]string, error) {
 	return rows, nil
 }
 
-// Verify rebuilds the materialisation from scratch and diffs every
-// derived tuple and derivation count against the maintained state. It
-// is the maintenance oracle used by the chaos suites; cost is a full
+// Verify evaluates the program from scratch over the same epoch and
+// diffs every derived relation, as a set, against the maintained state.
+// It is the maintenance oracle used by the chaos suites; cost is a full
 // re-evaluation.
 func (m *Materialization) Verify(ctx context.Context) error {
 	return m.mat.Verify(ctx)

@@ -134,8 +134,8 @@ func TestMaterializeDeleteEmptiesComponent(t *testing.T) {
 
 func TestMaterializeDuplicateAsserts(t *testing.T) {
 	p, m := matFixture(t, "p(X) :- e(X).", "e(a).")
-	// Duplicate asserts of a fact that is also rule-derived: Datalog level
-	// stays a single tuple; the derivation count absorbs the base support.
+	// Duplicate asserts of a fact that is also rule-derived: the set holds
+	// a single tuple, supported twice (base row and rule).
 	m2, _, err := m.Apply(context.Background(), []lincount.WriteOp{{Text: "p(a). p(a)."}})
 	if err != nil {
 		t.Fatal(err)
