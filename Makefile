@@ -6,8 +6,7 @@
 # race detector, plus the seeded chaos suite. An evaluation runs on one
 # goroutine; what -race guards is what concurrent requests share: the
 # query server's lock-free readers against its single writer, the plan
-# cache, the planner's cached verdict slot and Relation's index-build
-# lock.
+# cache and Relation's index-build lock.
 
 GO ?= go
 
@@ -72,9 +71,9 @@ inc-smoke:
 # The planner smoke quartet: acyclic same-generation (the sg-acyclic
 # benchmark shape, Cylinder(19, 64, 2)), cyclic same-generation, and
 # left-/right-linear closure, each asserting the planner ranks the right
-# strategy first with real data loaded — the counting rewrite on the
-# acyclic cylinder, the runtime on the cycle, the reduced rewrite on the
-# closures — and that its pick answers identically to semi-naive.
+# strategy first with real data loaded — the counting runtime on both
+# same-generation shapes, the reduced rewrite on the closures — and that
+# its pick answers identically to semi-naive.
 planner-smoke:
 	$(GO) test -run TestPlannerSmoke -count=1 .
 
@@ -193,13 +192,15 @@ experiments:
 
 # Short fuzzing passes over the parser, the streaming fact loader (held
 # to the parser differentially), the snapshot reader, the WAL replayer,
-# and incremental maintenance (held to a from-scratch fixpoint).
+# incremental maintenance (held to a from-scratch fixpoint) and the
+# counting runtime's answer classes (held to magic sets).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
 	$(GO) test -fuzz=FuzzLoadFacts -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/database
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzApply -fuzztime=30s ./internal/incremental
+	$(GO) test -fuzz=FuzzRuntimeClasses -fuzztime=30s ./internal/oracle
 
 examples:
 	@for d in examples/*/; do \

@@ -89,7 +89,7 @@ var chaosSchedules = []struct {
 	{"probe-err", "engine.probe=err~0.002"},
 	{"iter-cancel", "engine.iter=cancel@3"},
 	{"counting-err", "counting.node=err@5,counting.step=err@7"},
-	{"planner-probe-err", "counting.probe=err@1,engine.insert=err@400"},
+	{"magic-counting-probe-err", "counting.probe=err@1,engine.insert=err@400"},
 	{"topdown-err", "topdown.probe=err@25,topdown.pass=cancel@4"},
 	{"storm", "*=err~0.01"},
 	{"latency", "engine.iter=delay@2:200us,counting.step=delay@3:50us"},
@@ -186,15 +186,14 @@ func TestChaosTopdownScheduleFires(t *testing.T) {
 	}
 }
 
-// TestChaosAutoVerdict runs Auto with its data-aware ranking over the
-// whole corpus, cyclic and acyclic programs alike, without faults: cold
-// (a fresh plan.Shared, so the verdict is probed), then twice through
-// the program's plan cache (probed once, then served from it). Whatever
-// Auto resolves to must answer like the oracle without a single failed
-// attempt — a counting rewrite picked where the binding reaches a cycle
-// would trip its budget and show up as a degradation — and on the
-// corpus's cyclic databases the pick must not be the path-carrying
-// rewrite (the reduced one has no paths left to grow).
+// TestChaosAutoVerdict runs Auto over the whole corpus, cyclic and
+// acyclic programs alike, without faults: cold (a fresh plan.Shared),
+// then twice through the program's plan cache. Whatever Auto resolves to
+// must answer like the oracle without a single failed attempt — a
+// counting rewrite picked where the binding reaches a cycle would trip
+// its budget and show up as a degradation — and on the corpus's cyclic
+// databases the pick must not be the path-carrying rewrite (the reduced
+// one has no paths left to grow).
 func TestChaosAutoVerdict(t *testing.T) {
 	for _, c := range loadChaosCorpus(t) {
 		c := c

@@ -83,8 +83,8 @@ func TestExplainErrors(t *testing.T) {
 }
 
 // TestAnalyzeShowsPlannerError: under auto, -analyze prints the planner's
-// ranking — the probe's verdict in the reasons — and, beside the strategy
-// that ran, the observed inferences and the q-error of its estimate.
+// ranking and, beside the strategy that ran, the observed inferences and
+// the q-error of its estimate.
 func TestAnalyzeShowsPlannerError(t *testing.T) {
 	prog := write(t, sgText)
 	facts := write(t, "up(a,b). up(b,c). flat(c,f). down(f,g). down(g,h).\n")
@@ -94,11 +94,10 @@ func TestAnalyzeShowsPlannerError(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"strategy: counting (requested auto, resolved counting)",
-		"% planner: ~5      counting ",
-		"reachable left graph acyclic: 3 nodes, 2 arcs",
-		"observed 6 inferences: q-error 1.20",
-		"% planner: ~7      counting-runtime ",
+		"strategy: counting-runtime (requested auto, resolved counting-runtime)",
+		"% planner: ~5      counting-runtime ",
+		"observed 5 inferences: q-error 1.00",
+		"% planner: ~10     magic ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)

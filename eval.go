@@ -227,13 +227,8 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 	var choices []plan.Choice
 	if strategy == Auto {
 		plsp := cfg.exec.Tracer.Begin("eval", "plan")
-		var err error
-		choices, cfg.exec.Probed, err = p.rankFor(ctx, dbi, cfg, stats)
+		choices = plan.Rank(cfg.shared, stats)
 		plsp.End(obsv.A("candidates", int64(len(choices))))
-		if err != nil {
-			recordEval(Auto, sink, 0, cfg.exec.Inject.Fired(), time.Since(start), err)
-			return nil, err
-		}
 		resolved = choices[0].Strategy
 		obsv.MPlannerChoices.Add(resolved.String(), 1)
 	}
@@ -262,56 +257,6 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 		}
 	}
 	return res, nil
-}
-
-// rankFor is Auto's ranking of cfg.shared over dbi: the planner's cost
-// model under the left-graph verdict of this query on this data, when
-// the ranking turns on one. The verdict comes from the Shared's cache
-// while the relations the left parts read are unchanged; a miss costs one
-// phase-1 traversal by a counting runtime, and when the verdict is cyclic
-// and that runtime's strategy heads the ranking it is returned as probed,
-// for the attempt to carry on from. A probe that fails — a budget trip,
-// an injected fault, a panic — leaves the data-blind ranking; only a
-// cancelled evaluation is an error.
-func (p *Program) rankFor(ctx context.Context, dbi *database.Database, cfg evalConfig, stats plan.StatsFunc) (choices []plan.Choice, probed *counting.Runtime, err error) {
-	outcome := "skipped"
-	choices = plan.RankWith(cfg.shared, stats, func() *plan.Verdict {
-		var v *plan.Verdict
-		var hit bool
-		v, hit, err = cfg.shared.Verdict(dbi, func() (probe counting.LeftGraphProbe, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = &InternalError{Strategy: Auto, Value: r, Stack: string(debug.Stack())}
-				}
-			}()
-			an, err := cfg.shared.Analysis()
-			if err != nil {
-				return probe, err
-			}
-			rt, err := counting.NewRuntimeContext(ctx, an, dbi, cfg.exec.RuntimeOptions())
-			if err != nil {
-				return probe, err
-			}
-			if probe, err = rt.Probe(); err == nil {
-				probed = rt
-			}
-			return probe, err
-		})
-		outcome = "miss"
-		if hit {
-			outcome = "hit"
-		}
-		return v
-	})
-	obsv.MPlannerProbes.Add(outcome, 1)
-	var ce *CanceledError
-	if errors.As(err, &ce) {
-		return nil, nil, err
-	}
-	if choices[0].Strategy != CountingRuntime {
-		probed = nil
-	}
-	return choices, probed, nil
 }
 
 // sharedFor returns the shared compilation state for a query, reusing
@@ -438,9 +383,6 @@ func evalAuto(ctx context.Context, p *Program, dbi *database.Database, chain []p
 	for i, c := range chain {
 		s := c.Strategy
 		acfg := cfg
-		if i > 0 {
-			acfg.exec.Probed = nil // the probe's runtime belongs to the head attempt
-		}
 		if cfg.exec.MaxFacts > 0 {
 			acfg.exec.MaxFacts = int(remaining)
 		}
@@ -521,11 +463,11 @@ func notApplicableError(err error) bool {
 		errors.Is(err, topdown.ErrUnsupported)
 }
 
-// FallbackChain reports the strategy order Auto would try for the query
-// over the facts embedded in the program alone (pass a database to
-// PlannerChoices for the ranking Auto uses on it): the first element is
-// the planner's pick, the rest are the graceful-degradation fallbacks in
-// order. Explicit strategies never degrade.
+// FallbackChain reports the strategy order Auto tries for the query: the
+// first element is the planner's pick, the rest are the
+// graceful-degradation fallbacks in order. The order does not depend on
+// the data (PlannerChoices adds the cost estimates under a database's
+// cardinalities). Explicit strategies never degrade.
 func FallbackChain(p *Program, query string) ([]Strategy, error) {
 	choices, err := PlannerChoices(p, nil, query)
 	if err != nil {
@@ -564,14 +506,12 @@ func plannerChoices(ranked []plan.Choice) []PlannerChoice {
 	return out
 }
 
-// PlannerChoices ranks the candidate strategies for the query the way
-// Auto would: by estimated cost from the shared linearity analysis, the
-// per-relation cardinalities of db (and of facts embedded in the
-// program) and, for a linear program without a reduced rewrite, what the
-// query's binding reaches in db — the left-graph verdict, probed here if
-// the program's plan cache does not hold a current one. With a nil db
-// only the program's own facts count. The first choice is what Auto
-// resolves to; the rest is its degradation chain.
+// PlannerChoices returns the candidate strategies for the query the way
+// Auto ranks them — the structural chain of the shared linearity analysis
+// — with cost estimates from the per-relation cardinalities of db (and of
+// facts embedded in the program; with a nil db only those count). The
+// first choice is what Auto resolves to; the rest is its degradation
+// chain.
 func PlannerChoices(p *Program, db *Database, query string) ([]PlannerChoice, error) {
 	if db != nil && db.owner != p {
 		return nil, ErrWrongDatabase
@@ -580,13 +520,8 @@ func PlannerChoices(p *Program, db *Database, query string) ([]PlannerChoice, er
 	if err != nil {
 		return nil, fmt.Errorf("lincount: parsing query: %w", err)
 	}
-	dbi := db.data()
-	cfg := evalConfig{shared: p.sharedFor(ast.FormatQuery(p.bank, q), q, false)}
-	ranked, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))
-	if err != nil {
-		return nil, err
-	}
-	return plannerChoices(ranked), nil
+	sh := p.sharedFor(ast.FormatQuery(p.bank, q), q, false)
+	return plannerChoices(plan.Rank(sh, p.statsFunc(db.data()))), nil
 }
 
 // attemptTiming splits one attempt's wall time into its compile and

@@ -1,7 +1,6 @@
 package lincount
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -91,17 +90,12 @@ func Explain(p *Program, db *Database, query string) ([]Explanation, error) {
 // (Plan, Rewrite), resolving Auto with the planner first. It goes
 // through the plan cache with default options, so introspection warms
 // the same entries evaluation uses.
-func (p *Program) compileFor(q ast.Query, db *Database, strategy Strategy) (*plan.CompiledQuery, Strategy, error) {
-	dbi := db.data()
+func (p *Program) compileFor(q ast.Query, strategy Strategy) (*plan.CompiledQuery, Strategy, error) {
 	cfg := evalConfig{}
 	cfg.queryText = ast.FormatQuery(p.bank, q)
 	cfg.shared = p.sharedFor(cfg.queryText, q, false)
 	if strategy == Auto {
-		choices, _, err := p.rankFor(context.TODO(), dbi, cfg, p.statsFunc(dbi))
-		if err != nil {
-			return nil, strategy, err
-		}
-		strategy = choices[0].Strategy
+		strategy = plan.Rank(cfg.shared, nil)[0].Strategy
 	}
 	cq, _, _, err := p.planFor(strategy, cfg)
 	return cq, strategy, err
@@ -121,7 +115,7 @@ func Plan(p *Program, db *Database, query string, strategy Strategy) (string, er
 	if err != nil {
 		return "", err
 	}
-	cq, resolved, err := p.compileFor(q, db, strategy)
+	cq, resolved, err := p.compileFor(q, strategy)
 	switch resolved {
 	case CountingRuntime:
 		return "", errors.New("lincount: the counting runtime is not evaluated by the rule engine; see Rewrite for its declarative form")
@@ -142,7 +136,7 @@ func Rewrite(p *Program, query string, strategy Strategy) (program, goal string,
 	if err != nil {
 		return "", "", err
 	}
-	cq, resolved, err := p.compileFor(q, nil, strategy)
+	cq, resolved, err := p.compileFor(q, strategy)
 	switch resolved {
 	case Naive, SemiNaive:
 		return p.program.Format(), ast.FormatQuery(p.bank, q), nil

@@ -150,6 +150,18 @@ func sortedSyms(syms *symtab.Table, m map[symtab.Sym]bool) []symtab.Sym {
 	return out
 }
 
+// distinctVars reports whether ts are pairwise distinct variables.
+func distinctVars(ts []ast.Term) bool {
+	seen := map[symtab.Sym]bool{}
+	for _, t := range ts {
+		if t.Kind != ast.Var || seen[t.Name] {
+			return false
+		}
+		seen[t.Name] = true
+	}
+	return true
+}
+
 // termsEqual reports element-wise structural equality.
 func termsEqual(a, b []ast.Term) bool {
 	if len(a) != len(b) {
@@ -265,7 +277,9 @@ func Analyze(a *adorn.Adorned) (*Analysis, error) {
 		// Special cases of Algorithm 1.
 		samePred := recLit.Pred == r.Head.Pred
 		sameBound := samePred && termsEqual(rec.HeadBound, rec.RecBound)
-		sameFree := samePred && termsEqual(rec.HeadFree, rec.RecFree)
+		// A repeated variable among the free arguments filters the answers
+		// passing through, so the modified rule is not a copy then.
+		sameFree := samePred && termsEqual(rec.HeadFree, rec.RecFree) && distinctVars(rec.HeadFree)
 		rec.SkipCounting = len(rec.Left) == 0 && sameBound
 		rec.SkipModified = len(rec.Right) == 0 && sameFree
 		rec.PushesCounting = !(len(rec.Right) == 0 && sameFree)

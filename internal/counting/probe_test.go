@@ -7,26 +7,41 @@ import (
 	"testing"
 
 	"lincount/internal/faultinject"
-	"lincount/internal/obsv"
 )
 
-func probeOf(t *testing.T, src, goal, facts string) LeftGraphProbe {
+// shapeOf probes the left graph of goal over facts and runs the query:
+// whether the graph is acyclic, and how many answer classes the runtime
+// keyed its tuples by.
+func shapeOf(t *testing.T, src, goal, facts string) (acyclic bool, classes int) {
 	t.Helper()
 	f := newRW(t, src, goal, facts)
 	an, err := Analyze(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := ProbeLeftGraphContext(context.Background(), an, f.db, RuntimeOptions{})
+	if acyclic, err = ProbeAcyclic(context.Background(), an, f.db, RuntimeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(an, f.db, RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probe
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]bool{}
+	for _, c := range rt.class {
+		seen[c] = true
+	}
+	return acyclic, len(seen)
 }
 
-// TestProbeShapes: what the probe reports on a layered graph, on acyclic
-// graphs where two path shapes meet in a node (a shortcut; a cross arc;
-// two rules; two shared values), on a cycle and on a self-loop.
+// TestProbeShapes: what the probe reports, and how the runtime classes
+// the nodes, on a layered graph, on acyclic graphs where two path shapes
+// meet in a node (a shortcut; a cross arc; two rules; two shared values),
+// on a cycle and on a self-loop; a rule that keeps answers puts a whole
+// chain in the source's class, and a bound head variable in the right
+// part (D_r ≠ ∅) gives every node a class of its own.
 func TestProbeShapes(t *testing.T) {
 	twoRules := `
 sg(X,Y) :- flat(X,Y).
@@ -37,79 +52,37 @@ sg(X,Y) :- up2(X,X1), sg(X1,Y1), down2(Y1,Y).
 sg(X,Y) :- flat(X,Y).
 sg(X,Y) :- up(X,X1,W), sg(X1,Y1), down(Y1,Y,W).
 `
+	rightLinear := `
+sg(X,Y) :- flat(X,Y).
+sg(X,Y) :- up(X,X1), sg(X1,Y).
+`
+	boundRight := `
+sg(X,Y) :- flat(X,Y).
+sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y,X).
+`
 	for _, c := range []struct {
 		name, src, facts string
-		want             LeftGraphProbe
+		acyclic          bool
+		classes          int
 	}{
-		{"diamond", sgProgram, "up(a,b). up(a,c). up(b,d). up(c,d).",
-			LeftGraphProbe{Acyclic: true, Layered: true, Nodes: 4, Arcs: 4}},
-		{"shortcut", sgProgram, "up(a,b). up(b,c). up(a,c).",
-			LeftGraphProbe{Acyclic: true, Nodes: 3, Arcs: 3}},
-		{"two rules into one node", twoRules, "up1(a,b). up2(a,b).",
-			LeftGraphProbe{Acyclic: true, Nodes: 2, Arcs: 2}},
-		{"two rules, one each", twoRules, "up1(a,b). up2(b,c).",
-			LeftGraphProbe{Acyclic: true, Layered: true, Nodes: 3, Arcs: 2}},
-		{"two shared values into one node", sharedVar, "up(a,b,w1). up(a,b,w2).",
-			LeftGraphProbe{Acyclic: true, Nodes: 2, Arcs: 2}},
+		{"diamond", sgProgram, "up(a,b). up(a,c). up(b,d). up(c,d).", true, 3},
+		{"shortcut", sgProgram, "up(a,b). up(b,c). up(a,c).", true, 3},
+		{"two rules into one node", twoRules, "up1(a,b). up2(a,b).", true, 2},
+		{"two rules, one each", twoRules, "up1(a,b). up2(b,c).", true, 3},
+		{"two shared values into one node", sharedVar, "up(a,b,w1). up(a,b,w2).", true, 2},
 		{"duplicate left solutions are one arc", "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,X1,_), sg(X1,Y1), down(Y1,Y).\n",
-			"up(a,b,w1). up(a,b,w2).", LeftGraphProbe{Acyclic: true, Layered: true, Nodes: 2, Arcs: 1}},
-		{"cycle", sgProgram, "up(a,b). up(b,c). up(c,a). up(c,b).",
-			LeftGraphProbe{Nodes: 3, Arcs: 4, BackArcs: 2}},
-		{"self-loop", sgProgram, "up(a,b). up(b,b).",
-			LeftGraphProbe{Nodes: 2, Arcs: 2, BackArcs: 1}},
-		{"cross arc", sgProgram, "up(a,b). up(a,c). up(c,b).",
-			LeftGraphProbe{Acyclic: true, Nodes: 3, Arcs: 3}},
+			"up(a,b,w1). up(a,b,w2).", true, 2},
+		{"cycle", sgProgram, "up(a,b). up(b,c). up(c,a). up(c,b).", false, 3},
+		{"self-loop", sgProgram, "up(a,b). up(b,b).", false, 2},
+		{"cross arc", sgProgram, "up(a,b). up(a,c). up(c,b).", true, 3},
+		{"right-linear diamond", rightLinear, "up(a,b). up(a,c). up(b,d). up(c,d).", true, 1},
+		{"right-linear cycle", rightLinear, "up(a,b). up(b,c). up(c,b). up(c,d).", false, 2},
+		{"bound head variable in the right part", boundRight, "up(a,b). up(a,c). up(b,d). up(c,d).", true, 4},
 	} {
-		if got := probeOf(t, c.src, "?- sg(a,Y).", c.facts); got != c.want {
-			t.Errorf("%s: probe %+v, want %+v", c.name, got, c.want)
+		acyclic, classes := shapeOf(t, c.src, "?- sg(a,Y).", c.facts)
+		if acyclic != c.acyclic || classes != c.classes {
+			t.Errorf("%s: acyclic %v with %d classes, want %v with %d", c.name, acyclic, classes, c.acyclic, c.classes)
 		}
-	}
-}
-
-// TestRunCarriesOnFromProbe: a runtime that was probed runs phase 2 from
-// the counting set the probe built — same answers, same counters, no
-// second exploration — and says so in its trace.
-func TestRunCarriesOnFromProbe(t *testing.T) {
-	f := newRW(t, sgProgram, "?- sg(a,Y).", example5Facts)
-	an, err := Analyze(f.adorned(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(an, f.db, RuntimeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obsv.NewTracer()
-	rt, err := NewRuntime(an, f.db, RuntimeOptions{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe, err := rt.Probe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (LeftGraphProbe{Nodes: 5, Arcs: 6, BackArcs: 1}); probe != want {
-		t.Errorf("probe %+v, want %+v", probe, want)
-	}
-	solvesAfterProbe := rt.Stats().Solves
-	res, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(fmtAnswers(f, res)) != fmt.Sprint(fmtAnswers(f, ref)) || res.Stats != ref.Stats {
-		t.Errorf("probed run: %v %+v, fresh run: %v %+v", fmtAnswers(f, res), res.Stats, fmtAnswers(f, ref), ref.Stats)
-	}
-	if solvesAfterProbe == 0 || solvesAfterProbe >= res.Stats.Solves {
-		t.Errorf("solves: %d after the probe, %d after the run", solvesAfterProbe, res.Stats.Solves)
-	}
-	var spans []string
-	for _, e := range tr.Events() {
-		if e.Cat == "counting" && e.Phase == obsv.PhaseSpan {
-			spans = append(spans, e.Name)
-		}
-	}
-	if got := strings.Join(spans, " "); got != "counting.probe counting.build counting.answer" {
-		t.Errorf("spans %q", got)
 	}
 }
 
@@ -124,7 +97,7 @@ func TestProbeFaultSite(t *testing.T) {
 	for _, site := range []string{faultinject.SiteCountingProbe, faultinject.SiteCountingNode} {
 		inj := faultinject.New(1)
 		inj.FailAt(site, 1)
-		if _, err := ProbeLeftGraphContext(context.Background(), an, f.db, RuntimeOptions{Inject: inj}); err == nil {
+		if _, err := ProbeAcyclic(context.Background(), an, f.db, RuntimeOptions{Inject: inj}); err == nil {
 			t.Errorf("a fault at %s did not reach the probe", site)
 		}
 	}

@@ -251,7 +251,6 @@ func (r *Relation) findKey(ix *rowIndex, vals []term.Value) int32 {
 func (r *Relation) CloneForAppend() *Relation {
 	c := &Relation{
 		arity:   r.arity,
-		id:      relationIDs.Add(1),
 		rows:    r.rows,
 		arena:   r.arena[:len(r.arena):len(r.arena)],
 		indexes: make(map[uint64]*rowIndex, len(r.indexes)),

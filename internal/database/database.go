@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"lincount/internal/parser"
 	"lincount/internal/symtab"
@@ -52,38 +51,12 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // writer inserts is not; the query server's readers rely on published
 // snapshot relations being read-only.
 type Relation struct {
-	arity int
-	rows  int
-	// id names this Relation value among all ever created; ver counts the
-	// changes made to it (see Stamp).
-	id, ver uint64
+	arity   int
+	rows    int
 	arena   []term.Value
 	dedup   dedupTable
 	indexMu sync.Mutex
 	indexes map[uint64]*rowIndex
-}
-
-// relationIDs hands out Relation ids; 0 is never issued, so the zero Stamp
-// belongs to no relation.
-var relationIDs atomic.Uint64
-
-// Stamp identifies one state of one relation's contents: two equal stamps
-// were taken from the same rows. Every Relation value has its own ID (a
-// rebuild or a copy-on-write clone is a new value, so a fork that wrote
-// to a relation no longer shares its parent's stamp; one that did not
-// still does), and Ver advances with every change to it — an inserted
-// row, a Reset — so a relation emptied and refilled to the same length
-// is told apart from what it was. The zero Stamp stands for "no such
-// relation".
-type Stamp struct{ ID, Ver uint64 }
-
-// Stamp returns the relation's current stamp (the zero Stamp for nil).
-// Like every read it must not race the relation's single writer.
-func (r *Relation) Stamp() Stamp {
-	if r == nil {
-		return Stamp{}
-	}
-	return Stamp{ID: r.id, Ver: r.ver}
 }
 
 // maxArity is the widest relation: index masks are 64-bit.
@@ -97,7 +70,6 @@ func NewRelation(arity int) *Relation {
 	}
 	return &Relation{
 		arity:   arity,
-		id:      relationIDs.Add(1),
 		indexes: make(map[uint64]*rowIndex),
 	}
 }
@@ -111,7 +83,6 @@ func (r *Relation) Arity() int { return r.arity }
 // handed out before the Reset are invalidated.
 func (r *Relation) Reset() {
 	r.rows = 0
-	r.ver++
 	r.arena = r.arena[:0]
 	for i := range r.dedup.slots {
 		r.dedup.slots[i] = noRow
@@ -174,7 +145,6 @@ func (r *Relation) InsertRow(t Tuple) (RowID, bool) {
 	id := RowID(r.rows)
 	r.arena = append(r.arena, t...)
 	r.rows++
-	r.ver++
 	if free >= 0 {
 		r.dedup.slots[free] = id // tombstone already counted in used
 	} else {
@@ -417,7 +387,6 @@ func (db *Database) Ensure(pred symtab.Sym, arity int) (*Relation, error) {
 func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	n := &Relation{
 		arity:   r.arity,
-		id:      relationIDs.Add(1),
 		arena:   make([]term.Value, 0, len(r.arena)+appendRoom(r.rows)*r.arity),
 		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
 	}

@@ -84,7 +84,7 @@ type Stats struct {
 	Iterations int
 	// Inferences counts successful rule instantiations including
 	// rederivations — the classic deductive-database cost metric (the
-	// counting runtime's moves).
+	// counting runtime's arcs and moves).
 	Inferences int64
 	// DerivedFacts counts distinct derived tuples.
 	DerivedFacts int64

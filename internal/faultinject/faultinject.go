@@ -40,10 +40,9 @@ const (
 	// SiteCountingStep: the counting runtime derived an answer tuple
 	// (phase 2 of Algorithm 2).
 	SiteCountingStep = "counting.step"
-	// SiteCountingProbe: the left-graph probe behind the Auto planner's
-	// verdict (and magic-counting's choice) is about to explore. An
-	// injected error here proves a failed probe degrades Auto to its
-	// data-blind ranking instead of failing the evaluation.
+	// SiteCountingProbe: the left-graph probe behind magic-counting's
+	// choice between the reduced counting program and magic sets is about
+	// to explore. Auto never reaches it.
 	SiteCountingProbe = "counting.probe"
 	// SiteTopdownProbe: one input row QSQ feeds to a rule's solves.
 	SiteTopdownProbe = "topdown.probe"

@@ -353,8 +353,6 @@ var (
 		"Compiled plans inserted minus evicted across all plan caches over the process lifetime.")
 	MPlannerChoices = Default.NewLabeledCounter("lincount_planner_choice_total",
 		"Auto planner rankings by the strategy ranked first.", "strategy")
-	MPlannerProbes = Default.NewLabeledCounter("lincount_planner_probe_total",
-		"Auto rankings by what became of the left-graph probe: hit (cached verdict still current), miss (graph explored), skipped (the ranking did not turn on it).", "result")
 	MPlannerQError = Default.NewHistogram("lincount_planner_qerror",
 		"Auto planner estimation error per evaluation: the factor (>= 1) between the estimated cost of the strategy that answered and its observed inferences.",
 		[]float64{1, 1.5, 2, 3, 5, 10, 30, 100, 1000})

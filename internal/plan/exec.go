@@ -36,10 +36,6 @@ type ExecOptions struct {
 	// StatsOut, when non-nil, receives the work counters even when
 	// execution fails partway — the partial work of a degraded attempt.
 	StatsOut *engine.Stats
-	// Probed, when non-nil, is a counting runtime over this plan's
-	// analysis whose phase 1 the planner's probe already ran: a
-	// CountingRuntime plan carries on from it.
-	Probed *counting.Runtime
 }
 
 // RuntimeOptions are the counting runtime's options under o: the shared
@@ -67,10 +63,10 @@ type Result struct {
 
 // Execute runs the plan against db: the engine over the (rewritten)
 // program, the counting runtime, QSQ, or — for MagicCounting — the
-// alternative the left-graph verdict picks, the reduced counting program
-// when the graph reachable from the query constants is acyclic and magic
-// sets otherwise (reference [16]). The verdict is the one the planner
-// caches on the plan's shared state, so a repeated query probes once.
+// alternative a probe of the left graph picks, the reduced counting
+// program when the graph reachable from the query constants is acyclic
+// and magic sets otherwise (reference [16]). The probe is phase 1 of the
+// runtime, run afresh by every execution.
 func (cq *CompiledQuery) Execute(ctx context.Context, db *database.Database, opts ExecOptions) (*Result, error) {
 	switch {
 	case cq.Extensional:
@@ -90,14 +86,12 @@ func (cq *CompiledQuery) Execute(ctx context.Context, db *database.Database, opt
 		return &Result{Answers: res.Answers, Strategy: QSQ, Stats: res.Stats}, nil
 	case cq.Strategy == MagicCounting:
 		alt := cq.viaMagic
-		if cq.Analysis != nil {
-			v, _, err := cq.shared.Verdict(db, func() (counting.LeftGraphProbe, error) {
-				return counting.ProbeLeftGraphContext(ctx, cq.Analysis, db, opts.RuntimeOptions())
-			})
+		if cq.viaReduced != nil {
+			acyclic, err := counting.ProbeAcyclic(ctx, cq.Analysis, db, opts.RuntimeOptions())
 			if err != nil {
 				return nil, err
 			}
-			if v.Acyclic && cq.viaReduced != nil {
+			if acyclic {
 				alt = cq.viaReduced
 			}
 		}
@@ -169,15 +163,11 @@ func (cq *CompiledQuery) execEngine(ctx context.Context, db *database.Database, 
 }
 
 // execRuntime runs the pointer-based counting runtime (Algorithm 2) over
-// the plan's analysis — from phase 2 when opts.Probed already built the
-// counting set.
+// the plan's analysis.
 func (cq *CompiledQuery) execRuntime(ctx context.Context, db *database.Database, opts ExecOptions) (*Result, error) {
-	rt := opts.Probed
-	if rt == nil {
-		var err error
-		if rt, err = counting.NewRuntimeContext(ctx, cq.Analysis, db, opts.RuntimeOptions()); err != nil {
-			return nil, err
-		}
+	rt, err := counting.NewRuntimeContext(ctx, cq.Analysis, db, opts.RuntimeOptions())
+	if err != nil {
+		return nil, err
 	}
 	if opts.StatsOut != nil {
 		defer func() { *opts.StatsOut = rt.Stats().EngineStats() }()

@@ -11,17 +11,14 @@ import (
 	"lincount/internal/counting"
 	"lincount/internal/magic"
 	"lincount/internal/obsv"
-	"lincount/internal/symtab"
 )
 
 // Shared holds the strategy-independent compilation state of one
 // (program, query) pair: the adornment and the linearity analysis. Both
 // are computed at most once (sync.Once) no matter how many candidate
 // strategies compile against them — the Auto fallback chain and the
-// planner all rank and rewrite off the same facts. It also holds the one
-// piece of data-dependent state the ranking needs, the left-graph
-// verdict, keyed by the state of the relations it was read from. A
-// Shared is safe for concurrent use.
+// planner all rank and rewrite off the same facts. A Shared is safe for
+// concurrent use.
 type Shared struct {
 	prog  *ast.Program
 	query ast.Query
@@ -36,12 +33,6 @@ type Shared struct {
 
 	derivedOnce sync.Once
 	derived     bool
-
-	// left lists the predicates the left graph is read from, and verdict
-	// is the latest probe of it with their stamps (see Verdict).
-	leftOnce sync.Once
-	left     []symtab.Sym
-	verdict  atomic.Pointer[Verdict]
 
 	// stats is the most recently published cardinality estimator for
 	// this (program, query) pair — set by the facade each evaluation
@@ -167,12 +158,9 @@ type CompiledQuery struct {
 	// CompileTime is the total wall-clock time of the compile.
 	CompileTime time.Duration
 
-	// shared is the state the plan was compiled from; MagicCounting reads
-	// its left-graph verdict at execution.
-	shared *Shared
 	// viaMagic and viaReduced are MagicCounting's compiled alternatives:
 	// magic sets (magicErr when they do not compile — an error only once
-	// the verdict picks them) and, when the analysis allows the list
+	// the probe picks them) and, when the analysis allows the list
 	// rewrite, the reduced counting program.
 	viaMagic, viaReduced *CompiledQuery
 	magicErr             error
@@ -361,7 +349,7 @@ func Compile(sh *Shared, s Strategy, tr *obsv.Tracer) (*CompiledQuery, error) {
 		return nil, &UnknownStrategyError{Strategy: s}
 	}
 	start := time.Now()
-	cq := &CompiledQuery{Strategy: s, Query: sh.query, shared: sh}
+	cq := &CompiledQuery{Strategy: s, Query: sh.query}
 	for _, p := range passes {
 		sp := tr.Begin("compile", p.name)
 		pstart := time.Now()

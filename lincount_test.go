@@ -73,18 +73,17 @@ func TestQSQStrategy(t *testing.T) {
 	}
 }
 
-// A general-linear program has no reduced rewrite, so what Auto picks
-// turns on the data: the runtime where the left graph reachable from the
-// binding is cyclic, the counting rewrite where it is acyclic (here with
-// one path to every node).
+// A general-linear program has no reduced rewrite, so Auto picks the
+// runtime, whether the left graph reachable from the binding is acyclic
+// or not.
 func TestAutoResolvesToRuntimeForGeneralLinear(t *testing.T) {
 	p := MustParseProgram(sgSrc)
 	db := NewDatabase(p)
 	if err := db.LoadFacts(sgFacts); err != nil {
 		t.Fatal(err)
 	}
-	if res := mustEval(t, p, db, "?- sg(a,Y).", Auto); res.Strategy != Counting {
-		t.Errorf("auto picked %v on acyclic data, want counting", res.Strategy)
+	if res := mustEval(t, p, db, "?- sg(a,Y).", Auto); res.Strategy != CountingRuntime {
+		t.Errorf("auto picked %v on acyclic data, want counting-runtime", res.Strategy)
 	}
 	if err := db.LoadFacts("up(c,a)."); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@ func forcedFor(shape string) []lincount.Strategy {
 }
 
 // BenchmarkAutoVsForced: the four benchmark shapes at full breadth ×
-// (auto with a fresh plan.Shared per call — adornment, analysis, rewrite
-// and the verdict probe all paid; auto warm; every forced strategy warm).
+// (auto with a fresh plan.Shared per call — adornment, analysis and
+// rewrite all paid; auto warm; every forced strategy warm).
 // inferences/op is deterministic; `make benchcheck` runs it for allocs/op.
 func BenchmarkAutoVsForced(b *testing.B) {
 	for _, sh := range workload.BenchShapes(1024, 256, 40) {
