@@ -2,10 +2,11 @@
 // query) pair into a CompiledQuery — an intermediate representation
 // carrying the adornment, the linearity analysis, the strategy's
 // rewritten program and the execution entry point — via a pass manager,
-// caches compiled plans in an LRU keyed by (query, strategy, options),
-// and ranks candidate strategies with a cost model over per-relation
-// cardinality statistics. The facade (package lincount) executes
-// CompiledQuery values; this package never evaluates anything itself.
+// caches compiled plans in an LRU keyed by (query, strategy), and lists
+// the candidate strategies of Auto's structural chain with cost
+// estimates over per-relation cardinality statistics. Execution
+// (CompiledQuery.Execute) runs a compiled plan; the facade (package
+// lincount) plans, caches and formats around it.
 package plan
 
 import "fmt"
@@ -17,10 +18,11 @@ import "fmt"
 type Strategy int
 
 const (
-	// Auto analyzes the program and picks the best applicable method:
-	// the reduced counting program for right-/left-/mixed-linear
-	// programs, the counting runtime for other linear programs (safe on
-	// cyclic data), and magic sets otherwise.
+	// Auto analyzes the program and picks by its class alone: the
+	// reduced counting program for right-/left-/mixed-linear programs
+	// whose list rewrite is safe, the counting runtime for other linear
+	// programs (safe on cyclic data, and keyed by path shape where one
+	// reaches a node), and magic sets otherwise.
 	Auto Strategy = iota
 	// Naive evaluates the program bottom-up without rewriting, recomputing
 	// every rule each iteration. Baseline of baselines.
@@ -52,7 +54,8 @@ const (
 	// the query constants; if acyclic, run the (fast) reduced extended
 	// counting program, otherwise fall back to magic sets. The paper's
 	// Algorithm 2 supersedes it by handling cycles inside the counting
-	// framework; both are provided for comparison.
+	// framework — the runtime makes the regular/irregular split per node
+	// — and both are provided for comparison.
 	MagicCounting
 	// QSQ evaluates top-down with Query-SubQuery (Vieille), the
 	// operational counterpart of magic sets from the [4] comparison

@@ -26,10 +26,11 @@ import (
 type Strategy = plan.Strategy
 
 const (
-	// Auto analyzes the program and picks the best applicable method via
-	// the cost-informed planner: the reduced counting program for
-	// right-/left-/mixed-linear programs, the counting runtime for other
-	// linear programs (safe on cyclic data), and magic sets otherwise.
+	// Auto analyzes the program and picks by its class alone: the
+	// reduced counting program for right-/left-/mixed-linear programs
+	// whose list rewrite is safe, the counting runtime for other linear
+	// programs (safe on cyclic data, and keyed by path shape where one
+	// reaches a node), and magic sets otherwise.
 	Auto = plan.Auto
 	// Naive evaluates the program bottom-up without rewriting, recomputing
 	// every rule each iteration. Baseline of baselines.
