@@ -113,6 +113,9 @@ bench:
 # The cold-start layer benches (P19: text load, snapshot load, the
 # materialisation build) run in the packages they measure; LoadText's
 # allocs/op is additionally held by TestLoadTextAllocs in `make test`.
+# ApplySwap is one maintenance write (the sg-acyclic swap); 400 swaps
+# include the occasional compaction of sg (compactions/op counts them)
+# among the O(delta) swaps that carry their dead rows.
 # P20's pair: AutoVsForced is Auto against every forced strategy on the
 # four benchmark shapes (inferences/op is exact: Auto must sit on the
 # cheapest row of its shape), RuntimeMoves the pointer runtime alone on
@@ -128,6 +131,7 @@ benchcheck:
 		$(GO) test -run '^$$' -bench 'BenchmarkRuntimeMoves' -benchmem ./internal/counting || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkLoadText|BenchmarkSnapshotLoad' -benchmem ./internal/database || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkMaterializeBuild' -benchmem ./internal/incremental || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkApplySwap' -benchtime=400x -benchmem ./internal/incremental || exit 1; \
 	done
 
 # The end-to-end benchmark of BENCHMARK.json (see benchmark/README.md):

@@ -280,6 +280,14 @@ func Analyze(a *adorn.Adorned) (*Analysis, error) {
 		// A repeated variable among the free arguments filters the answers
 		// passing through, so the modified rule is not a copy then.
 		sameFree := samePred && termsEqual(rec.HeadFree, rec.RecFree) && distinctVars(rec.HeadFree)
+		// So does a repeated variable or a constant among the bound
+		// arguments of a rule that stays at its node: it holds only at the
+		// nodes that match the pattern, and neither the rewrites nor the
+		// runtime's same-node step apply that filter.
+		if len(rec.Left) == 0 && sameBound && !distinctVars(rec.HeadBound) {
+			return nil, fmt.Errorf("%w: rule %s stays at its node under a bound pattern that filters it",
+				ErrNotApplicable, ast.FormatRule(bank, r))
+		}
 		rec.SkipCounting = len(rec.Left) == 0 && sameBound
 		rec.SkipModified = len(rec.Right) == 0 && sameFree
 		rec.PushesCounting = !(len(rec.Right) == 0 && sameFree)

@@ -176,6 +176,30 @@ tc(X,Y) :- tc(X,Z), tc(Z,Y).
 	}
 }
 
+// TestAnalyzeRefusesFilteringBoundPattern: a rule with no left part whose
+// bound head arguments repeat a variable or hold a constant filters the
+// node it stays at, which no counting method applies; with a left part,
+// or with distinct variables, the rule is analysed as before.
+func TestAnalyzeRefusesFilteringBoundPattern(t *testing.T) {
+	for _, rule := range []string{
+		"p(X,X,Y) :- p(X,X,Z), down(Z,Y).",
+		"p(X,k,Y) :- p(X,k,Z), down(Z,Y).",
+	} {
+		err := analyzeErr(t, "p(X,W,Y) :- flat(X,W,Y).\n"+rule+"\n", "?- p(a,b,Y).")
+		if !errors.Is(err, ErrNotApplicable) {
+			t.Errorf("%s: err = %v, want ErrNotApplicable", rule, err)
+		}
+	}
+	for _, rule := range []string{
+		"p(X,X,Y) :- up(X,X1), p(X1,X1,Z), down(Z,Y).",
+		"p(X,W,Y) :- p(X,W,Z), down(Z,Y).",
+	} {
+		if err := analyzeErr(t, "p(X,W,Y) :- flat(X,W,Y).\n"+rule+"\n", "?- p(a,b,Y)."); err != nil {
+			t.Errorf("%s: %v", rule, err)
+		}
+	}
+}
+
 func TestAnalyzeNoBoundArgs(t *testing.T) {
 	err := analyzeErr(t, `
 p(X,Y) :- e(X,Y).

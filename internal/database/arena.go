@@ -249,21 +249,41 @@ func (r *Relation) findKey(ix *rowIndex, vals []term.Value) int32 {
 // by it, so a published relation keeps serving concurrent readers while
 // its clone takes writes.
 func (r *Relation) CloneForAppend() *Relation {
+	return r.clone(r.arena[:len(r.arena):len(r.arena)], 0)
+}
+
+// CloneWithRoom is CloneForAppend for a writer about to append: the
+// clone owns a copy of the arena, and of each index's key and chain
+// tables, with the spare capacity a RebuildWithout leaves (AppendRoom
+// rows, AppendRoom keys), so its appends neither reallocate the arena nor
+// grow it by append's factor.
+func (r *Relation) CloneWithRoom() *Relation {
+	room := AppendRoom(r.rows)
+	return r.clone(append(make([]term.Value, 0, len(r.arena)+room*r.arity), r.arena...), room)
+}
+
+// clone is CloneForAppend over the given arena, copying the index tables
+// with room spare rows of capacity (and, with room, spare keys).
+func (r *Relation) clone(arena []term.Value, room int) *Relation {
 	c := &Relation{
 		arity:   r.arity,
 		rows:    r.rows,
-		arena:   r.arena[:len(r.arena):len(r.arena)],
+		arena:   arena,
 		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
 	}
 	c.dedup.slots = append([]RowID(nil), r.dedup.slots...)
 	c.dedup.used = r.dedup.used
 	r.indexMu.Lock()
 	for mask, ix := range r.indexes {
+		keyRoom := 0
+		if room > 0 {
+			keyRoom = AppendRoom(len(ix.keys))
+		}
 		c.indexes[mask] = &rowIndex{
 			mask:  ix.mask,
 			slots: append([]int32(nil), ix.slots...),
-			keys:  append([]chainKey(nil), ix.keys...),
-			next:  append([]RowID(nil), ix.next...),
+			keys:  append(make([]chainKey, 0, len(ix.keys)+keyRoom), ix.keys...),
+			next:  append(make([]RowID, 0, len(ix.next)+room), ix.next...),
 		}
 	}
 	r.indexMu.Unlock()

@@ -387,7 +387,7 @@ func (db *Database) Ensure(pred symtab.Sym, arity int) (*Relation, error) {
 func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	n := &Relation{
 		arity:   r.arity,
-		arena:   make([]term.Value, 0, len(r.arena)+appendRoom(r.rows)*r.arity),
+		arena:   make([]term.Value, 0, len(r.arena)+AppendRoom(r.rows)*r.arity),
 		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
 	}
 	newID := make([]RowID, r.rows)
@@ -440,11 +440,13 @@ func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	return n
 }
 
-// appendRoom is the spare capacity, in rows, a rebuild of n rows leaves
-// behind it. A rebuild is the deletion half of a maintenance epoch and the
-// insertion half appends to its result; an exact-size copy is copied whole
-// once more by the first of those appends.
-func appendRoom(n int) int { return n/64 + 64 }
+// AppendRoom is the spare capacity, in rows, a rebuild of n rows leaves
+// behind it (and CloneWithRoom gives a clone). A rebuild is the deletion
+// half of a maintenance epoch and the insertion half appends to its
+// result; an exact-size copy is copied whole once more by the first of
+// those appends. Maintenance also compacts a derived relation only once
+// its dead rows outgrow this room over its live rows.
+func AppendRoom(n int) int { return n/64 + 64 }
 
 // remapIndex rebuilds a column index against the compacted row ids.
 // Slot positions hash row values, which are unchanged, so the slot table
@@ -456,8 +458,8 @@ func remapIndex(ix *rowIndex, newID []RowID, oldRows, newRows int) *rowIndex {
 	nix := &rowIndex{
 		mask:  ix.mask,
 		slots: append([]int32(nil), ix.slots...),
-		keys:  make([]chainKey, len(ix.keys), len(ix.keys)+appendRoom(len(ix.keys))),
-		next:  make([]RowID, newRows, newRows+appendRoom(newRows)),
+		keys:  make([]chainKey, len(ix.keys), len(ix.keys)+AppendRoom(len(ix.keys))),
+		next:  make([]RowID, newRows, newRows+AppendRoom(newRows)),
 	}
 	for id := 0; id < oldRows; id++ {
 		nid := newID[id]
@@ -511,28 +513,33 @@ func (db *Database) Retract(pred symtab.Sym, t Tuple) (bool, error) {
 // RetractBatch removes every listed tuple from pred's relation with a
 // single capacity-reusing rebuild, returning how many were actually
 // present (duplicates in tuples count once). Absent tuples are no-ops.
+// Each tuple is looked up once; the rebuild drops rows by id.
 func (db *Database) RetractBatch(pred symtab.Sym, tuples []Tuple) (int, error) {
 	r, ok := db.rels[pred]
 	if !ok {
 		return 0, nil
 	}
-	drop := NewRelation(r.arity)
+	var drop []bool
 	present := 0
 	for _, t := range tuples {
 		if r.arity != len(t) {
 			return present, fmt.Errorf("database: predicate %s used with arity %d and %d",
 				db.bank.Symbols().String(pred), r.arity, len(t))
 		}
-		if r.Contains(t) && drop.Insert(t) {
-			present++
+		if id, ok := r.Find(t); ok {
+			if drop == nil {
+				drop = make([]bool, r.rows)
+			}
+			if !drop[id] {
+				drop[id] = true
+				present++
+			}
 		}
 	}
 	if present == 0 {
 		return 0, nil
 	}
-	db.rels[pred] = r.RebuildWithout(func(id RowID) bool {
-		return drop.Contains(Tuple(r.rowSlice(id)))
-	})
+	db.rels[pred] = r.RebuildWithout(func(id RowID) bool { return drop[id] })
 	delete(db.shared, pred)
 	return present, nil
 }

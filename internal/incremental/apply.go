@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 
 	"lincount/internal/ast"
 	"lincount/internal/database"
@@ -81,7 +80,8 @@ func (m *Materialization) Apply(ctx context.Context, fork *database.Database, op
 		netDel:   b.Del,
 		insOrder: b.InsOrder,
 		delOrder: b.DelOrder,
-		dead:     make(map[symtab.Sym][]bool),
+		dead:     m.flags(),
+		flips:    make(map[symtab.Sym][]database.RowID),
 		owned:    make(map[symtab.Sym]bool),
 		deleted:  make(map[symtab.Sym]*database.Relation),
 		joiners:  make(map[int]*engine.Joiner),
@@ -97,16 +97,34 @@ func (m *Materialization) Apply(ctx context.Context, fork *database.Database, op
 			return nil, nil, err
 		}
 	}
+	for p, ids := range a.flips {
+		if set := m2.dead[p].flip(ids); set.count() > 0 {
+			m2.dead[p] = set
+		} else {
+			delete(m2.dead, p)
+		}
+	}
 	return m2, res, nil
+}
+
+// flags expands the dead sets into the executor's per-row dead flags, a
+// fresh slice per relation, as long as the relation.
+func (m *Materialization) flags() map[symtab.Sym][]bool {
+	flags := make(map[symtab.Sym][]bool, len(m.dead))
+	for p, set := range m.dead {
+		flags[p] = set.flags(m.derived[p].Len())
+	}
+	return flags
 }
 
 // fork returns the next epoch's materialisation sharing every immutable
 // piece with m; relations are replaced lazily (rebuild on compaction,
-// clone on append).
+// clone on the epoch's first append), dead sets when a batch changes them.
 func (m *Materialization) fork(db *database.Database) *Materialization {
 	m2 := *m
 	m2.db = db
 	m2.derived = maps.Clone(m.derived)
+	m2.dead = maps.Clone(m.dead)
 	return &m2
 }
 
@@ -119,14 +137,29 @@ type applier struct {
 	netIns, netDel     map[symtab.Sym]*database.Relation
 	insOrder, delOrder []symtab.Sym
 
-	// dead flags the rows the deletion pass has deleted: for head
-	// predicates the rows of the derived relation, for EDB predicates
-	// those of the base relation. Rows past a slice end and predicates
-	// absent from the map are live. Compaction empties it.
+	// frozen is the previous epoch's dead rows as flags, the pre-batch
+	// state the overdeletion runs read; nothing writes them.
+	frozen map[symtab.Sym][]bool
+	// dead flags the dead rows: for head predicates the rows of the
+	// derived relation (the carried ones and those this batch deletes),
+	// for EDB predicates the base rows this batch deletes until their
+	// relations are rebuilt. Rows past a slice end and predicates absent
+	// from the map are live.
 	dead map[symtab.Sym][]bool
+	// flips lists, per derived relation, the rows whose dead flag the
+	// batch turned, to turn in the previous epoch's dead set: the rows it
+	// killed and the carried ones it revived.
+	flips map[symtab.Sym][]database.RowID
 	// owned marks the derived relations this epoch may append to: those
 	// compaction rebuilt and those the insertion phase cloned.
 	owned map[symtab.Sym]bool
+	// inserting is set once the insertion phase has begun: a derived row
+	// outside the model is appended then, and a revived dead row is a new
+	// fact rather than a rederived one.
+	inserting bool
+	// revived holds, per predicate, the dead rows the insertion phase
+	// revived: besides the appended rows, the delta later components read.
+	revived map[symtab.Sym]*database.Relation
 	// deleted holds, per predicate, copies of the finally deleted tuples —
 	// the delta feeding downstream components' deletion passes.
 	deleted map[symtab.Sym]*database.Relation
@@ -137,6 +170,7 @@ type applier struct {
 	res *ApplyResult
 }
 
+// deadFor returns pred's dead flags, made n long if it has none.
 func (a *applier) deadFor(pred symtab.Sym, n int) []bool {
 	dead, ok := a.dead[pred]
 	if !ok {
@@ -144,6 +178,18 @@ func (a *applier) deadFor(pred symtab.Sym, n int) []bool {
 		a.dead[pred] = dead
 	}
 	return dead
+}
+
+// own returns derived relation pred writable in this epoch: cloned, with
+// append room, on the epoch's first append to it.
+func (a *applier) own(pred symtab.Sym) *database.Relation {
+	rel := a.m.derived[pred]
+	if !a.owned[pred] {
+		rel = rel.CloneWithRoom()
+		a.m.derived[pred] = rel
+		a.owned[pred] = true
+	}
+	return rel
 }
 
 func (a *applier) joiner(ci int) (*engine.Joiner, error) {
@@ -164,6 +210,7 @@ func (a *applier) joiner(ci int) (*engine.Joiner, error) {
 // through the dead flags.
 func (a *applier) deletePhase() error {
 	m := a.m
+	a.frozen = m.flags()
 	// Base deletions of pure-EDB predicates become dead base rows plus a
 	// delta relation; head predicates are handled inside their component.
 	for _, q := range a.delOrder {
@@ -262,9 +309,10 @@ func (a *applier) dred(comp engine.Component, j *engine.Joiner) error {
 
 	// Overdeletion: base-support losses, then derivations through the
 	// deleted rows of earlier components, closed over the component by
-	// watermark rounds over the overdeleted rows. Reads are unfiltered —
-	// DRed overdeletes over the old state, and rederivation corrects the
-	// overestimate.
+	// watermark rounds over the overdeleted rows. Reads see the old state
+	// — the previous epoch's live rows, through the frozen flags, while
+	// mark writes this epoch's — since DRed overdeletes over the old
+	// state, and rederivation corrects the overestimate.
 	for _, p := range comp.Preds {
 		nd, rel := a.netDel[p], m.derived[p]
 		if nd == nil || rel == nil {
@@ -292,7 +340,7 @@ func (a *applier) dred(comp engine.Component, j *engine.Joiner) error {
 	for q, d := range a.deleted {
 		seed[q] = engine.Delta{Rel: d, Hi: database.RowID(d.Len())}
 	}
-	if err := a.rounds(j, seed, engine.JoinConfig{}, mark, next); err != nil {
+	if err := a.rounds(j, seed, engine.JoinConfig{Dead: a.frozen}, mark, next); err != nil {
 		return err
 	}
 
@@ -376,6 +424,8 @@ func (a *applier) dred(comp engine.Component, j *engine.Joiner) error {
 			if id, _ := rel.Find(t); dead[id] {
 				a.deletedRel(p, rel.Arity()).Insert(t)
 				a.res.DerivedRemoved++
+				a.flips[p] = append(a.flips[p], id)
+				m.total--
 			}
 		}
 	}
@@ -424,11 +474,10 @@ func (a *applier) rounds(j *engine.Joiner, seed map[symtab.Sym]engine.Delta, cfg
 
 // propagate is the one propagation loop, shared by rederivation and
 // insertion: the component's semi-naive fixpoint from the seed windows,
-// reading live rows only. Its sink makes every derived head live: a dead
-// row is revived (the next round reads a copy of it), an absent row is
-// appended (the next round reads it as a window past the watermark), a
-// live row is left alone. Every sink call is idempotent, so a derivation
-// may be enumerated more than once.
+// reading live rows only. Its sink makes every derived head live (see
+// makeLive): a revived row is read by the next round from a copy, an
+// appended row as a window past the watermark. Every sink call is
+// idempotent, so a derivation may be enumerated more than once.
 func (a *applier) propagate(comp engine.Component, j *engine.Joiner, seed map[symtab.Sym]engine.Delta) error {
 	m := a.m
 	lo := make(map[symtab.Sym]database.RowID, len(comp.Preds))
@@ -440,27 +489,13 @@ func (a *applier) propagate(comp engine.Component, j *engine.Joiner, seed map[sy
 		}
 	}
 	live := func(p symtab.Sym) func(database.Tuple) error {
-		rel, rev, dead, owned := m.derived[p], revived[p], a.dead[p], a.owned[p]
+		rev := revived[p]
 		return func(t database.Tuple) error {
-			var id database.RowID
-			if owned {
-				var added bool
-				if id, added = rel.InsertRow(t); added {
-					return a.noteDerived()
-				}
-			} else {
-				var ok bool
-				if id, ok = rel.Find(t); !ok {
-					return internalErrf("derived a %s tuple outside the previous model while deleting",
-						m.bank.Symbols().String(p))
-				}
-			}
-			if int(id) < len(dead) && dead[id] {
-				dead[id] = false
+			ok, err := a.makeLive(p, t)
+			if ok {
 				rev.Insert(t)
-				a.res.Rederived++
 			}
-			return nil
+			return err
 		}
 	}
 	return a.rounds(j, seed, engine.JoinConfig{Dead: a.dead}, live, func() map[symtab.Sym]engine.Delta {
@@ -486,6 +521,42 @@ func (a *applier) propagate(comp engine.Component, j *engine.Joiner, seed map[sy
 	})
 }
 
+// makeLive makes t a live row of derived relation p and reports whether
+// it revived a dead row. A live row is left alone; a dead one is revived
+// — rederived while deleting, a new fact again while inserting; an absent
+// one is appended while inserting, and is an invariant violation while
+// deleting (every rederivation is of the previous model).
+func (a *applier) makeLive(p symtab.Sym, t database.Tuple) (bool, error) {
+	m := a.m
+	rel := m.derived[p]
+	id, ok := rel.Find(t)
+	if !ok {
+		if !a.inserting {
+			return false, internalErrf("derived a %s tuple outside the previous model while deleting",
+				m.bank.Symbols().String(p))
+		}
+		a.own(p).Insert(t)
+		return false, a.noteDerived()
+	}
+	dead := a.dead[p]
+	if int(id) >= len(dead) || !dead[id] {
+		return false, nil
+	}
+	dead[id] = false
+	if !a.inserting {
+		a.res.Rederived++
+		return true, nil
+	}
+	a.flips[p] = append(a.flips[p], id)
+	rev := a.revived[p]
+	if rev == nil {
+		rev = database.NewRelation(rel.Arity())
+		a.revived[p] = rev
+	}
+	rev.Insert(t)
+	return true, a.noteDerived()
+}
+
 // noteDerived accounts one appended derived row against the fact budget.
 func (a *applier) noteDerived() error {
 	m := a.m
@@ -498,25 +569,36 @@ func (a *applier) noteDerived() error {
 	return nil
 }
 
-// compact finalises the deletion pass: every derived relation that still
-// holds dead rows is rebuilt once (capacity-reusing), and the net base
-// retractions hit the fork in one batched rebuild per relation.
+// compact finalises the deletion pass: a derived relation whose dead rows
+// outgrow the append room over its live rows is rebuilt without them —
+// so a relation is rebuilt once per AppendRoom of deletions, not once
+// per batch, and the others carry their dead rows to the next epoch —
+// and the net base retractions hit the fork in one batched rebuild per
+// relation, which ends the base rows' flags.
 func (a *applier) compact() error {
 	m := a.m
 	for pred, dead := range a.dead {
-		if !m.headPred[pred] || !slices.Contains(dead, true) {
+		if !m.headPred[pred] {
 			continue
 		}
+		// The flips so far are the rows this batch killed.
 		old := m.derived[pred]
-		rebuilt := old.RebuildWithout(func(id database.RowID) bool { return dead[id] })
-		m.total -= int64(old.Len() - rebuilt.Len())
-		m.derived[pred] = rebuilt
+		n := m.dead[pred].count() + len(a.flips[pred])
+		if n <= database.AppendRoom(old.Len()-n) {
+			continue
+		}
+		m.derived[pred] = old.RebuildWithout(func(id database.RowID) bool { return dead[id] })
 		a.owned[pred] = true
+		delete(m.dead, pred)
+		delete(a.dead, pred)
+		delete(a.flips, pred)
 	}
-	a.dead = nil
 	for _, q := range a.delOrder {
 		if _, err := a.fork.RetractBatch(q, a.netDel[q].Tuples()); err != nil {
 			return err
+		}
+		if !m.headPred[q] {
+			delete(a.dead, q)
 		}
 	}
 	return nil
@@ -528,21 +610,13 @@ func (a *applier) insertPhase() error {
 	m := a.m
 	total0 := m.total
 	defer func() { a.res.DerivedAdded += int(m.total - total0) }()
-
-	// Clone-for-append any derived relation that was not already rebuilt
-	// by compaction: the previous epoch's relations must stay immutable
-	// under concurrent readers.
-	for pred, rel := range m.derived {
-		if !a.owned[pred] {
-			m.derived[pred] = rel.CloneForAppend()
-			a.owned[pred] = true
-		}
-	}
+	a.inserting = true
+	a.revived = make(map[symtab.Sym]*database.Relation)
 
 	// Base inserts. New rows of pure-EDB predicates become external delta
-	// windows on the base relations; new rows of head predicates append to
-	// the derived relation (unless already derived) behind a single
-	// watermark per predicate.
+	// windows on the base relations; new rows of head predicates become
+	// live in the derived relation (revived, or appended behind a single
+	// watermark per predicate).
 	loD := make(map[symtab.Sym]database.RowID, len(m.derived))
 	for pred, rel := range m.derived {
 		loD[pred] = database.RowID(rel.Len())
@@ -559,15 +633,12 @@ func (a *applier) insertPhase() error {
 			rel.Insert(ins.At(id))
 		}
 		if m.headPred[q] {
-			drel := m.derived[q]
-			if drel == nil {
+			if m.derived[q] == nil {
 				return internalErrf("head predicate %s has no derived relation", m.bank.Symbols().String(q))
 			}
 			for id := 0; id < ins.Len(); id++ {
-				if drel.Insert(ins.At(id)) {
-					if err := a.noteDerived(); err != nil {
-						return err
-					}
+				if _, err := a.makeLive(q, ins.At(id)); err != nil {
+					return err
 				}
 			}
 		} else {
@@ -576,7 +647,8 @@ func (a *applier) insertPhase() error {
 	}
 
 	// Component sweep: round 0 of each component reads the new EDB rows,
-	// the new rows of earlier components' heads and its own base inserts.
+	// the new live rows of earlier components' heads and its own base
+	// inserts.
 	// Components none of whose body predicates changed are skipped
 	// entirely — the source of the small-delta speedup.
 	syms := m.bank.Symbols()
@@ -591,14 +663,18 @@ func (a *applier) insertPhase() error {
 				q := l.Pred
 				if w, ok := edbWin[q]; ok {
 					seed[q] = w
-				} else if hi, ok := doneHi[q]; ok && hi > loD[q] {
-					seed[q] = engine.Delta{Rel: m.derived[q], Lo: loD[q], Hi: hi}
+				} else if hi, ok := doneHi[q]; ok {
+					if d, ok := a.grown(q, loD[q], hi); ok {
+						seed[q] = d
+					}
 				}
 			}
 		}
 		for _, p := range comp.Preds {
-			if rel := m.derived[p]; rel != nil && database.RowID(rel.Len()) > loD[p] {
-				seed[p] = engine.Delta{Rel: rel, Lo: loD[p], Hi: database.RowID(rel.Len())}
+			if rel := m.derived[p]; rel != nil {
+				if d, ok := a.grown(p, loD[p], database.RowID(rel.Len())); ok {
+					seed[p] = d
+				}
 			}
 		}
 		if len(seed) > 0 {
@@ -617,4 +693,22 @@ func (a *applier) insertPhase() error {
 		}
 	}
 	return nil
+}
+
+// grown returns derived predicate p's insertion delta: its rows appended
+// in [lo, hi) and, read from a copy with them, the dead rows the
+// insertion phase revived.
+func (a *applier) grown(p symtab.Sym, lo, hi database.RowID) (engine.Delta, bool) {
+	rel, rev := a.m.derived[p], a.revived[p]
+	if rev == nil {
+		return engine.Delta{Rel: rel, Lo: lo, Hi: hi}, hi > lo
+	}
+	d := database.NewRelation(rel.Arity())
+	for i := 0; i < rev.Len(); i++ {
+		d.Insert(rev.At(i))
+	}
+	for id := lo; id < hi; id++ {
+		d.Insert(database.Tuple(rel.Row(id)))
+	}
+	return engine.Delta{Rel: d, Hi: database.RowID(d.Len())}, true
 }

@@ -3,8 +3,8 @@
 // (delete/rederive, as in Hu, Motik & Horrocks) on top of the engine's
 // semi-naive join machinery.
 //
-// A Materialization is a set of facts: every derived relation holds the
-// rows of the program's minimal model, built by engine.EvalContext.
+// A Materialization is a set of facts: the live rows of its derived
+// relations are the program's minimal model, built by engine.EvalContext.
 // Apply folds an ordered batch of +fact/-fact operations — the same record
 // stream the server's WAL frames per epoch — into a new Materialization:
 //
@@ -16,13 +16,18 @@
 //     dead (overdeletion), the dead rows that keep a derivation over live
 //     rows, a surviving base row or a program fact are revived, and the
 //     propagation loop revives what they support in turn.
-//   - Deletion is logical throughout (a per-row dead flag); only after
-//     every component is settled are the relations that still hold dead
-//     rows compacted with one capacity-reusing rebuild each, and the base
-//     relations updated.
+//   - Deletion of derived rows is logical throughout: a per-row dead bit,
+//     carried from epoch to epoch, and every read skips the rows it marks.
+//     After every component is settled, a relation whose dead rows
+//     outgrow database.AppendRoom over its live rows is compacted with
+//     one capacity-reusing rebuild; the others keep theirs, so a batch
+//     pays for its delta, not for the relations it touches. The base
+//     relations are updated.
 //   - Insertions run the same propagation loop: new base rows become
 //     round-0 delta windows and each affected component resumes its
-//     semi-naive fixpoint from them.
+//     semi-naive fixpoint from them. A derived row that becomes true
+//     again revives its dead row; a new one is appended to a relation
+//     cloned, with append room, on the epoch's first append to it.
 //
 // Programs with negation are rejected with ErrNotIncremental; callers
 // (the server) fall back to full re-evaluation. Any violated internal
@@ -34,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"lincount/internal/ast"
 	"lincount/internal/database"
@@ -107,12 +113,17 @@ type Materialization struct {
 	arity    map[symtab.Sym]int
 
 	derived map[symtab.Sym]*database.Relation
+	// dead holds, per derived relation that has any, its dead rows: rows
+	// a retraction took out of the model, kept until the relation is
+	// compacted. Apply writes a new set for the next epoch; an epoch's
+	// sets never change.
+	dead map[symtab.Sym]deadSet
 	// facts holds each head predicate's program facts: support no
 	// retraction takes away (shared across epochs; the program is fixed).
 	facts map[symtab.Sym]*database.Relation
 
 	opts  Options
-	total int64 // derived rows across all relations, for the fact budget
+	total int64 // live derived rows across all relations, for the fact budget
 }
 
 // New builds the materialisation of prog over db (which may be nil for a
@@ -142,6 +153,7 @@ func New(ctx context.Context, prog *ast.Program, db *database.Database, opts Opt
 		db:       db,
 		headPred: make(map[symtab.Sym]bool),
 		arity:    make(map[symtab.Sym]int),
+		dead:     make(map[symtab.Sym]deadSet),
 		facts:    make(map[symtab.Sym]*database.Relation),
 		opts:     opts,
 	}
@@ -212,17 +224,78 @@ func (m *Materialization) Database() *database.Database { return m.db }
 // Program returns the maintained program.
 func (m *Materialization) Program() *ast.Program { return m.prog }
 
-// DerivedFacts returns the total number of derived rows.
+// DerivedFacts returns the total number of live derived rows.
 func (m *Materialization) DerivedFacts() int64 { return m.total }
 
-// Relation returns the materialised relation for pred, or nil.
-func (m *Materialization) Relation(pred symtab.Sym) *database.Relation { return m.derived[pred] }
+// Relation returns the materialised relation for pred, or nil. A relation
+// that carries dead rows is returned as a compacted copy (O(relation)).
+func (m *Materialization) Relation(pred symtab.Sym) *database.Relation {
+	rel, dead := m.derived[pred], m.dead[pred]
+	if dead == nil {
+		return rel
+	}
+	return rel.RebuildWithout(dead.has)
+}
 
 // Answers matches a query goal against the materialised relations (falling
 // back to the base database for purely extensional goals), in the same
-// deterministic order engine.Answers produces for a fresh evaluation.
+// deterministic order engine.Answers produces for a fresh evaluation. The
+// goal's dead rows are filtered out of the answers.
 func (m *Materialization) Answers(q ast.Query) []database.Tuple {
-	return engine.Answers(engine.NewResult(m.bank, m.derived), m.db, q)
+	out := engine.Answers(engine.NewResult(m.bank, m.derived), m.db, q)
+	dead := m.dead[q.Goal.Pred]
+	if dead == nil {
+		return out
+	}
+	rel, live := m.derived[q.Goal.Pred], out[:0]
+	for _, t := range out {
+		if id, _ := rel.Find(t); !dead.has(id) {
+			live = append(live, t)
+		}
+	}
+	return live
+}
+
+// deadSet is one relation's dead rows, a bit per row id; the rows past
+// its end are live.
+type deadSet []uint64
+
+func (d deadSet) has(id database.RowID) bool {
+	w := int(id) >> 6
+	return w < len(d) && d[w]&(1<<(uint(id)&63)) != 0
+}
+
+func (d deadSet) count() int {
+	n := 0
+	for _, w := range d {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// flip returns a copy of d with the bits of ids turned.
+func (d deadSet) flip(ids []database.RowID) deadSet {
+	hi := len(d)
+	for _, id := range ids {
+		hi = max(hi, int(id)>>6+1)
+	}
+	out := make(deadSet, hi)
+	copy(out, d)
+	for _, id := range ids {
+		out[id>>6] ^= 1 << (uint(id) & 63)
+	}
+	return out
+}
+
+// flags expands d into the executor's dead flags over n rows.
+func (d deadSet) flags(n int) []bool {
+	flags := make([]bool, n)
+	for i, w := range d {
+		for ; w != 0; w &= w - 1 {
+			flags[i<<6+bits.TrailingZeros64(w)] = true
+		}
+	}
+	return flags
 }
 
 // Verify evaluates the program from scratch over the same database with
@@ -237,7 +310,7 @@ func (m *Materialization) Verify(ctx context.Context) error {
 	syms := m.bank.Symbols()
 	var total int64
 	for pred, frel := range fresh.Derived {
-		mrel := m.derived[pred]
+		mrel := m.Relation(pred)
 		if mrel == nil {
 			if frel.Len() == 0 {
 				continue
@@ -256,8 +329,8 @@ func (m *Materialization) Verify(ctx context.Context) error {
 		}
 		total += int64(mrel.Len())
 	}
-	for pred, mrel := range m.derived {
-		if fresh.Derived[pred] == nil && mrel.Len() > 0 {
+	for pred := range m.derived {
+		if fresh.Derived[pred] == nil && m.Relation(pred).Len() > 0 {
 			return fmt.Errorf("incremental: verify: maintained state has unexpected relation %s", syms.String(pred))
 		}
 	}

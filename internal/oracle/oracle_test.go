@@ -180,3 +180,47 @@ func TestDiffAnswers(t *testing.T) {
 		t.Fatalf("extra = %v", extra)
 	}
 }
+
+// TestBoundHeadPatterns holds every strategy to the baseline on rules
+// that stay at their node under a bound head pattern: a repeated
+// variable or a constant among the bound arguments filters the node, a
+// filter no counting method applies, so the counting family refuses them
+// and Auto runs magic sets. Without that filter the first two cases
+// would also answer (a,b,d); the third, whose filter the query
+// satisfies, must answer without tripping the iteration limit.
+func TestBoundHeadPatterns(t *testing.T) {
+	cases := []struct {
+		name, program, facts, query string
+	}{
+		{"repeated variable", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
+			"flat(a,b,c). down(c,d).", "?- p(a,b,Y)."},
+		{"constant", "p(X,W,Y) :- flat(X,W,Y).\np(X,k,Y) :- p(X,k,Z), down(Z,Y).\n",
+			"flat(a,b,c). down(c,d).", "?- p(a,b,Y)."},
+		{"repeated variable, matching query", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
+			"flat(a,a,c). flat(a,b,e). down(c,d). down(e,f).", "?- p(a,a,Y)."},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := lincount.MustParseProgram(c.program)
+			db := lincount.NewDatabase(p)
+			if err := db.LoadFacts(c.facts); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Check(context.Background(), p, db, c.query, lincount.Strategies(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("strategies disagree with the baseline:\n%s", rep)
+			}
+			for _, run := range rep.Runs {
+				switch {
+				case run.Strategy == lincount.Auto && run.Class != OK:
+					t.Errorf("auto: %s: %s", run.Class, run.Err)
+				case run.Class == ResourceLimit:
+					t.Errorf("%s tripped a limit: %s", run.Strategy, run.Err)
+				}
+			}
+		})
+	}
+}
