@@ -196,8 +196,10 @@ experiments:
 
 # Short fuzzing passes over the parser, the streaming fact loader (held
 # to the parser differentially), the snapshot reader, the WAL replayer,
-# incremental maintenance (held to a from-scratch fixpoint) and the
-# counting runtime's answer classes (held to magic sets).
+# incremental maintenance (held to a from-scratch fixpoint), the
+# counting runtime's answer classes (held to magic sets) and every
+# strategy on small generated linear programs (held to magic sets and
+# QSQ).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/parser
 	$(GO) test -fuzz=FuzzLoadFacts -fuzztime=30s ./internal/database
@@ -205,6 +207,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=30s ./internal/wal
 	$(GO) test -fuzz=FuzzApply -fuzztime=30s ./internal/incremental
 	$(GO) test -fuzz=FuzzRuntimeClasses -fuzztime=30s ./internal/oracle
+	$(GO) test -fuzz=FuzzOracle -fuzztime=30s ./internal/oracle
 
 examples:
 	@for d in examples/*/; do \

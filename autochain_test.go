@@ -5,11 +5,9 @@ package lincount_test
 // a left-graph verdict cached per query and data state; the tests named
 // after it keep what they guarded — writes, forks and concurrent
 // evaluations over databases that disagree get their own answers — and
-// now also hold the pick constant. Auto never runs the left-graph probe
-// that forced magic-counting decides by.
+// now also hold the pick constant.
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -144,51 +142,4 @@ func TestVerdictConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestAutoNeverProbes: with a fault armed at the left-graph probe's site,
-// Auto answers at its first attempt on every benchmark shape — it never
-// reaches the site — while forced magic-counting, which decides by the
-// probe, fails with the injected fault.
-func TestAutoNeverProbes(t *testing.T) {
-	fault := lincount.WithFaultInjection(1, "counting.probe=err@1")
-	for _, sh := range workload.BenchShapes(16, 2, 2) {
-		p, err := lincount.ParseProgram(sh.Program)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := lincount.NewDatabase(p)
-		if err := db.LoadFacts(sh.Facts); err != nil {
-			t.Fatal(err)
-		}
-		res, err := lincount.Eval(p, db, sh.Query, lincount.Auto, fault, lincount.WithoutPlanCache())
-		if err != nil || len(res.Degraded) != 0 || res.Strategy != res.Resolved {
-			t.Errorf("%s: auto under a probe fault: %v, %+v", sh.Name, err, res)
-		}
-		if _, err := lincount.Eval(p, db, sh.Query, lincount.MagicCounting, fault); !errors.Is(err, lincount.ErrInjectedFault) {
-			t.Errorf("%s: magic-counting under a probe fault: %v, want the injected fault", sh.Name, err)
-		}
-	}
-}
-
-// TestProbeSkippedUnderReduced: a program with a reduced rewrite never
-// pays for a probe, however cold the query — a fault armed at the probe's
-// site never fires.
-func TestProbeSkippedUnderReduced(t *testing.T) {
-	p, err := lincount.ParseProgram(workload.RightLinearProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := lincount.NewDatabase(p)
-	if err := db.LoadFacts(workload.RightLinearChain(8, 2)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := lincount.Eval(p, db, "?- p(u0,Y).", lincount.Auto, lincount.WithoutPlanCache(),
-		lincount.WithFaultInjection(1, "counting.probe=err@1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resolved != lincount.CountingReduced || len(res.Degraded) != 0 {
-		t.Errorf("resolved %s with %d failed attempts, want counting-reduced and none", res.Resolved, len(res.Degraded))
-	}
 }

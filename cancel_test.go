@@ -50,7 +50,6 @@ func divergentCases() []divergentCase {
 		{"semi-naive", succCounterSrc, "", "?- num(X).", SemiNaive, nil},
 		{"magic", succCounterSrc, "", "?- num(5).", Magic, nil},
 		{"magic-sup", succCounterSrc, "", "?- num(5).", MagicSup, nil},
-		{"magic-counting", succCounterSrc, "", "?- num(5).", MagicCounting, nil},
 		{"qsq", succCounterSrc, "", "?- num(5).", QSQ, nil},
 		{"counting-classic", cyclicSGSrc, cyclicSGFacts, "?- sg(a,Y).", CountingClassic, nil},
 		{"counting", cyclicSGSrc, cyclicSGFacts, "?- sg(a,Y).", Counting, nil},

@@ -89,7 +89,7 @@ var chaosSchedules = []struct {
 	{"probe-err", "engine.probe=err~0.002"},
 	{"iter-cancel", "engine.iter=cancel@3"},
 	{"counting-err", "counting.node=err@5,counting.step=err@7"},
-	{"magic-counting-probe-err", "counting.probe=err@1,engine.insert=err@400"},
+	{"late-insert-err", "engine.insert=err@400"},
 	{"topdown-err", "topdown.probe=err@25,topdown.pass=cancel@4"},
 	{"storm", "*=err~0.01"},
 	{"latency", "engine.iter=delay@2:200us,counting.step=delay@3:50us"},

@@ -8,8 +8,8 @@
 // When -query is omitted, the queries embedded in the program file ("?-"
 // lines) are evaluated in order. Fact files ending in .lcdb are read as
 // binary snapshots. The strategy names are those of lincount.Strategy:
-// auto, naive, semi-naive, magic, magic-sup, magic-counting,
-// counting-classic, counting, counting-reduced, counting-runtime.
+// auto, naive, semi-naive, magic, magic-sup, qsq, counting-classic,
+// counting, counting-reduced, counting-runtime.
 package main
 
 import (

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lincount"
 )
 
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -147,6 +150,20 @@ func TestCLIErrors(t *testing.T) {
 	noQuery := writeFile(t, dir, "nq.dl", "p(a).\n")
 	if _, _, code := runCLI(t, "-program", noQuery); code == 0 {
 		t.Error("missing query accepted")
+	}
+}
+
+// TestCLIUnknownStrategy: a strategy name no strategy has — here that of
+// the removed hybrid of magic sets and counting ([16]) — fails the run
+// before any evaluation.
+func TestCLIUnknownStrategy(t *testing.T) {
+	dir := t.TempDir()
+	prog := writeFile(t, dir, "sg.dl", sgText)
+	facts := writeFile(t, dir, "facts.dl", "up(a,b). flat(b,c). down(c,d).")
+	name := lincount.Magic.String() + "-" + lincount.Counting.String()
+	out, errOut, code := runCLI(t, "-program", prog, "-facts", facts, "-strategy", name)
+	if code == 0 || !strings.Contains(errOut, fmt.Sprintf("unknown strategy %q", name)) || out != "" {
+		t.Errorf("exit %d, stdout %q, stderr %q: want a failure naming the unknown strategy", code, out, errOut)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -111,10 +111,10 @@ func WithMaxDerivedFacts(n int) Option {
 // probability P per hit, seeded by seed), where kind is err, delay
 // (with a ":duration" suffix) or cancel, and site names an evaluator
 // hook point (engine.insert, engine.probe, engine.iter, counting.node,
-// counting.step, counting.probe, topdown.probe, topdown.pass, or * for
-// all). QSQ hits topdown.probe once per input row it feeds to a rule's
-// solves and topdown.pass once per global pass; its joins run on the
-// engine's executor without hitting engine.probe.
+// counting.step, topdown.probe, topdown.pass, or * for all). QSQ hits
+// topdown.probe once per input row it feeds to a rule's solves and
+// topdown.pass once per global pass; its joins run on the engine's
+// executor without hitting engine.probe.
 //
 // Injected errors match errors.Is(err, ErrInjectedFault) and are
 // retryable for the Auto degradation chain; injected cancellations
@@ -566,20 +566,15 @@ func evalResolved(ctx context.Context, p *Program, dbi *database.Database, resol
 	}, timing, nil
 }
 
-// finishRows formats, dedupes and sorts answer tuples.
+// finishRows formats answer tuples, sorts them column by column as text
+// and drops duplicates: the one order every answer surface returns (Eval,
+// Materialization.Answers, Explain). The evaluators return their tuples in
+// no particular order.
 func finishRows(p *Program, tuples []database.Tuple) [][]string {
-	rows := make([][]string, 0, len(tuples))
-	seen := map[string]bool{}
-	for _, t := range tuples {
-		row := p.formatTuple(t)
-		k := answerKey(row)
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, row)
-		}
+	rows := make([][]string, len(tuples))
+	for i, t := range tuples {
+		rows[i] = p.formatTuple(t)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		return answerKey(rows[i]) < answerKey(rows[j])
-	})
-	return rows
+	slices.SortFunc(rows, slices.Compare)
+	return slices.CompactFunc(rows, slices.Equal)
 }

@@ -3,6 +3,7 @@ package lincount
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lincount/internal/ast"
 	"lincount/internal/counting"
@@ -44,8 +45,9 @@ func CountingSet(p *Program, db *Database, query string) (string, error) {
 }
 
 // Explain evaluates query with the counting runtime, recording provenance,
-// and returns every answer with its derivation witness. It requires a
-// linear program with a bound query argument (the counting class).
+// and returns every answer with its derivation witness, in the order Eval
+// returns the answers. It requires a linear program with a bound query
+// argument (the counting class).
 func Explain(p *Program, db *Database, query string) ([]Explanation, error) {
 	if db != nil && db.owner != p {
 		return nil, ErrWrongDatabase
@@ -83,6 +85,8 @@ func Explain(p *Program, db *Database, query string) ([]Explanation, error) {
 			Witness: d.Format(p.bank),
 		})
 	}
+	// The runtime's answers are distinct; order them as finishRows does.
+	slices.SortFunc(out, func(a, b Explanation) int { return slices.Compare(a.Answer, b.Answer) })
 	return out, nil
 }
 
@@ -105,8 +109,7 @@ func (p *Program) compileFor(q ast.Query, strategy Strategy) (*plan.CompiledQuer
 // rule, the compiled join order with index probe patterns — of the program
 // a strategy would evaluate for the query. When db is non-nil its relation
 // cardinalities participate in the join ordering, as during evaluation.
-// Not available for MagicCounting (data-dependent) or CountingRuntime
-// (not evaluated by the rule engine).
+// Not available for CountingRuntime (not evaluated by the rule engine).
 func Plan(p *Program, db *Database, query string, strategy Strategy) (string, error) {
 	if db != nil && db.owner != p {
 		return "", ErrWrongDatabase
@@ -116,11 +119,8 @@ func Plan(p *Program, db *Database, query string, strategy Strategy) (string, er
 		return "", err
 	}
 	cq, resolved, err := p.compileFor(q, strategy)
-	switch resolved {
-	case CountingRuntime:
+	if resolved == CountingRuntime {
 		return "", errors.New("lincount: the counting runtime is not evaluated by the rule engine; see Rewrite for its declarative form")
-	case MagicCounting:
-		return "", errors.New("lincount: magic-counting chooses its rewriting from the data; plan the Magic or CountingReduced strategy instead")
 	}
 	if err != nil {
 		return "", err
@@ -137,11 +137,8 @@ func Rewrite(p *Program, query string, strategy Strategy) (program, goal string,
 		return "", "", err
 	}
 	cq, resolved, err := p.compileFor(q, strategy)
-	switch resolved {
-	case Naive, SemiNaive:
+	if resolved == Naive || resolved == SemiNaive {
 		return p.program.Format(), ast.FormatQuery(p.bank, q), nil
-	case MagicCounting:
-		return "", "", errors.New("lincount: magic-counting chooses its rewriting from the data; use Eval and inspect Result.Rewritten")
 	}
 	if err != nil {
 		return "", "", err

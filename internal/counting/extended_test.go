@@ -79,23 +79,15 @@ func (f *rwFixture) extended(t *testing.T) *Rewritten {
 	return rw
 }
 
-// evalAnswers evaluates a rewritten query and returns formatted answers.
+// evalAnswers evaluates a rewritten query and returns its answers
+// formatted and sorted.
 func evalAnswers(t *testing.T, f *rwFixture, rw *Rewritten) []string {
 	t.Helper()
 	res, err := engine.Eval(rw.Program, f.db, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := engine.Answers(res, f.db, rw.Query)
-	out := make([]string, len(ts))
-	for i, tu := range ts {
-		parts := make([]string, len(tu))
-		for j, v := range tu {
-			parts[j] = f.bank.Format(v)
-		}
-		out[i] = strings.Join(parts, ",")
-	}
-	return out
+	return formatSorted(f.bank, engine.Answers(res, f.db, rw.Query))
 }
 
 // plainAnswers evaluates the original program bottom-up.
@@ -105,16 +97,7 @@ func plainAnswers(t *testing.T, f *rwFixture) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := engine.Answers(res, f.db, f.q)
-	out := make([]string, len(ts))
-	for i, tu := range ts {
-		parts := make([]string, len(tu))
-		for j, v := range tu {
-			parts[j] = f.bank.Format(v)
-		}
-		out[i] = strings.Join(parts, ",")
-	}
-	return out
+	return formatSorted(f.bank, engine.Answers(res, f.db, f.q))
 }
 
 func ruleSet(b *term.Bank, p *ast.Program) map[string]bool {

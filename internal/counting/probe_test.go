@@ -2,6 +2,7 @@ package counting
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"lincount/internal/faultinject"
 )
 
-// shapeOf probes the left graph of goal over facts and runs the query:
-// whether the graph is acyclic, and how many answer classes the runtime
-// keyed its tuples by.
+// shapeOf runs the query over facts: whether the left graph the runtime
+// built from the binding is acyclic (it entered no back arc), and how
+// many answer classes it keyed its tuples by.
 func shapeOf(t *testing.T, src, goal, facts string) (acyclic bool, classes int) {
 	t.Helper()
 	f := newRW(t, src, goal, facts)
@@ -19,29 +20,28 @@ func shapeOf(t *testing.T, src, goal, facts string) (acyclic bool, classes int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acyclic, err = ProbeAcyclic(context.Background(), an, f.db, RuntimeOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	rt, err := NewRuntime(an, f.db, RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Run(); err != nil {
+	res, err := rt.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int32]bool{}
 	for _, c := range rt.class {
 		seen[c] = true
 	}
-	return acyclic, len(seen)
+	return res.Stats.BackEntries == 0, len(seen)
 }
 
-// TestProbeShapes: what the probe reports, and how the runtime classes
-// the nodes, on a layered graph, on acyclic graphs where two path shapes
-// meet in a node (a shortcut; a cross arc; two rules; two shared values),
-// on a cycle and on a self-loop; a rule that keeps answers puts a whole
-// chain in the source's class, and a bound head variable in the right
-// part (D_r ≠ ∅) gives every node a class of its own.
+// TestProbeShapes: whether the runtime's left graph is acyclic, and how
+// it classes the nodes, on a chain, on a layered graph, on acyclic graphs
+// where two path shapes meet in a node (a shortcut; a cross arc; two
+// rules; two shared values), on a cycle, on a self-loop and beside a
+// cycle the binding does not reach; a rule that keeps answers puts a
+// whole chain in the source's class, and a bound head variable in the
+// right part (D_r ≠ ∅) gives every node a class of its own.
 func TestProbeShapes(t *testing.T) {
 	twoRules := `
 sg(X,Y) :- flat(X,Y).
@@ -65,6 +65,9 @@ sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y,X).
 		acyclic          bool
 		classes          int
 	}{
+		{"chain", sgProgram, "up(a,b). up(b,c).", true, 3},
+		{"two-node cycle", sgProgram, "up(a,b). up(b,a).", false, 2},
+		{"a cycle the binding does not reach", sgProgram, "up(a,b). up(z,w). up(w,z).", true, 2},
 		{"diamond", sgProgram, "up(a,b). up(a,c). up(b,d). up(c,d).", true, 3},
 		{"shortcut", sgProgram, "up(a,b). up(b,c). up(a,c).", true, 3},
 		{"two rules into one node", twoRules, "up1(a,b). up2(a,b).", true, 2},
@@ -86,20 +89,22 @@ sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y,X).
 	}
 }
 
-// TestProbeFaultSite: the probe consults its own fault site, and the
-// options reach the runtime underneath it.
+// TestProbeFaultSite: the runtime's left-graph exploration consults the
+// node fault site its options arm.
 func TestProbeFaultSite(t *testing.T) {
 	f := newRW(t, sgProgram, "?- sg(a,Y).", example5Facts)
 	an, err := Analyze(f.adorned(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, site := range []string{faultinject.SiteCountingProbe, faultinject.SiteCountingNode} {
-		inj := faultinject.New(1)
-		inj.FailAt(site, 1)
-		if _, err := ProbeAcyclic(context.Background(), an, f.db, RuntimeOptions{Inject: inj}); err == nil {
-			t.Errorf("a fault at %s did not reach the probe", site)
-		}
+	inj := faultinject.New(1)
+	inj.FailAt(faultinject.SiteCountingNode, 1)
+	rt, err := NewRuntimeContext(context.Background(), an, f.db, RuntimeOptions{Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("a fault at %s did not reach the exploration: %v", faultinject.SiteCountingNode, err)
 	}
 }
 

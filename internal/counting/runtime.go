@@ -88,8 +88,8 @@ func (s RuntimeStats) EngineStats() engine.Stats {
 
 // RunResult is the outcome of a runtime evaluation.
 type RunResult struct {
-	// Answers holds the goal's free-argument tuples, deterministically
-	// ordered.
+	// Answers holds the goal's free-argument tuples, distinct and in no
+	// particular order.
 	Answers []database.Tuple
 	Stats   RuntimeStats
 }
@@ -386,7 +386,6 @@ func (rt *Runtime) Run() (*RunResult, error) {
 		return nil, err
 	}
 	rt.snapshotStats()
-	engine.SortTuplesFormatted(rt.bank, answers)
 	return &RunResult{Answers: answers, Stats: rt.stats}, nil
 }
 

@@ -3,8 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -452,62 +450,5 @@ func TestConstantsInRuleBody(t *testing.T) {
 	res := eval(t, f, "fromA(Y) :- e(a,Y).", Options{})
 	if got := f.answers(t, res, "?- fromA(Y)."); fmt.Sprint(got) != "[b c]" {
 		t.Errorf("fromA = %v", got)
-	}
-}
-
-// sortTuplesFormattedRef is the comparator SortTuplesFormatted had before
-// it precomputed its keys (formatting inside the comparison), kept as the
-// reference for the order it must reproduce.
-func sortTuplesFormattedRef(bank *term.Bank, ts []database.Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := range a {
-			if a[k] == b[k] {
-				continue
-			}
-			if a[k].IsInt() && b[k].IsInt() {
-				return a[k].AsInt() < b[k].AsInt()
-			}
-			fa, fb := bank.Format(a[k]), bank.Format(b[k])
-			if fa != fb {
-				return fa < fb
-			}
-		}
-		return false
-	})
-}
-
-// TestSortTuplesFormattedMatchesReference: random tuples over integers,
-// symbols (some spelling an integer, so distinct values render alike) and
-// compounds, mixed within columns, sort exactly as the reference does.
-func TestSortTuplesFormattedMatchesReference(t *testing.T) {
-	bank := term.NewBank(symtab.New())
-	syms := bank.Symbols()
-	f := syms.Intern("f")
-	pool := []term.Value{bank.Compound(f, term.Int(1)), bank.Compound(f, term.Symbol(syms.Intern("a")))}
-	for i := -3; i <= 12; i++ {
-		pool = append(pool, term.Int(int64(i)))
-	}
-	for _, s := range []string{"a", "b", "B", "10", "2", "-1", "f(1)", "aa"} {
-		pool = append(pool, term.Symbol(syms.Intern(s)))
-	}
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 500; round++ {
-		arity, n := 1+rng.Intn(3), rng.Intn(40)
-		got := make([]database.Tuple, n)
-		for i := range got {
-			got[i] = make(database.Tuple, arity)
-			for j := range got[i] {
-				got[i][j] = pool[rng.Intn(len(pool))]
-			}
-		}
-		want := append([]database.Tuple(nil), got...)
-		sortTuplesFormattedRef(bank, want)
-		SortTuplesFormatted(bank, got)
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("round %d row %d: got %v, want %v", round, i, got, want)
-			}
-		}
 	}
 }

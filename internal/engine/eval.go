@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -606,7 +605,7 @@ func (ev *evaluator) instantiate(p pat, frame []term.Value) term.Value {
 
 // Answers matches a query goal against an evaluation result (falling back
 // to the base database for purely extensional goals) and returns the
-// matching tuples in deterministic order. The goal runs as the rule
+// matching tuples in no particular order. The goal runs as the rule
 // "goal :- goal" through the executor; repeated variables and compound
 // patterns filter the rows it reads. Relations of a maintained result
 // (NewResult) are probed through an index on the goal's constants, which
@@ -637,56 +636,5 @@ func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
 		out = append(out, t.Clone())
 		return nil
 	})
-	SortTuplesFormatted(res.bank, out)
 	return out
-}
-
-// SortTuplesFormatted orders tuples by their rendered text (integers still
-// compare numerically within a column): the alphabetical order humans
-// expect from query output. Every value is formatted once, before the
-// sort.
-func SortTuplesFormatted(bank *term.Bank, ts []database.Tuple) {
-	if len(ts) < 2 {
-		return
-	}
-	n := 0
-	for _, t := range ts {
-		n += len(t)
-	}
-	texts := make([]string, n)
-	keys := make([]formattedKey, len(ts))
-	for i, t := range ts {
-		k := texts[:len(t):len(t)]
-		texts = texts[len(t):]
-		for j, v := range t {
-			k[j] = bank.Format(v)
-		}
-		keys[i] = formattedKey{t: t, text: k}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	for i := range keys {
-		ts[i] = keys[i].t
-	}
-}
-
-// formattedKey is a tuple with the rendered text of each of its values.
-type formattedKey struct {
-	t    database.Tuple
-	text []string
-}
-
-func (a formattedKey) less(b formattedKey) bool {
-	for k, v := range a.t {
-		w := b.t[k]
-		if v == w {
-			continue
-		}
-		if v.IsInt() && w.IsInt() {
-			return v.AsInt() < w.AsInt()
-		}
-		if fa, fb := a.text[k], b.text[k]; fa != fb {
-			return fa < fb
-		}
-	}
-	return false
 }

@@ -40,10 +40,6 @@ const (
 	// SiteCountingStep: the counting runtime derived an answer tuple
 	// (phase 2 of Algorithm 2).
 	SiteCountingStep = "counting.step"
-	// SiteCountingProbe: the left-graph probe behind magic-counting's
-	// choice between the reduced counting program and magic sets is about
-	// to explore. Auto never reaches it.
-	SiteCountingProbe = "counting.probe"
 	// SiteTopdownProbe: one input row QSQ feeds to a rule's solves.
 	SiteTopdownProbe = "topdown.probe"
 	// SiteTopdownPass: one global QSQ fixpoint sweep.
@@ -83,7 +79,7 @@ const (
 func Sites() []string {
 	s := []string{
 		SiteEngineInsert, SiteEngineProbe, SiteEngineIter,
-		SiteCountingNode, SiteCountingStep, SiteCountingProbe,
+		SiteCountingNode, SiteCountingStep,
 		SiteTopdownProbe, SiteTopdownPass,
 		SiteServerApply, SiteServerPublish,
 		SiteWALAppend, SiteWALFsync, SiteWALCheckpoint, SiteWALReplay,

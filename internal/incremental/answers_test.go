@@ -25,7 +25,6 @@ func scanAnswers(f *fixture, res *engine.Result, db *database.Database, q ast.Qu
 			out = append(out, rel.At(id).Clone())
 		}
 	}
-	engine.SortTuplesFormatted(f.bank, out)
 	return out
 }
 

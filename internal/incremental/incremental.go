@@ -238,9 +238,8 @@ func (m *Materialization) Relation(pred symtab.Sym) *database.Relation {
 }
 
 // Answers matches a query goal against the materialised relations (falling
-// back to the base database for purely extensional goals), in the same
-// deterministic order engine.Answers produces for a fresh evaluation. The
-// goal's dead rows are filtered out of the answers.
+// back to the base database for purely extensional goals), in no
+// particular order. The goal's dead rows are filtered out of the answers.
 func (m *Materialization) Answers(q ast.Query) []database.Tuple {
 	out := engine.Answers(engine.NewResult(m.bank, m.derived), m.db, q)
 	dead := m.dead[q.Goal.Pred]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,16 +60,13 @@ func oracleAnswers(t testing.TB, f *fixture, db *database.Database, q ast.Query)
 	return engine.Answers(res, db, q)
 }
 
+// sameTuples reports whether a and b hold the same tuples, in any order:
+// answers come in no particular order.
 func sameTuples(a, b []database.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, slices.Compare)
+	slices.SortFunc(b, slices.Compare)
+	return slices.EqualFunc(a, b, database.Tuple.Equal)
 }
 
 // checkAgainstOracle asserts mat ≡ from-scratch evaluation for the goal

@@ -181,6 +181,24 @@ func TestDiffAnswers(t *testing.T) {
 	}
 }
 
+// boundHeadCases are TestBoundHeadPatterns' programs. Each seed is the
+// case in FuzzOracle's encoding (decodeOracleCase); the third seed's data
+// has k for f.
+var boundHeadCases = []struct {
+	name, program, facts, query string
+	seed                        []byte
+}{
+	{"repeated variable", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
+		"flat(a,b,c). down(c,d).", "?- p(a,b,Y).",
+		[]byte{0, 1, 1, 1, 0, 1, 0, 0, 1, 2, 2, 2, 3, 0}},
+	{"constant", "p(X,W,Y) :- flat(X,W,Y).\np(X,k,Y) :- p(X,k,Z), down(Z,Y).\n",
+		"flat(a,b,c). down(c,d).", "?- p(a,b,Y).",
+		[]byte{0, 2, 2, 1, 0, 1, 0, 0, 1, 2, 2, 2, 3, 0}},
+	{"repeated variable, matching query", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
+		"flat(a,a,c). flat(a,b,e). down(c,d). down(e,f).", "?- p(a,a,Y).",
+		[]byte{0, 1, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0, 1, 4, 2, 2, 3, 0, 2, 4, 5, 0}},
+}
+
 // TestBoundHeadPatterns holds every strategy to the baseline on rules
 // that stay at their node under a bound head pattern: a repeated
 // variable or a constant among the bound arguments filters the node, a
@@ -189,17 +207,7 @@ func TestDiffAnswers(t *testing.T) {
 // would also answer (a,b,d); the third, whose filter the query
 // satisfies, must answer without tripping the iteration limit.
 func TestBoundHeadPatterns(t *testing.T) {
-	cases := []struct {
-		name, program, facts, query string
-	}{
-		{"repeated variable", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
-			"flat(a,b,c). down(c,d).", "?- p(a,b,Y)."},
-		{"constant", "p(X,W,Y) :- flat(X,W,Y).\np(X,k,Y) :- p(X,k,Z), down(Z,Y).\n",
-			"flat(a,b,c). down(c,d).", "?- p(a,b,Y)."},
-		{"repeated variable, matching query", "p(X,W,Y) :- flat(X,W,Y).\np(X,X,Y) :- p(X,X,Z), down(Z,Y).\n",
-			"flat(a,a,c). flat(a,b,e). down(c,d). down(e,f).", "?- p(a,a,Y)."},
-	}
-	for _, c := range cases {
+	for _, c := range boundHeadCases {
 		t.Run(c.name, func(t *testing.T) {
 			p := lincount.MustParseProgram(c.program)
 			db := lincount.NewDatabase(p)

@@ -53,7 +53,7 @@ type Result struct {
 	// purely extensional goal.
 	Strategy Strategy
 	// Rewritten and RewrittenQuery are the rewritten program and goal of
-	// the plan that ran (for MagicCounting, of the alternative it picked).
+	// the plan that ran.
 	Rewritten, RewrittenQuery string
 	Stats                     engine.Stats
 	// Rules holds per-rule profiles of engine-evaluated plans when
@@ -62,11 +62,7 @@ type Result struct {
 }
 
 // Execute runs the plan against db: the engine over the (rewritten)
-// program, the counting runtime, QSQ, or — for MagicCounting — the
-// alternative a probe of the left graph picks, the reduced counting
-// program when the graph reachable from the query constants is acyclic
-// and magic sets otherwise (reference [16]). The probe is phase 1 of the
-// runtime, run afresh by every execution.
+// program, the counting runtime, or QSQ.
 func (cq *CompiledQuery) Execute(ctx context.Context, db *database.Database, opts ExecOptions) (*Result, error) {
 	switch {
 	case cq.Extensional:
@@ -84,26 +80,6 @@ func (cq *CompiledQuery) Execute(ctx context.Context, db *database.Database, opt
 			return nil, err
 		}
 		return &Result{Answers: res.Answers, Strategy: QSQ, Stats: res.Stats}, nil
-	case cq.Strategy == MagicCounting:
-		alt := cq.viaMagic
-		if cq.viaReduced != nil {
-			acyclic, err := counting.ProbeAcyclic(ctx, cq.Analysis, db, opts.RuntimeOptions())
-			if err != nil {
-				return nil, err
-			}
-			if acyclic {
-				alt = cq.viaReduced
-			}
-		}
-		if alt == nil {
-			return nil, cq.magicErr
-		}
-		res, err := alt.Execute(ctx, db, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Strategy = MagicCounting
-		return res, nil
 	default:
 		return cq.execEngine(ctx, db, opts, cq.Strategy)
 	}

@@ -129,9 +129,7 @@ type CompiledQuery struct {
 	// Adorned is the shared adornment (nil for Naive/SemiNaive, which do
 	// not adorn).
 	Adorned *adorn.Adorned
-	// Analysis is the shared linearity analysis (counting strategies;
-	// for MagicCounting it may be nil when the program is outside the
-	// counting class, in which case execution uses magic sets directly).
+	// Analysis is the shared linearity analysis (counting strategies).
 	Analysis *counting.Analysis
 	// Extensional is true when the adorned program has no rules — a
 	// purely extensional goal that every rewriting strategy delegates to
@@ -157,13 +155,6 @@ type CompiledQuery struct {
 	Passes []PassInfo
 	// CompileTime is the total wall-clock time of the compile.
 	CompileTime time.Duration
-
-	// viaMagic and viaReduced are MagicCounting's compiled alternatives:
-	// magic sets (magicErr when they do not compile — an error only once
-	// the probe picks them) and, when the analysis allows the list
-	// rewrite, the reduced counting program.
-	viaMagic, viaReduced *CompiledQuery
-	magicErr             error
 }
 
 // A pass is one step of the compilation pipeline; it reads the shared
@@ -202,29 +193,6 @@ var passAnalyze = pass{name: "analyze", run: func(cq *CompiledQuery, sh *Shared)
 	cq.Analysis = an
 	return false, nil
 }}
-
-// passAnalyzeOptional is passAnalyze for MagicCounting, where an
-// analysis failure means "outside the counting class, use magic sets"
-// rather than a compile error.
-var passAnalyzeOptional = pass{name: "analyze", run: func(cq *CompiledQuery, sh *Shared) (bool, error) {
-	if an, err := sh.Analysis(); err == nil {
-		cq.Analysis = an
-	}
-	return false, nil
-}}
-
-// compileAlternatives is MagicCounting's "alternatives" pass: it compiles
-// both alternatives against the same shared state, so execution only has
-// to pick one.
-func compileAlternatives(cq *CompiledQuery, sh *Shared) (bool, error) {
-	cq.viaMagic, cq.magicErr = Compile(sh, Magic, nil)
-	if cq.Analysis == nil || !cq.Analysis.ListRewriteSafe() {
-		return false, nil
-	}
-	var err error
-	cq.viaReduced, err = Compile(sh, CountingReduced, nil)
-	return false, err
-}
 
 func rewritePass(name string, fn func(cq *CompiledQuery, sh *Shared) error) pass {
 	return pass{name: name, run: func(cq *CompiledQuery, sh *Shared) (bool, error) {
@@ -303,8 +271,7 @@ var passFinalize = pass{name: "finalize", run: func(cq *CompiledQuery, sh *Share
 		cq.RewrittenText = counting.RewriteCyclicText(cq.Analysis)
 		cq.RewrittenQueryText = strings.TrimSpace(ast.FormatQuery(bank, cq.Adorned.Query))
 	default:
-		// Naive, SemiNaive, QSQ, MagicCounting: evaluate (or, for
-		// MagicCounting, pick an alternative) over the original program and
+		// Naive, SemiNaive, QSQ: evaluate over the original program and
 		// read answers at the original goal.
 		cq.Program = sh.prog
 		cq.EntryQuery = cq.Query
@@ -332,8 +299,6 @@ func passesFor(s Strategy) []pass {
 		return []pass{passAdorn, passAnalyze, passFinalize}
 	case QSQ:
 		return []pass{passAdorn, passFinalize}
-	case MagicCounting:
-		return []pass{passAdorn, passAnalyzeOptional, {name: "alternatives", run: compileAlternatives}, passFinalize}
 	default:
 		return nil
 	}

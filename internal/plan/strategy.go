@@ -49,14 +49,6 @@ const (
 	// Ramakrishnan), which materializes rule prefixes so they are not
 	// re-joined per derived body literal.
 	MagicSup
-	// MagicCounting is the hybrid of Saccà & Zaniolo (SIGMOD 1987, the
-	// paper's reference [16]): probe the left-part graph reachable from
-	// the query constants; if acyclic, run the (fast) reduced extended
-	// counting program, otherwise fall back to magic sets. The paper's
-	// Algorithm 2 supersedes it by handling cycles inside the counting
-	// framework — the runtime makes the regular/irregular split per node
-	// — and both are provided for comparison.
-	MagicCounting
 	// QSQ evaluates top-down with Query-SubQuery (Vieille), the
 	// operational counterpart of magic sets from the [4] comparison
 	// suite. Negated derived literals are not supported.
@@ -84,8 +76,6 @@ func (s Strategy) String() string {
 		return "counting-runtime"
 	case MagicSup:
 		return "magic-sup"
-	case MagicCounting:
-		return "magic-counting"
 	case QSQ:
 		return "qsq"
 	default:
@@ -105,5 +95,5 @@ func ParseStrategy(name string) (Strategy, error) {
 
 // Strategies lists all concrete strategies (excluding Auto), for sweeps.
 func Strategies() []Strategy {
-	return []Strategy{Naive, SemiNaive, Magic, MagicSup, MagicCounting, QSQ, CountingClassic, Counting, CountingReduced, CountingRuntime}
+	return []Strategy{Naive, SemiNaive, Magic, MagicSup, QSQ, CountingClassic, Counting, CountingReduced, CountingRuntime}
 }

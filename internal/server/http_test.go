@@ -6,11 +6,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"lincount"
 )
 
 func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -178,6 +181,30 @@ func TestHTTPRequestIDEcho(t *testing.T) {
 	second := get(t, h, "/healthz").Header().Get("X-Request-Id")
 	if first == "" || first == second {
 		t.Fatalf("generated ids = %q, %q; want distinct non-empty", first, second)
+	}
+}
+
+// TestHTTPUnknownStrategy: a query naming a strategy that does not exist
+// — here the removed hybrid of magic sets and counting ([16]) — is a 400
+// whose JSON body names the strategy and carries the request id.
+func TestHTTPUnknownStrategy(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Close()
+	name := lincount.Magic.String() + "-" + lincount.Counting.String()
+	req := httptest.NewRequest(http.MethodPost, "/v1/query",
+		strings.NewReader(fmt.Sprintf(`{"query":"?- p(a,Y).","strategy":%q}`, name)))
+	req.Header.Set("X-Request-Id", "client-mc")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+		t.Fatalf("non-JSON error body %q", rec.Body)
+	}
+	if er.Error != "bad_request" || er.RequestID != "client-mc" || !strings.Contains(er.Detail, fmt.Sprintf("unknown strategy %q", name)) {
+		t.Errorf("error body %+v: want bad_request, request id client-mc and the unknown strategy", er)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,11 +56,6 @@ const (
 	// Ramakrishnan), which materializes rule prefixes so they are not
 	// re-joined per derived body literal.
 	MagicSup = plan.MagicSup
-	// MagicCounting is the hybrid of Saccà & Zaniolo (SIGMOD 1987, the
-	// paper's reference [16]): probe the left-part graph reachable from
-	// the query constants; if acyclic, run the (fast) reduced extended
-	// counting program, otherwise fall back to magic sets.
-	MagicCounting = plan.MagicCounting
 	// QSQ evaluates top-down with Query-SubQuery (Vieille), the
 	// operational counterpart of magic sets. Negated derived literals
 	// are not supported.
@@ -388,6 +382,3 @@ func (p *Program) formatTuple(t database.Tuple) []string {
 	}
 	return out
 }
-
-// answerKey joins a formatted row for dedup and sorting.
-func answerKey(row []string) string { return strings.Join(row, "\x1f") }

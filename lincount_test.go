@@ -280,15 +280,21 @@ func TestStatsReflectMethodDifferences(t *testing.T) {
 	}
 }
 
+// TestParseStrategyRoundTrip: every strategy's name parses back to it,
+// and a name no strategy has — a made-up one, or that of the removed
+// hybrid of magic sets and counting ([16]) — is an unknown-strategy
+// error.
 func TestParseStrategyRoundTrip(t *testing.T) {
-	for s := Auto; s <= MagicSup; s++ {
+	for _, s := range append(Strategies(), Auto) {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
 			t.Errorf("round trip %v failed: %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("bogus strategy accepted")
+	for _, name := range []string{"bogus", Magic.String() + "-" + Counting.String()} {
+		if _, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("ParseStrategy(%q): %v, want an unknown-strategy error", name, err)
+		}
 	}
 }
 
@@ -411,9 +417,6 @@ func TestPlan(t *testing.T) {
 	}
 	if _, err := Plan(p, db, "?- sg(a,Y).", CountingRuntime); err == nil {
 		t.Error("runtime plan should not be available")
-	}
-	if _, err := Plan(p, db, "?- sg(a,Y).", MagicCounting); err == nil {
-		t.Error("magic-counting plan should not be available")
 	}
 }
 

@@ -86,18 +86,13 @@ func (m *Materialization) DerivedFacts() int64 { return m.mat.DerivedFacts() }
 // Answers evaluates a query goal ("?- tc(a, X).") directly against the
 // materialised relations — no fixpoint, no rewriting; cost is one scan
 // or index probe of the goal's predicate. Rows are rendered exactly as
-// Eval renders them, in the same canonical order.
+// Eval renders them, in the same order.
 func (m *Materialization) Answers(goal string) ([][]string, error) {
 	q, err := parser.ParseQuery(m.owner.bank, goal)
 	if err != nil {
 		return nil, err
 	}
-	tuples := m.mat.Answers(q)
-	rows := make([][]string, len(tuples))
-	for i, t := range tuples {
-		rows[i] = m.owner.formatTuple(t)
-	}
-	return rows, nil
+	return finishRows(m.owner, m.mat.Answers(q)), nil
 }
 
 // Verify evaluates the program from scratch over the same epoch and

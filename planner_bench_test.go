@@ -16,7 +16,7 @@ import (
 func forcedFor(shape string) []lincount.Strategy {
 	all := []lincount.Strategy{
 		lincount.Counting, lincount.CountingReduced, lincount.CountingRuntime,
-		lincount.MagicCounting, lincount.Magic,
+		lincount.Magic,
 	}
 	if shape == "sg-cyclic" {
 		return all[2:]

@@ -10,7 +10,7 @@ import (
 // Inferences, DerivedFacts, Iterations).
 func engineEvaluated(s Strategy) bool {
 	switch s {
-	case Naive, SemiNaive, Magic, MagicSup, MagicCounting, CountingClassic, Counting, CountingReduced:
+	case Naive, SemiNaive, Magic, MagicSup, CountingClassic, Counting, CountingReduced:
 		return true
 	}
 	return false
